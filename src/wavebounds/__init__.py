@@ -29,7 +29,7 @@ from .daub_filters import (
     magnitude_squared_H,
     magnitude_squared_H_integral,
 )
-from .norms import DEFAULT_OMEGA_MAX, NormRequest, best_constant_Ckp, weighted_lp_norm
+from .norms import DEFAULT_OMEGA_MAX, NormRequest, best_constant_Ckp, default_decay, weighted_lp_norm
 from .quadrature import QuadResult, adaptive_quadrature
 from .reporting import VerificationRow, exit_code, rows_to_csv_bytes, rows_to_json_bytes, summarize
 from .special_math import binomial, cm_constant, sinc_alternating_sum, sinc_power_integral
@@ -74,6 +74,7 @@ __all__ = [
     "cm_constant",
     "compute_bound_set",
     "construct_filter",
+    "default_decay",
     "estimate_decay",
     "eval_H",
     "eval_P",

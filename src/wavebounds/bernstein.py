@@ -31,10 +31,10 @@ from .bound_formulas import (
     bound_G,
     ratio_bounds,
 )
-from .norms import DEFAULT_OMEGA_MAX, NormRequest, _default_fit, best_constant_Ckp, weighted_lp_norm
+from .norms import DEFAULT_OMEGA_MAX, NormRequest, best_constant_Ckp, default_decay, weighted_lp_norm
 from .quadrature import QuadResult, adaptive_quadrature
 from .reporting import VerificationRow
-from .spectral_eval import DEFAULT_CONFIG, EvalConfig, _wavelet_hat_grid
+from .spectral_eval import DEFAULT_CONFIG, EvalConfig, wavelet_hat
 
 J_RANGE = (-6, 10)
 NU_LIMIT = 64
@@ -93,7 +93,7 @@ def _coefficient_quad(
     width = _GAUSS_CUT / f.sigma
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        psi = _wavelet_hat_grid(m, scale * w, cfg)
+        psi = wavelet_hat(m, scale * w, cfg)
         phase = np.exp(1j * w * scale * nu)
         return f.transform(w) * (2.0 ** (-0.5 * j)) * phase * np.conj(psi)
 
@@ -256,7 +256,7 @@ def _decay_for(m: int, settings: SweepSettings) -> tuple[float | None, float | N
     """(c, C_tilde) recorded on rows; the order-1 case has no fitted exponent."""
     if m == 1:
         return None, None
-    fit = _default_fit(m, settings.omega_max, settings.cfg)
+    fit = default_decay(m, settings.omega_max, settings.cfg)
     return fit.c, fit.C_tilde
 
 
@@ -438,7 +438,8 @@ def _run_bernstein(case: Mapping, settings: SweepSettings) -> VerificationRow:
     )
 
 
-_RUNNERS = {
+# Each check's row runner and the default grid it sweeps.
+CHECKS = {
     "theorem1": (_run_theorem1, theorem1_grid),
     "theorem2": (_run_theorem2, theorem2_grid),
     "corollary1": (_run_corollary1, corollary1_grid),
@@ -458,9 +459,9 @@ def verify_sweep(
     Case errors become rows with status 'error' rather than aborting the sweep,
     and the output order always follows the grid order.
     """
-    if check not in _RUNNERS:
-        raise ValueError(f"unknown check {check!r}; expected one of {sorted(_RUNNERS)}")
-    runner, default_grid = _RUNNERS[check]
+    if check not in CHECKS:
+        raise ValueError(f"unknown check {check!r}; expected one of {sorted(CHECKS)}")
+    runner, default_grid = CHECKS[check]
     if cases is None:
         cases = default_grid()
     rows: list[VerificationRow] = []

@@ -17,7 +17,7 @@ reports can record which envelope produced the numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .special_math import factorial_ratio, sinc_alternating_sum
@@ -142,16 +142,8 @@ def bound_D(params: BoundParams) -> float:
 
 
 def bound_E(params: BoundParams) -> float:
-    """Lower constant for ||psi_hat||_p; equals the k=0, eps=pi lower bracket form."""
-    m, p = params.m, params.p
-    t1 = (
-        2.0 ** (-p * (0.5 + 2 * m) + 1.0)
-        * math.pi ** (p * (m - 0.5) + 1.0)
-        * factorial_ratio(m) ** (0.5 * p)
-    )
-    t2 = (2.0 * math.pi) ** (2.0 - params.c * p * params.log_m())
-    t3 = (2.0 * math.pi) ** (1.0 - 0.5 * p)
-    return (2.0 * math.pi) ** (1.0 / p - 0.5) - (t1 + t2 + t3) ** (1.0 / p)
+    """Lower constant for ||psi_hat||_p: the lower constant B at k=0, eps=pi."""
+    return bound_B(replace(params, k=0, eps=math.pi))
 
 
 def _even_mp(params: BoundParams) -> int:

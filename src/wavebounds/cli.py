@@ -12,12 +12,12 @@ import math
 import sys
 from pathlib import Path
 
-from .bernstein import SweepSettings, verify_sweep
+from .bernstein import CHECKS, SweepSettings, verify_sweep
 from .bound_formulas import BoundParams, compute_bound_set
 from .daub_filters import construct_filter
-from .norms import DEFAULT_OMEGA_MAX, NormRequest, weighted_lp_norm
+from .norms import DEFAULT_OMEGA_MAX, NormRequest, default_decay, weighted_lp_norm
 from .reporting import exit_code, fmt17, rows_to_csv_bytes, rows_to_json_bytes, summarize
-from .spectral_eval import estimate_decay, scaling_hat, wavelet_hat, wavelet_hat_abs2
+from .spectral_eval import DEFAULT_CONFIG, estimate_decay, scaling_hat, wavelet_hat, wavelet_hat_abs2
 
 _VERIFY_CHECKS = ("theorem1", "theorem2", "corollary1", "corollary2", "corollary3")
 
@@ -104,13 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(data: bytes, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(data.decode("utf-8"))
-    else:
-        out.write_bytes(data)
-
-
 def _cmd_filters(args) -> int:
     spec = construct_filter(args.m)
     if args.json:
@@ -177,7 +170,7 @@ def _cmd_bounds(args) -> int:
     c_tilde = args.ctilde
     if c is None:
         if args.m >= 2:
-            fit = estimate_decay(args.m, 4.0 * math.pi, DEFAULT_OMEGA_MAX, 128)
+            fit = default_decay(args.m, DEFAULT_OMEGA_MAX, DEFAULT_CONFIG)
             c = fit.c
             c_tilde = fit.C_tilde if c_tilde is None else c_tilde
         else:
@@ -226,21 +219,29 @@ def _restrict_grid(cases: list[dict], args) -> list[dict]:
     return [case for case in cases if keep(case)]
 
 
-def _cmd_verify(args) -> int:
-    settings = SweepSettings(eps=args.eps, tol_pad=args.tol)
-    from .bernstein import _RUNNERS
+def _report_sweep(check: str, cases: list[dict], settings: SweepSettings, args) -> int:
+    """Run one sweep, write its report to --out or stdout, and return the exit code.
 
-    cases = _restrict_grid(_RUNNERS[args.check][1](), args)
-    rows = verify_sweep(args.check, cases, settings)
+    With --out, a one-line summary of the row statuses goes to stdout.
+    """
+    rows = verify_sweep(check, cases, settings)
     data = rows_to_csv_bytes(rows) if args.format == "csv" else rows_to_json_bytes(rows)
-    _emit(data, args.out)
-    if args.out is not None:
+    if args.out is None:
+        sys.stdout.write(data.decode("utf-8"))
+    else:
+        args.out.write_bytes(data)
         counts = summarize(rows)
         print(
-            f"{args.check}: {counts['pass']} pass, {counts['fail']} fail, "
+            f"{check}: {counts['pass']} pass, {counts['fail']} fail, "
             f"{counts['vacuous']} vacuous, {counts['error']} error -> {args.out}"
         )
     return exit_code(rows)
+
+
+def _cmd_verify(args) -> int:
+    settings = SweepSettings(eps=args.eps, tol_pad=args.tol)
+    cases = _restrict_grid(CHECKS[args.check][1](), args)
+    return _report_sweep(args.check, cases, settings, args)
 
 
 def _cmd_bernstein(args) -> int:
@@ -250,16 +251,7 @@ def _cmd_bernstein(args) -> int:
         for j in range(args.j_range[0], args.j_range[1] + 1)
         for nu in range(args.nu_range[0], args.nu_range[1] + 1)
     ]
-    rows = verify_sweep("bernstein", cases, settings)
-    data = rows_to_csv_bytes(rows) if args.format == "csv" else rows_to_json_bytes(rows)
-    _emit(data, args.out)
-    if args.out is not None:
-        counts = summarize(rows)
-        print(
-            f"bernstein: {counts['pass']} pass, {counts['fail']} fail, "
-            f"{counts['vacuous']} vacuous, {counts['error']} error -> {args.out}"
-        )
-    return exit_code(rows)
+    return _report_sweep("bernstein", cases, settings, args)
 
 
 _COMMANDS = {

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special_math import binomial, cm_constant
+from .special_math import MAX_ORDER, binomial, cm_constant
 
 # Root finding on the factorization polynomial degrades beyond this order in
 # double precision; construction refuses rather than returning degraded taps.
@@ -49,22 +49,38 @@ class FilterSpec:
             raise ValueError(f"expected {2 * self.m} taps, got {len(self.taps)}")
 
 
-def eval_P(m: int, x: float) -> float:
+def flatten_frequencies(omega: float | np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """omega as a 1-d float array, plus the shape to hand back to restore_shape.
+
+    Every evaluator computes on 1-d arrays, so a scalar call runs exactly the
+    arithmetic of a one-element array call.
+    """
+    w = np.asarray(omega, dtype=float)
+    return w.reshape(-1), w.shape
+
+
+def restore_shape(values: np.ndarray, shape: tuple[int, ...]) -> float | complex | np.ndarray:
+    """values in the input's shape; a 0-d input gives a Python float or complex."""
+    return values.reshape(shape) if shape else values.item()
+
+
+def eval_P(m: int, x: float | np.ndarray) -> float | np.ndarray:
     """Truncated binomial-series polynomial sum_k C(m-1+k, k) x^k, by Horner."""
-    if m < 1 or m > 32:
-        raise ValueError(f"eval_P requires 1 <= m <= 32, got {m}")
+    if m < 1 or m > MAX_ORDER:
+        raise ValueError(f"eval_P requires 1 <= m <= {MAX_ORDER}, got {m}")
     acc = 0.0
     for k in range(m - 1, -1, -1):
         acc = acc * x + binomial(m - 1 + k, k)
     return acc
 
 
-def magnitude_squared_H(m: int, omega: float) -> float:
+def magnitude_squared_H(m: int, omega: float | np.ndarray) -> float | np.ndarray:
     """|H(w)|^2 = cos^(2m)(w/2) * P_(m-1)(sin^2(w/2)); 2pi-periodic, even, in [0, 1]."""
-    c = math.cos(0.5 * omega)
-    s = math.sin(0.5 * omega)
-    val = (c * c) ** m * eval_P(m, s * s)
-    return min(max(val, 0.0), 1.0)
+    w, shape = flatten_frequencies(omega)
+    half = 0.5 * w
+    c2 = np.cos(half) ** 2
+    s2 = np.sin(half) ** 2
+    return restore_shape(np.clip(c2**m * eval_P(m, s2), 0.0, 1.0), shape)
 
 
 def _sin_odd_power_integral(n: int, x: float) -> float:
@@ -84,8 +100,8 @@ def magnitude_squared_H_integral(m: int, omega: float) -> float:
     and 2pi-periodicity. Independent of the trigonometric closed form, which
     makes the two routes a cross-check of each other.
     """
-    if m < 1 or m > 32:
-        raise ValueError(f"magnitude_squared_H_integral requires 1 <= m <= 32, got {m}")
+    if m < 1 or m > MAX_ORDER:
+        raise ValueError(f"magnitude_squared_H_integral requires 1 <= m <= {MAX_ORDER}, got {m}")
     x = math.fmod(abs(omega), 2.0 * math.pi)
     if x > math.pi:
         x = 2.0 * math.pi - x
@@ -170,9 +186,8 @@ def _real_poly_from_roots(roots: list[complex], m: int) -> np.ndarray:
 def _construction_residual(m: int, taps: tuple[float, ...]) -> float:
     spec = FilterSpec(m=m, taps=taps)
     grid = np.linspace(-math.pi, math.pi, 257)
-    closed = np.array([magnitude_squared_H(m, w) for w in grid])
-    recon = np.abs(_eval_H_grid(spec, grid)) ** 2
-    return float(np.max(np.abs(recon - closed)))
+    recon = np.abs(eval_H(spec, grid)) ** 2
+    return float(np.max(np.abs(recon - magnitude_squared_H(m, grid))))
 
 
 @lru_cache(maxsize=None)
@@ -232,29 +247,9 @@ def construct_filter(m: int) -> FilterSpec:
     return FilterSpec(m=m, taps=taps_tuple)
 
 
-def eval_H(spec: FilterSpec, omega: float) -> complex:
+def eval_H(spec: FilterSpec, omega: float | np.ndarray) -> complex | np.ndarray:
     """H(w) = 2^(-1/2) sum_l h(l) e^(i l w)."""
-    acc = 0.0 + 0.0j
-    phase = complex(math.cos(omega), math.sin(omega))
-    for tap in reversed(spec.taps):
-        acc = acc * phase + tap
-    return acc / math.sqrt(2.0)
-
-
-def _eval_H_grid(spec: FilterSpec, omega: np.ndarray) -> np.ndarray:
-    """Vectorized eval_H over an array of frequencies."""
+    w, shape = flatten_frequencies(omega)
     ell = np.arange(2 * spec.m)
-    taps = np.asarray(spec.taps)
-    phases = np.exp(1j * np.multiply.outer(np.asarray(omega, dtype=float), ell))
-    return phases @ taps / math.sqrt(2.0)
-
-
-def _magnitude_squared_H_grid(m: int, omega: np.ndarray) -> np.ndarray:
-    """Vectorized magnitude_squared_H over an array of frequencies."""
-    half = 0.5 * np.asarray(omega, dtype=float)
-    c2 = np.cos(half) ** 2
-    s2 = np.sin(half) ** 2
-    acc = np.zeros_like(s2)
-    for k in range(m - 1, -1, -1):
-        acc = acc * s2 + binomial(m - 1 + k, k)
-    return np.clip(c2**m * acc, 0.0, 1.0)
+    phases = np.exp(1j * np.multiply.outer(w, ell))
+    return restore_shape(phases @ np.asarray(spec.taps) / math.sqrt(2.0), shape)

@@ -27,8 +27,8 @@ from .spectral_eval import (
     DEFAULT_CONFIG,
     DecayFit,
     EvalConfig,
-    _wavelet_hat_abs2_grid,
     estimate_decay,
+    wavelet_hat_abs2,
 )
 
 DEFAULT_OMEGA_MAX = 2.0**12 * math.pi
@@ -72,7 +72,12 @@ class NormRequest:
 
 
 @lru_cache(maxsize=None)
-def _default_fit(m: int, omega_max: float, cfg: EvalConfig) -> DecayFit:
+def default_decay(m: int, omega_max: float, cfg: EvalConfig) -> DecayFit:
+    """The decay fit every default envelope uses: 128 samples over [4 pi, omega_max].
+
+    Cached, so norms, sweep rows and the CLI share one fit per order. Raises
+    for m = 1, whose exponent c is undefined; callers handle that order.
+    """
     return estimate_decay(m, 4.0 * math.pi, omega_max, 128, cfg)
 
 
@@ -81,7 +86,7 @@ def _resolve_envelope(req: NormRequest, cfg: EvalConfig) -> tuple[float, float]:
     if req.decay is None:
         if req.m == 1:
             return _HAAR_ENVELOPE
-        fit = _default_fit(req.m, req.omega_max, cfg)
+        fit = default_decay(req.m, req.omega_max, cfg)
         return fit.C_tilde, fit.c * math.log(req.m)
     if isinstance(req.decay, DecayFit):
         return req.decay.C_tilde, req.decay.c * math.log(req.m)
@@ -131,7 +136,7 @@ def _weighted_lp_norm_cached(req: NormRequest, cfg: EvalConfig) -> QuadResult:
     pk = p * k
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        abs2 = _wavelet_hat_abs2_grid(m, w, cfg)
+        abs2 = wavelet_hat_abs2(m, w, cfg)
         weight = w**-pk if pk else np.ones_like(w)
         return weight * abs2 ** (0.5 * p)
 

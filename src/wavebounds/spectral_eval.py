@@ -25,11 +25,12 @@ from functools import lru_cache
 import numpy as np
 
 from .daub_filters import (
-    _eval_H_grid,
-    _magnitude_squared_H_grid,
+    FilterSpec,
     construct_filter,
     eval_H,
+    flatten_frequencies,
     magnitude_squared_H,
+    restore_shape,
 )
 from .special_math import cm_constant
 
@@ -82,12 +83,15 @@ class DecayFit:
             raise ValueError("fit range must start above 2*pi")
 
 
-def _check_omega_guard(omega: float, cfg: EvalConfig) -> None:
-    if abs(omega) > 2.0**cfg.max_depth * cfg.product_tol:
+def _guarded_peak(w: np.ndarray, cfg: EvalConfig) -> float:
+    """max |w|, which sets the product depth; raises above the evaluation guard."""
+    peak = float(np.max(np.abs(w), initial=0.0))
+    if peak > 2.0**cfg.max_depth * cfg.product_tol:
         raise ValueError(
-            f"|omega|={abs(omega):.3e} exceeds the evaluation guard "
+            f"|omega|={peak:.3e} exceeds the evaluation guard "
             f"2^max_depth * product_tol = {2.0 ** cfg.max_depth * cfg.product_tol:.3e}"
         )
+    return peak
 
 
 @lru_cache(maxsize=None)
@@ -135,70 +139,58 @@ def _depth_complex(m: int, abs_omega: float, cfg: EvalConfig) -> int:
     return depth
 
 
-def _scaling_hat_grid(m: int, omega: np.ndarray, cfg: EvalConfig) -> np.ndarray:
-    """Vectorized phi_hat over an array, at the depth required by its largest entry."""
-    omega = np.asarray(omega, dtype=float)
-    spec = construct_filter(m)
-    depth = _depth_complex(m, float(np.max(np.abs(omega), initial=0.0)), cfg)
+def _phi_product(spec: FilterSpec, w: np.ndarray, peak: float, cfg: EvalConfig) -> np.ndarray:
+    """phi_hat on a 1-d array whose largest |w| is peak, at the depth that peak requires."""
+    depth = _depth_complex(spec.m, peak, cfg)
     scales = 2.0 ** -np.arange(1, depth + 1)
-    args = np.multiply.outer(scales, omega)
-    factors = _eval_H_grid(spec, args.ravel()).reshape(args.shape)
+    args = np.multiply.outer(scales, w)
+    factors = eval_H(spec, args.ravel()).reshape(args.shape)
     return _INV_SQRT_2PI * np.prod(factors, axis=0)
 
 
-def scaling_hat(m: int, omega: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """phi_hat(w): truncated infinite product (2 pi)^(-1/2) prod_l H(w 2^(-l))."""
-    _check_omega_guard(omega, cfg)
-    spec = construct_filter(m)
-    depth = _depth_complex(m, abs(omega), cfg)
-    acc = complex(_INV_SQRT_2PI)
-    for ell in range(1, depth + 1):
-        acc *= eval_H(spec, omega * 2.0**-ell)
-    return acc
+def scaling_hat(
+    m: int, omega: float | np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG
+) -> complex | np.ndarray:
+    """phi_hat(w): truncated infinite product (2 pi)^(-1/2) prod_l H(w 2^(-l)).
+
+    An array is evaluated at the depth required by its largest entry.
+    """
+    w, shape = flatten_frequencies(omega)
+    peak = _guarded_peak(w, cfg)
+    return restore_shape(_phi_product(construct_filter(m), w, peak, cfg), shape)
 
 
-def wavelet_hat(m: int, omega: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def wavelet_hat(
+    m: int, omega: float | np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG
+) -> complex | np.ndarray:
     """psi_hat(w) = e^(-i w/2) conj(H(w/2 + pi)) phi_hat(w/2)."""
-    _check_omega_guard(omega, cfg)
+    w, shape = flatten_frequencies(omega)
+    peak = _guarded_peak(w, cfg)
     spec = construct_filter(m)
-    half = 0.5 * omega
-    mod = complex(math.cos(half), -math.sin(half))
-    return mod * eval_H(spec, half + math.pi).conjugate() * scaling_hat(m, half, cfg)
-
-
-def _wavelet_hat_grid(m: int, omega: np.ndarray, cfg: EvalConfig) -> np.ndarray:
-    omega = np.asarray(omega, dtype=float)
-    spec = construct_filter(m)
-    half = 0.5 * omega
+    half = 0.5 * w
     mod = np.exp(-1j * half)
-    return mod * np.conj(_eval_H_grid(spec, half + math.pi)) * _scaling_hat_grid(m, half, cfg)
+    psi = mod * np.conj(eval_H(spec, half + math.pi)) * _phi_product(spec, half, 0.5 * peak, cfg)
+    return restore_shape(psi, shape)
 
 
-def _wavelet_hat_abs2_grid(m: int, omega: np.ndarray, cfg: EvalConfig) -> np.ndarray:
-    """Vectorized |psi_hat|^2 from the magnitude form only (no tap coefficients)."""
-    omega = np.asarray(omega, dtype=float)
-    band = _magnitude_squared_H_grid(m, 0.5 * omega + math.pi)
-    depth = _depth_modulus(m, 0.5 * float(np.max(np.abs(omega), initial=0.0)), cfg)
-    scales = 2.0 ** -np.arange(2, depth + 2)  # arguments w/4, w/8, ...
-    args = np.multiply.outer(scales, omega)
-    factors = _magnitude_squared_H_grid(m, args.ravel()).reshape(args.shape)
-    return band * np.prod(factors, axis=0) / (2.0 * math.pi)
-
-
-def wavelet_hat_abs2(m: int, omega: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def wavelet_hat_abs2(
+    m: int, omega: float | np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG
+) -> float | np.ndarray:
     """|psi_hat(w)|^2 computed entirely from magnitude_squared_H.
 
     Shares no code path with the tap-based wavelet_hat beyond the filter order,
     so agreement between |wavelet_hat|^2 and this value cross-checks the
-    spectral factorization end to end.
+    spectral factorization end to end. An array is evaluated at the depth
+    required by its largest entry.
     """
-    _check_omega_guard(omega, cfg)
-    band = magnitude_squared_H(m, 0.5 * omega + math.pi)
-    depth = _depth_modulus(m, 0.5 * abs(omega), cfg)
-    acc = band / (2.0 * math.pi)
-    for ell in range(1, depth + 1):
-        acc *= magnitude_squared_H(m, omega * 2.0 ** -(ell + 1))
-    return acc
+    w, shape = flatten_frequencies(omega)
+    peak = _guarded_peak(w, cfg)
+    band = magnitude_squared_H(m, 0.5 * w + math.pi)
+    depth = _depth_modulus(m, 0.5 * peak, cfg)
+    scales = 2.0 ** -np.arange(2, depth + 2)  # arguments w/4, w/8, ...
+    args = np.multiply.outer(scales, w)
+    factors = magnitude_squared_H(m, args.ravel()).reshape(args.shape)
+    return restore_shape(band * np.prod(factors, axis=0) / (2.0 * math.pi), shape)
 
 
 def ideal_band_indicator(omega: float) -> float:
@@ -231,7 +223,7 @@ def estimate_decay(
         raise ValueError(f"need at least 16 samples, got {samples}")
 
     grid = np.exp(np.linspace(math.log(omega_lo), math.log(omega_hi), samples))
-    vals = np.sqrt(_wavelet_hat_abs2_grid(m, grid, cfg))
+    vals = np.sqrt(wavelet_hat_abs2(m, grid, cfg))
 
     block_x: list[float] = []
     block_y: list[float] = []

@@ -19,9 +19,8 @@ from scipy.integrate import quad
 
 from wavebounds.bernstein import verify_sweep
 from wavebounds.daub_filters import (
-    _eval_H_grid,
-    _magnitude_squared_H_grid,
     construct_filter,
+    eval_H,
     magnitude_squared_H,
     magnitude_squared_H_integral,
 )
@@ -50,7 +49,7 @@ def test_criterion_1_filter_correctness():
         spec = construct_filter(m)
         taps = np.array(spec.taps)
         resid = float(
-            np.max(np.abs(np.abs(_eval_H_grid(spec, grid)) ** 2 - _magnitude_squared_H_grid(m, grid)))
+            np.max(np.abs(np.abs(eval_H(spec, grid)) ** 2 - magnitude_squared_H(m, grid)))
         )
         worst_resid = max(worst_resid, resid)
         worst_sum = max(worst_sum, abs(float(taps.sum()) - SQRT2))

@@ -24,7 +24,7 @@ from wavebounds.reporting import (
     rows_to_json_bytes,
     summarize,
 )
-from wavebounds.spectral_eval import DEFAULT_CONFIG, _wavelet_hat_abs2_grid, _wavelet_hat_grid
+from wavebounds.spectral_eval import DEFAULT_CONFIG, wavelet_hat, wavelet_hat_abs2
 
 
 class TestGaussianTestFunction:
@@ -78,7 +78,7 @@ class TestWaveletCoefficient:
                 f.transform(arr)
                 * 2.0 ** (-0.5 * j)
                 * np.exp(1j * arr * scale * nu)
-                * np.conj(_wavelet_hat_grid(m, scale * arr, DEFAULT_CONFIG))
+                * np.conj(wavelet_hat(m, scale * arr, DEFAULT_CONFIG))
             )[0]
             return val.real
 
@@ -88,7 +88,7 @@ class TestWaveletCoefficient:
                 f.transform(arr)
                 * 2.0 ** (-0.5 * j)
                 * np.exp(1j * arr * scale * nu)
-                * np.conj(_wavelet_hat_grid(m, scale * arr, DEFAULT_CONFIG))
+                * np.conj(wavelet_hat(m, scale * arr, DEFAULT_CONFIG))
             )[0]
             return val.imag
 
@@ -128,7 +128,7 @@ class TestWaveletCoefficient:
         span = 2.0**j * DEFAULT_OMEGA_MAX
 
         def integrand(w):
-            return 2.0**-j * _wavelet_hat_abs2_grid(m, 2.0**-j * w, DEFAULT_CONFIG)
+            return 2.0**-j * wavelet_hat_abs2(m, 2.0**-j * w, DEFAULT_CONFIG)
 
         breaks = [2.0**j * math.pi * 2.0**i for i in range(13)]
         result = adaptive_quadrature(

@@ -189,6 +189,21 @@ class TestUnweightedPair:
         params = BoundParams(m=4, k=0, p=2.5, c=1.3, eps=math.pi)
         assert bound_E(params) == pytest.approx(bound_B(params), rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "m,k,p,c,eps",
+        [
+            (1, 0, 2.0, 1.0, math.pi),
+            (2, 1, 1.5, 0.7, 1.0),
+            (4, 3, 2.5, 1.3, 0.5),
+            (6, 2, 3.0, 2.0, math.pi),
+            (16, 9, 7.5, 0.3, 2.0),
+        ],
+    )
+    def test_lower_is_weighted_lower_at_k_zero_eps_pi(self, m, k, p, c, eps):
+        # E ignores k and eps: it is B at k = 0, eps = pi, bit for bit.
+        params = BoundParams(m=m, k=k, p=p, c=c, eps=eps)
+        assert bound_E(params) == bound_B(BoundParams(m=m, k=0, p=p, c=c, eps=math.pi))
+
     def test_ordering_on_grid(self):
         for m in range(1, 7):
             for p in (1.5, 2.0, 3.0):

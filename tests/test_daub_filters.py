@@ -9,14 +9,13 @@ from wavebounds.daub_filters import (
     MAX_CONSTRUCTIBLE_ORDER,
     FilterConstructionError,
     FilterSpec,
-    _eval_H_grid,
-    _magnitude_squared_H_grid,
     construct_filter,
     eval_H,
     eval_P,
     magnitude_squared_H,
     magnitude_squared_H_integral,
 )
+from wavebounds.special_math import MAX_ORDER
 
 SQRT2 = math.sqrt(2.0)
 
@@ -57,9 +56,9 @@ class TestMagnitudeSquared:
     @pytest.mark.parametrize("m", [1, 4, 12])
     def test_range_and_mirror_identity(self, m):
         grid = np.linspace(-math.pi, math.pi, 301)
-        vals = _magnitude_squared_H_grid(m, grid)
+        vals = magnitude_squared_H(m, grid)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-        mirror = vals + _magnitude_squared_H_grid(m, grid + math.pi)
+        mirror = vals + magnitude_squared_H(m, grid + math.pi)
         np.testing.assert_allclose(mirror, 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("m", [2, 5, 9])
@@ -71,6 +70,21 @@ class TestMagnitudeSquared:
             - math.log(magnitude_squared_H(m, math.pi - d1))
         ) / (math.log(d2) - math.log(d1))
         assert s == pytest.approx(2 * m, abs=0.1)
+
+
+class TestOrderLimit:
+    @pytest.mark.parametrize("m", [0, MAX_ORDER + 1])
+    @pytest.mark.parametrize("x", [0.3, np.array([0.1, 0.3])], ids=["scalar", "array"])
+    def test_bad_order_named_in_message(self, m, x):
+        with pytest.raises(ValueError, match=f"got {m}$"):
+            eval_P(m, x)
+        with pytest.raises(ValueError, match=f"got {m}$"):
+            magnitude_squared_H(m, x)
+
+    @pytest.mark.parametrize("m", [0, MAX_ORDER + 1])
+    def test_integral_form_bad_order_named_in_message(self, m):
+        with pytest.raises(ValueError, match=f"got {m}$"):
+            magnitude_squared_H_integral(m, 0.3)
 
 
 class TestIntegralForm:
@@ -153,7 +167,7 @@ class TestConstruction:
         spec = construct_filter(m)
         grid = np.linspace(-math.pi, math.pi, 2048)
         resid = np.max(
-            np.abs(np.abs(_eval_H_grid(spec, grid)) ** 2 - _magnitude_squared_H_grid(m, grid))
+            np.abs(np.abs(eval_H(spec, grid)) ** 2 - magnitude_squared_H(m, grid))
         )
         assert resid < 1e-10
 
@@ -202,8 +216,13 @@ class TestEvalH:
         assert got == pytest.approx(magnitude_squared_H(3, 1.1), abs=1e-10)
 
     def test_grid_evaluator_agrees_with_scalar(self):
+        # Reference: the tap polynomial by scalar Horner in complex arithmetic.
         spec = construct_filter(4)
         grid = np.linspace(-2.0, 2.0, 9)
-        vec = _eval_H_grid(spec, grid)
+        vec = eval_H(spec, grid)
         for w, v in zip(grid, vec):
-            assert v == pytest.approx(eval_H(spec, float(w)), abs=1e-14)
+            phase = complex(math.cos(w), math.sin(w))
+            acc = 0.0 + 0.0j
+            for tap in reversed(spec.taps):
+                acc = acc * phase + tap
+            assert v == pytest.approx(acc / SQRT2, abs=1e-14)

@@ -11,7 +11,7 @@ from wavebounds.norms import (
     weighted_lp_norm,
 )
 from wavebounds.quadrature import adaptive_quadrature
-from wavebounds.spectral_eval import EvalConfig, _wavelet_hat_abs2_grid, estimate_decay
+from wavebounds.spectral_eval import EvalConfig, estimate_decay, wavelet_hat_abs2
 
 CFG = EvalConfig()
 
@@ -95,7 +95,7 @@ class TestSelfConsistency:
     def test_monotone_refinement_of_quadrature(self):
         # Halving the engine tolerance never worsens the reported estimate.
         def integrand(w):
-            return _wavelet_hat_abs2_grid(2, w, CFG)
+            return wavelet_hat_abs2(2, w, CFG)
 
         errors = [
             adaptive_quadrature(integrand, 0.0, 64.0 * math.pi, rel_tol=t, abs_tol=1e-16).abs_error
@@ -108,14 +108,14 @@ class TestIntegrandOriginBehavior:
     def test_vanishes_for_k_below_m(self):
         m, k, p = 3, 2, 2.0
         w = 1e-8
-        val = w ** (-p * k) * float(_wavelet_hat_abs2_grid(m, np.array([w]), CFG)[0]) ** (p / 2)
+        val = w ** (-p * k) * float(wavelet_hat_abs2(m, np.array([w]), CFG)[0]) ** (p / 2)
         assert val < 1e-10
 
     def test_bounded_for_k_equal_m(self):
         m = k = 2
         p = 2.0
         vals = [
-            float(w ** (-p * k) * _wavelet_hat_abs2_grid(m, np.array([w]), CFG)[0] ** (p / 2))
+            float(w ** (-p * k) * wavelet_hat_abs2(m, np.array([w]), CFG)[0] ** (p / 2))
             for w in (1e-8, 1e-9)
         ]
         assert vals[0] == pytest.approx(vals[1], rel=1e-2)

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from wavebounds.daub_filters import construct_filter, eval_H, magnitude_squared_H
 from wavebounds.spectral_eval import (
     DecayFit,
     EvalConfig,
     TruncationError,
-    _wavelet_hat_abs2_grid,
-    _wavelet_hat_grid,
     estimate_decay,
     ideal_band_indicator,
     scaling_hat,
@@ -119,8 +118,8 @@ class TestDualPath:
         # cancellation in eval_H: first order that is a sqrt(value)-scaled
         # absolute error, bottoming out at the squared noise floor ~1e-33.
         grid = np.linspace(-30.0, 30.0, 121)
-        taps_sq = np.abs(_wavelet_hat_grid(m, grid, CFG)) ** 2
-        closed = _wavelet_hat_abs2_grid(m, grid, CFG)
+        taps_sq = np.abs(wavelet_hat(m, grid, CFG)) ** 2
+        closed = wavelet_hat_abs2(m, grid, CFG)
         allowed = 2.0 * CFG.product_tol * closed + 1e-14 * np.sqrt(closed) + 1e-26
         assert np.all(np.abs(taps_sq - closed) <= allowed)
 
@@ -134,6 +133,33 @@ class TestDualPath:
         a = wavelet_hat_abs2(m, w, CFG)
         b = wavelet_hat_abs2(m, w, DEEPER)
         assert abs(a - b) <= CFG.product_tol * abs(b)
+
+
+# Each evaluator at order 3, with the Python type a scalar call returns.
+EVALUATORS = {
+    "eval_H": (lambda w: eval_H(construct_filter(3), w), complex),
+    "magnitude_squared_H": (lambda w: magnitude_squared_H(3, w), float),
+    "scaling_hat": (lambda w: scaling_hat(3, w), complex),
+    "wavelet_hat": (lambda w: wavelet_hat(3, w), complex),
+    "wavelet_hat_abs2": (lambda w: wavelet_hat_abs2(3, w), float),
+}
+
+
+class TestScalarArrayContract:
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    @pytest.mark.parametrize("w", [0.0, 1e-3, -5.2, 37.0, 1e3, 1.5e5])
+    def test_scalar_is_one_element_array(self, name, w):
+        fn, kind = EVALUATORS[name]
+        for scalar in (w, np.float64(w), np.array(w)):
+            value = fn(scalar)
+            assert type(value) is kind
+            assert value == fn(np.array([w]))[0]
+
+    @pytest.mark.parametrize("name", ["scaling_hat", "wavelet_hat", "wavelet_hat_abs2"])
+    def test_guard_applies_to_arrays(self, name):
+        fn, _ = EVALUATORS[name]
+        with pytest.raises(ValueError, match=r"\|omega\|=2\.000e\+07 exceeds the evaluation guard"):
+            fn(np.array([1.0, -2e7, 3.0]))
 
 
 class TestIdealBandIndicator:
@@ -169,7 +195,7 @@ class TestEstimateDecay:
         fit = estimate_decay(3, 4 * math.pi, 512 * math.pi, 64)
         grid = np.exp(np.linspace(math.log(4 * math.pi), math.log(512 * math.pi), 64))
         alpha = fit.c * math.log(3)
-        vals = np.sqrt(_wavelet_hat_abs2_grid(3, grid, CFG))
+        vals = np.sqrt(wavelet_hat_abs2(3, grid, CFG))
         envelope = fit.C_tilde * grid**-alpha
         assert np.all(envelope >= vals * (1.0 - 1e-12))
 
