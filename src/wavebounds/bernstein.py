@@ -34,7 +34,7 @@ from .bound_formulas import (
 from .norms import DEFAULT_OMEGA_MAX, NormRequest, best_constant_Ckp, default_decay, weighted_lp_norm
 from .quadrature import QuadResult, adaptive_quadrature
 from .reporting import VerificationRow
-from .spectral_eval import DEFAULT_CONFIG, EvalConfig, wavelet_hat
+from .spectral_eval import wavelet_hat
 
 J_RANGE = (-6, 10)
 NU_LIMIT = 64
@@ -86,14 +86,16 @@ class GaussianTestFunction:
         return cls(sigma=sigma, center=center, amplitude=1.0 / base.weighted_transform_norm(k, q))
 
 
-def _coefficient_quad(
-    f: GaussianTestFunction, m: int, j: int, nu: int, cfg: EvalConfig
-) -> QuadResult:
+def _coefficient_quad(f: GaussianTestFunction, m: int, j: int, nu: int) -> QuadResult:
+    if not (J_RANGE[0] <= j <= J_RANGE[1]):
+        raise ValueError(f"scale j must lie in [{J_RANGE[0]}, {J_RANGE[1]}], got {j}")
+    if abs(nu) > NU_LIMIT:
+        raise ValueError(f"shift |nu| must not exceed {NU_LIMIT}, got {nu}")
     scale = 2.0**-j
     width = _GAUSS_CUT / f.sigma
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        psi = wavelet_hat(m, scale * w, cfg)
+        psi = wavelet_hat(m, scale * w)
         phase = np.exp(1j * w * scale * nu)
         return f.transform(w) * (2.0 ** (-0.5 * j)) * phase * np.conj(psi)
 
@@ -119,19 +121,9 @@ def _coefficient_quad(
     )
 
 
-def wavelet_coefficient(
-    f: GaussianTestFunction,
-    m: int,
-    j: int,
-    nu: int,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> complex:
+def wavelet_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> complex:
     """<f, psi_(j,nu)> computed as integral f_hat(w) conj(psi_hat_(j,nu)(w)) dw."""
-    if not (J_RANGE[0] <= j <= J_RANGE[1]):
-        raise ValueError(f"scale j must lie in [{J_RANGE[0]}, {J_RANGE[1]}], got {j}")
-    if abs(nu) > NU_LIMIT:
-        raise ValueError(f"shift |nu| must not exceed {NU_LIMIT}, got {nu}")
-    return complex(_coefficient_quad(f, m, j, nu, cfg).value)
+    return complex(_coefficient_quad(f, m, j, nu).value)
 
 
 def _transform_norm_quad(f: GaussianTestFunction, k: int, q: float) -> QuadResult:
@@ -149,53 +141,33 @@ def _transform_norm_quad(f: GaussianTestFunction, k: int, q: float) -> QuadResul
     return QuadResult(value=value, abs_error=err, evaluations=quad.evaluations)
 
 
-def _bernstein_rhs_detail(
-    m: int,
-    k: int,
-    p: float,
-    j: int,
-    f: GaussianTestFunction,
-    cfg: EvalConfig,
-    omega_max: float = DEFAULT_OMEGA_MAX,
-) -> QuadResult:
+def _bernstein_rhs_detail(m: int, k: int, p: float, j: int, f: GaussianTestFunction) -> QuadResult:
     if not 0 <= k < m:
         raise ValueError(f"requires 0 <= k < m, got k={k}, m={m}")
     q = p / (p - 1.0)
-    num = weighted_lp_norm(NormRequest(m, k, p, omega_max), cfg)
-    den = weighted_lp_norm(NormRequest(m, 0, p, omega_max), cfg)
+    # C_(k,p) ||psi_hat||_p is ||w^-k psi_hat||_p by the definition of C_(k,p).
+    num = weighted_lp_norm(NormRequest(m, k, p))
     fnorm = _transform_norm_quad(f, k, q)
-    dyadic = 2.0 ** (-j * (k + 1.0 / p - 0.5))
-    constant = num.value / den.value
-    value = constant * dyadic * den.value * fnorm.value
-    rel = (
-        num.abs_error / num.value
-        + 2.0 * den.abs_error / den.value
-        + fnorm.abs_error / max(fnorm.value, 1e-300)
-    )
+    value = num.value * 2.0 ** (-j * (k + 1.0 / p - 0.5)) * fnorm.value
+    rel = num.abs_error / num.value + fnorm.abs_error / max(fnorm.value, 1e-300)
     return QuadResult(value=value, abs_error=value * rel, evaluations=fnorm.evaluations)
 
 
-def bernstein_rhs(
-    m: int,
-    k: int,
-    p: float,
-    j: int,
-    f: GaussianTestFunction,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> float:
+def bernstein_rhs(m: int, k: int, p: float, j: int, f: GaussianTestFunction) -> float:
     """Right-hand side C_(k,p) 2^(-j(k+1/p-1/2)) ||psi_hat||_p ||(i w)^k f_hat||_p'."""
-    return _bernstein_rhs_detail(m, k, p, j, f, cfg).value
+    return _bernstein_rhs_detail(m, k, p, j, f).value
+
+
+# Multiplier on the asymptotic lower constants (G, and the Cor3 lower ratio).
+ASYMPTOTIC_SLACK = 0.5
 
 
 @dataclass(frozen=True)
 class SweepSettings:
-    """Shared knobs for verification sweeps."""
+    """The band parameter of the closed forms and the pad added to every tolerance."""
 
     eps: float = math.pi
-    omega_max: float = DEFAULT_OMEGA_MAX
     tol_pad: float = 1e-9
-    slack: float = 0.5  # multiplier applied to the asymptotic lower constant
-    cfg: EvalConfig = DEFAULT_CONFIG
 
 
 DEFAULT_SETTINGS = SweepSettings()
@@ -213,7 +185,7 @@ def theorem1_grid() -> list[dict]:
 
 def theorem2_grid() -> list[dict]:
     return [
-        {"m": m, "p": p}
+        {"m": m, "k": m, "p": p}
         for m in range(1, 6)
         for p in (2.0, 4.0)
         if round(m * p) % 2 == 0
@@ -221,7 +193,7 @@ def theorem2_grid() -> list[dict]:
 
 
 def corollary1_grid() -> list[dict]:
-    return [{"m": m, "p": p} for m in range(1, 7) for p in (1.5, 2.0, 3.0)]
+    return [{"m": m, "k": 0, "p": p} for m in range(1, 7) for p in (1.5, 2.0, 3.0)]
 
 
 def bernstein_grid() -> list[dict]:
@@ -232,209 +204,127 @@ def bernstein_grid() -> list[dict]:
     ]
 
 
-def _margin(value: float, lower: float | None, upper: float | None) -> float | None:
-    gaps = []
-    if upper is not None and not math.isinf(upper):
-        gaps.append(upper - value)
-    if lower is not None:
-        gaps.append(value - lower)
-    return min(gaps) if gaps else None
+def _row(check, m, k, p, value, lower, upper, tol, vacuous=(), **fields) -> VerificationRow:
+    """One sweep row, with the status and margin every check shares.
 
-
-def _status_from(value, lower, upper, tol, vac_lower, vac_upper) -> str:
+    The status checks `value` within `tol` against each side (a bound that is
+    not None) not named in `vacuous`, and is 'vacuous' when no side is
+    checked. The margin is the smallest gap to a finite side. `vacuous` is
+    recorded as the row's flags, so it may also carry non-side flags.
+    """
     checks = []
-    if lower is not None and not vac_lower:
-        checks.append(value >= lower - tol)
-    if upper is not None and not vac_upper:
-        checks.append(value <= upper + tol)
+    gaps = []
+    if lower is not None:
+        if "lower" not in vacuous:
+            checks.append(value >= lower - tol)
+        if math.isfinite(lower):
+            gaps.append(value - lower)
+    if upper is not None:
+        if "upper" not in vacuous:
+            checks.append(value <= upper + tol)
+        if math.isfinite(upper):
+            gaps.append(upper - value)
     if not checks:
-        return "vacuous"
-    return "pass" if all(checks) else "fail"
-
-
-def _decay_for(m: int, settings: SweepSettings) -> tuple[float | None, float | None]:
-    """(c, C_tilde) recorded on rows; the order-1 case has no fitted exponent."""
-    if m == 1:
-        return None, None
-    fit = default_decay(m, settings.omega_max, settings.cfg)
-    return fit.c, fit.C_tilde
-
-
-def _bound_params(
-    m: int, k: int, p: float, settings: SweepSettings
-) -> tuple[BoundParams, float | None, float | None]:
-    c, c_tilde = _decay_for(m, settings)
-    # The c-dependent term is vacuous at m = 1 (log m = 0) whatever c is.
-    params = BoundParams(
-        m=m, k=k, p=p, c=c if c is not None else 1.0, eps=settings.eps, c_tilde=c_tilde
-    )
-    return params, c, c_tilde
-
-
-def _run_theorem1(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    m, k, p = case["m"], case["k"], case["p"]
-    params, c, c_tilde = _bound_params(m, k, p, settings)
-    upper = bound_A(params)
-    lower = bound_B(params)
-    norm = weighted_lp_norm(NormRequest(m, k, p, settings.omega_max), settings.cfg)
-    tol = norm.abs_error + settings.tol_pad
-    vac_lower = lower < 0
-    status = _status_from(norm.value, lower, upper, tol, vac_lower, False)
+        status = "vacuous"
+    else:
+        status = "pass" if all(checks) else "fail"
     return VerificationRow(
-        check="theorem1",
+        check=check,
         status=status,
         m=m,
         k=k,
         p=p,
-        value=norm.value,
-        abs_error=norm.abs_error,
+        value=value,
         lower_bound=lower,
         upper_bound=upper,
-        margin=_margin(norm.value, lower, upper),
-        vacuous_flags=("lower",) if vac_lower else (),
-        decay_c=c,
-        decay_c_tilde=c_tilde,
+        margin=min(gaps, default=None),
+        vacuous_flags=tuple(vacuous),
+        **fields,
     )
 
 
-def _run_theorem2(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    m, p = case["m"], case["p"]
-    params, c, c_tilde = _bound_params(m, m, p, settings)
-    upper = bound_F(params)
-    lower = settings.slack * bound_G(params)
-    norm = weighted_lp_norm(NormRequest(m, m, p, settings.omega_max), settings.cfg)
+def _bound_params(m: int, k: int, p: float, eps: float) -> tuple[BoundParams, dict]:
+    """The closed-form parameters, and the decay fields a row records (none for m = 1)."""
+    if m == 1:
+        # The c-dependent term is vacuous at m = 1 (log m = 0) whatever c is.
+        return BoundParams(m=m, k=k, p=p, c=1.0, eps=eps), {}
+    fit = default_decay(m, DEFAULT_OMEGA_MAX)
+    params = BoundParams(m=m, k=k, p=p, c=fit.c, eps=eps, c_tilde=fit.C_tilde)
+    return params, {"decay_c": fit.c, "decay_c_tilde": fit.C_tilde}
+
+
+def _norm_row(check, params, lower, upper, settings, vacuous=(), **fields) -> VerificationRow:
+    """Row bracketing ||w^-k psi_hat||_p, checked within its abs_error plus the pad."""
+    m, k, p = params.m, params.k, params.p
+    norm = weighted_lp_norm(NormRequest(m, k, p))
     tol = norm.abs_error + settings.tol_pad
-    status = _status_from(norm.value, lower, upper, tol, False, False)
-    return VerificationRow(
-        check="theorem2",
-        status=status,
-        m=m,
-        k=m,
-        p=p,
-        value=norm.value,
-        abs_error=norm.abs_error,
-        lower_bound=lower,
-        upper_bound=upper,
-        margin=_margin(norm.value, lower, upper),
-        slack=settings.slack,
-        decay_c=c,
-        decay_c_tilde=c_tilde,
-        note="lower bound carries the asymptotic slack factor",
+    return _row(
+        check, m, k, p, norm.value, lower, upper, tol, vacuous, abs_error=norm.abs_error, **fields
+    )
+
+
+def _ratio_row(check, params, lower, upper, settings, vacuous=(), **fields) -> VerificationRow:
+    """Row bracketing the best constant C_(k,p), checked within the pad alone."""
+    m, k, p = params.m, params.k, params.p
+    value = best_constant_Ckp(m, k, p)
+    return _row(check, m, k, p, value, lower, upper, settings.tol_pad, vacuous, **fields)
+
+
+def _run_theorem1(case: Mapping, settings: SweepSettings) -> VerificationRow:
+    params, decay = _bound_params(case["m"], case["k"], case["p"], settings.eps)
+    lower = bound_B(params)
+    vacuous = ("lower",) if lower < 0 else ()
+    return _norm_row("theorem1", params, lower, bound_A(params), settings, vacuous, **decay)
+
+
+def _run_theorem2(case: Mapping, settings: SweepSettings) -> VerificationRow:
+    params, decay = _bound_params(case["m"], case["m"], case["p"], settings.eps)
+    lower = ASYMPTOTIC_SLACK * bound_G(params)
+    note = "lower bound carries the asymptotic slack factor"
+    return _norm_row(
+        "theorem2", params, lower, bound_F(params), settings,
+        slack=ASYMPTOTIC_SLACK, note=note, **decay,
     )
 
 
 def _run_corollary1(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    m, p = case["m"], case["p"]
-    params, c, c_tilde = _bound_params(m, 0, p, settings)
-    upper = bound_D(params)
+    params, decay = _bound_params(case["m"], 0, case["p"], settings.eps)
     lower = bound_E(params)
-    norm = weighted_lp_norm(NormRequest(m, 0, p, settings.omega_max), settings.cfg)
-    tol = norm.abs_error + settings.tol_pad
-    vac_lower = lower <= 0
-    flags = ["lower"] if vac_lower else []
-    if m == 1:
-        flags.append("log_m_zero")
-    status = _status_from(norm.value, lower, upper, tol, vac_lower, False)
-    return VerificationRow(
-        check="corollary1",
-        status=status,
-        m=m,
-        k=0,
-        p=p,
-        value=norm.value,
-        abs_error=norm.abs_error,
-        lower_bound=lower,
-        upper_bound=upper,
-        margin=_margin(norm.value, lower, upper),
-        vacuous_flags=tuple(flags),
-        decay_c=c,
-        decay_c_tilde=c_tilde,
-    )
+    vacuous = ("lower",) if lower <= 0 else ()
+    if params.m == 1:
+        vacuous += ("log_m_zero",)
+    return _norm_row("corollary1", params, lower, bound_D(params), settings, vacuous, **decay)
 
 
 def _run_corollary2(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    m, k, p = case["m"], case["k"], case["p"]
-    params, c, c_tilde = _bound_params(m, k, p, settings)
+    params, decay = _bound_params(case["m"], case["k"], case["p"], settings.eps)
     interval = ratio_bounds(params, "Cor2")
-    constant = best_constant_Ckp(m, k, p, settings.cfg, omega_max=settings.omega_max)
-    flags = []
-    if interval.vacuous_lower:
-        flags.append("lower")
-    if interval.vacuous_upper:
-        flags.append("upper")
-    status = _status_from(
-        constant,
-        interval.lo,
-        interval.hi,
-        settings.tol_pad,
-        interval.vacuous_lower,
-        interval.vacuous_upper,
-    )
-    return VerificationRow(
-        check="corollary2",
-        status=status,
-        m=m,
-        k=k,
-        p=p,
-        value=constant,
-        lower_bound=interval.lo,
-        upper_bound=interval.hi,
-        margin=_margin(constant, interval.lo, interval.hi),
-        vacuous_flags=tuple(flags),
-        decay_c=c,
-        decay_c_tilde=c_tilde,
-    )
+    vacuous = ("lower",) * interval.vacuous_lower + ("upper",) * interval.vacuous_upper
+    return _ratio_row("corollary2", params, interval.lo, interval.hi, settings, vacuous, **decay)
 
 
 def _run_corollary3(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    m, p = case["m"], case["p"]
-    params, c, c_tilde = _bound_params(m, m, p, settings)
+    params, decay = _bound_params(case["m"], case["m"], case["p"], settings.eps)
     interval = ratio_bounds(params, "Cor3")
-    constant = best_constant_Ckp(m, m, p, settings.cfg, omega_max=settings.omega_max)
-    lower = settings.slack * interval.lo
-    flags = ["upper"] if interval.vacuous_upper else []
-    status = _status_from(
-        constant, lower, interval.hi, settings.tol_pad, False, interval.vacuous_upper
-    )
-    return VerificationRow(
-        check="corollary3",
-        status=status,
-        m=m,
-        k=m,
-        p=p,
-        value=constant,
-        lower_bound=lower,
-        upper_bound=interval.hi,
-        margin=_margin(constant, lower, interval.hi),
-        vacuous_flags=tuple(flags),
-        slack=settings.slack,
-        decay_c=c,
-        decay_c_tilde=c_tilde,
+    lower = ASYMPTOTIC_SLACK * interval.lo
+    vacuous = ("upper",) * interval.vacuous_upper
+    return _ratio_row(
+        "corollary3", params, lower, interval.hi, settings, vacuous,
+        slack=ASYMPTOTIC_SLACK, **decay,
     )
 
 
 def _run_bernstein(case: Mapping, settings: SweepSettings) -> VerificationRow:
     m, k, p = case["m"], case["k"], case["p"]
-    j, nu, sigma = case["j"], case["nu"], case["sigma"]
+    j, nu = case["j"], case["nu"]
     q = p / (p - 1.0)
-    f = GaussianTestFunction.normalized(sigma, case.get("center", 0.0), k, q)
-    coef = _coefficient_quad(f, m, j, nu, settings.cfg)
-    rhs = _bernstein_rhs_detail(m, k, p, j, f, settings.cfg, settings.omega_max)
+    f = GaussianTestFunction.normalized(case["sigma"], case.get("center", 0.0), k, q)
+    coef = _coefficient_quad(f, m, j, nu)
+    rhs = _bernstein_rhs_detail(m, k, p, j, f)
     value = abs(coef.value)
     tol = coef.abs_error + rhs.abs_error + settings.tol_pad
-    status = _status_from(value, None, rhs.value, tol, False, False)
-    return VerificationRow(
-        check="bernstein",
-        status=status,
-        m=m,
-        k=k,
-        p=p,
-        j=j,
-        nu=nu,
-        value=value,
-        abs_error=coef.abs_error,
-        upper_bound=rhs.value,
-        margin=rhs.value - value,
+    return _row(
+        "bernstein", m, k, p, value, None, rhs.value, tol, j=j, nu=nu, abs_error=coef.abs_error
     )
 
 

@@ -17,9 +17,7 @@ from .bound_formulas import BoundParams, compute_bound_set
 from .daub_filters import construct_filter
 from .norms import DEFAULT_OMEGA_MAX, NormRequest, default_decay, weighted_lp_norm
 from .reporting import exit_code, fmt17, rows_to_csv_bytes, rows_to_json_bytes, summarize
-from .spectral_eval import DEFAULT_CONFIG, estimate_decay, scaling_hat, wavelet_hat, wavelet_hat_abs2
-
-_VERIFY_CHECKS = ("theorem1", "theorem2", "corollary1", "corollary2", "corollary3")
+from .spectral_eval import estimate_decay, scaling_hat, wavelet_hat, wavelet_hat_abs2
 
 
 def _parse_span(text: str) -> tuple[float, float]:
@@ -82,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run a verification sweep")
-    p_verify.add_argument("check", choices=_VERIFY_CHECKS)
+    p_verify.add_argument("check", choices=[check for check in CHECKS if check != "bernstein"])
     p_verify.add_argument("--m-list", type=int, nargs="+", default=None)
     p_verify.add_argument("--k-list", type=int, nargs="+", default=None)
     p_verify.add_argument("--p-list", type=float, nargs="+", default=None)
@@ -130,6 +128,19 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _print_record(record: dict, args) -> int:
+    """Print a record as JSON (--json), a CSV header and line (--csv), or `key = value` lines."""
+    if args.json:
+        print(json.dumps(record, indent=2, sort_keys=True))
+    elif getattr(args, "csv", False):
+        print(",".join(record.keys()))
+        print(",".join(str(v) for v in record.values()))
+    else:
+        for key, val in record.items():
+            print(f"{key} = {val}")
+    return 0
+
+
 def _cmd_decay(args) -> int:
     lo, hi = args.range
     fit = estimate_decay(args.m, lo, hi, args.samples)
@@ -142,12 +153,7 @@ def _cmd_decay(args) -> int:
         "fit_hi": fmt17(fit.fit_range[1]),
         "residual": fmt17(fit.residual),
     }
-    if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
-    else:
-        for key, val in record.items():
-            print(f"{key} = {val}")
-    return 0
+    return _print_record(record, args)
 
 
 def _cmd_norm(args) -> int:
@@ -157,12 +163,7 @@ def _cmd_norm(args) -> int:
         "abs_error": fmt17(result.abs_error),
         "evaluations": result.evaluations,
     }
-    if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
-    else:
-        for key, val in record.items():
-            print(f"{key} = {val}")
-    return 0
+    return _print_record(record, args)
 
 
 def _cmd_bounds(args) -> int:
@@ -170,7 +171,7 @@ def _cmd_bounds(args) -> int:
     c_tilde = args.ctilde
     if c is None:
         if args.m >= 2:
-            fit = default_decay(args.m, DEFAULT_OMEGA_MAX, DEFAULT_CONFIG)
+            fit = default_decay(args.m, DEFAULT_OMEGA_MAX)
             c = fit.c
             c_tilde = fit.C_tilde if c_tilde is None else c_tilde
         else:
@@ -195,15 +196,7 @@ def _cmd_bounds(args) -> int:
         "G": fmt17(bounds.G),
         "flags": ";".join(bounds.flags),
     }
-    if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
-    elif args.csv:
-        print(",".join(record.keys()))
-        print(",".join(str(v) for v in record.values()))
-    else:
-        for key, val in record.items():
-            print(f"{key} = {val}")
-    return 0
+    return _print_record(record, args)
 
 
 def _restrict_grid(cases: list[dict], args) -> list[dict]:

@@ -4,14 +4,15 @@ The norm ||w^(-k) psi_hat||_p is computed as
 
     (2 * integral_[w0, Omega] w^(-pk) |psi_hat|^p dw  +  origin term  +  tail)^(1/p)
 
-using evenness. The truncated tail carries a rigorous envelope bound
+using evenness. The truncated tail carries an envelope estimate
 2 C~^p Omega^(1 - p(k + alpha)) / (p(k + alpha) - 1) from the fitted decay
-|psi_hat| <= C~ w^(-alpha); the value uses that bound scaled by the measured
-envelope-to-integrand ratio over the top octave [Omega/2, Omega] (the shape of
-|psi_hat| is close to self-similar across octaves, so the top octave calibrates
-the oscillation-averaged tail far more sharply than the raw ceiling), while the
+|psi_hat| <= C~ w^(-alpha), which is a fit, not a proven bound (ROADMAP item
+2). The value uses that estimate scaled by the measured envelope-to-integrand
+ratio over the top octave [Omega/2, Omega] (the shape of |psi_hat| is close to
+self-similar across octaves, so the top octave calibrates the
+oscillation-averaged tail far more sharply than the raw ceiling), while the
 reported abs_error keeps the full uncalibrated interval. Everything here is
-deterministic for a fixed request and config.
+deterministic for a fixed request.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import QuadResult, adaptive_quadrature
-from .spectral_eval import (
-    DEFAULT_CONFIG,
-    DecayFit,
-    EvalConfig,
-    estimate_decay,
-    wavelet_hat_abs2,
-)
+from .spectral_eval import DecayFit, estimate_decay, wavelet_hat_abs2
 
 DEFAULT_OMEGA_MAX = 2.0**12 * math.pi
 
@@ -72,21 +67,21 @@ class NormRequest:
 
 
 @lru_cache(maxsize=None)
-def default_decay(m: int, omega_max: float, cfg: EvalConfig) -> DecayFit:
+def default_decay(m: int, omega_max: float) -> DecayFit:
     """The decay fit every default envelope uses: 128 samples over [4 pi, omega_max].
 
     Cached, so norms, sweep rows and the CLI share one fit per order. Raises
     for m = 1, whose exponent c is undefined; callers handle that order.
     """
-    return estimate_decay(m, 4.0 * math.pi, omega_max, 128, cfg)
+    return estimate_decay(m, 4.0 * math.pi, omega_max, 128)
 
 
-def _resolve_envelope(req: NormRequest, cfg: EvalConfig) -> tuple[float, float]:
+def _resolve_envelope(req: NormRequest) -> tuple[float, float]:
     """Reduce the request's decay specification to (C_tilde, alpha)."""
     if req.decay is None:
         if req.m == 1:
             return _HAAR_ENVELOPE
-        fit = default_decay(req.m, req.omega_max, cfg)
+        fit = default_decay(req.m, req.omega_max)
         return fit.C_tilde, fit.c * math.log(req.m)
     if isinstance(req.decay, DecayFit):
         return req.decay.C_tilde, req.decay.c * math.log(req.m)
@@ -112,20 +107,16 @@ def _dyadic_breakpoints(omega_max: float) -> list[float]:
     return sorted(points)
 
 
-def weighted_lp_norm(req: NormRequest, cfg: EvalConfig = DEFAULT_CONFIG) -> QuadResult:
-    """||(i w)^(-k) psi_hat||_p with an absolute-error estimate.
+@lru_cache(maxsize=None)
+def weighted_lp_norm(req: NormRequest) -> QuadResult:
+    """||(i w)^(-k) psi_hat||_p with an absolute-error estimate, cached per request.
 
     The error combines the quadrature estimate, the near-origin power-law
     patch (k >= 1), and the full width of the analytic tail interval, all
     propagated through the final 1/p power.
     """
-    return _weighted_lp_norm_cached(req, cfg)
-
-
-@lru_cache(maxsize=None)
-def _weighted_lp_norm_cached(req: NormRequest, cfg: EvalConfig) -> QuadResult:
     m, k, p = req.m, req.k, req.p
-    c_tilde, alpha = _resolve_envelope(req, cfg)
+    c_tilde, alpha = _resolve_envelope(req)
     beta = p * (k + alpha)
     if beta <= 1.0:
         raise ValueError(
@@ -136,7 +127,7 @@ def _weighted_lp_norm_cached(req: NormRequest, cfg: EvalConfig) -> QuadResult:
     pk = p * k
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        abs2 = wavelet_hat_abs2(m, w, cfg)
+        abs2 = wavelet_hat_abs2(m, w)
         weight = w**-pk if pk else np.ones_like(w)
         return weight * abs2 ** (0.5 * p)
 
@@ -158,7 +149,7 @@ def _weighted_lp_norm_cached(req: NormRequest, cfg: EvalConfig) -> QuadResult:
     if k >= 1:
         origin_term = float(integrand(np.array([lo]))[0]) * lo / (p * (m - k) + 1.0)
 
-    # Rigorous envelope tail and its top-octave calibration.
+    # Envelope tail estimate and its top-octave calibration.
     tail_bound = 2.0 * c_tilde**p * req.omega_max ** (1.0 - beta) / (beta - 1.0)
     env_top = (
         c_tilde**p
@@ -177,18 +168,10 @@ def _weighted_lp_norm_cached(req: NormRequest, cfg: EvalConfig) -> QuadResult:
     return QuadResult(value=value, abs_error=abs_error, evaluations=quad.evaluations)
 
 
-def best_constant_Ckp(
-    m: int,
-    k: int,
-    p: float,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    *,
-    omega_max: float = DEFAULT_OMEGA_MAX,
-    decay: DecayFit | tuple[float, float] | None = None,
-) -> float:
+def best_constant_Ckp(m: int, k: int, p: float) -> float:
     """Best constant C_(k,p) = ||w^(-k) psi_hat||_p / ||psi_hat||_p."""
     if k == 0:
         return 1.0
-    num = weighted_lp_norm(NormRequest(m, k, p, omega_max, decay), cfg)
-    den = weighted_lp_norm(NormRequest(m, 0, p, omega_max, decay), cfg)
+    num = weighted_lp_norm(NormRequest(m, k, p))
+    den = weighted_lp_norm(NormRequest(m, 0, p))
     return num.value / den.value

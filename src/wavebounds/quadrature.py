@@ -1,9 +1,10 @@
 """Adaptive panel quadrature built on a nested 7/15-point Gauss-Kronrod rule.
 
 The error of each panel is estimated by the difference between the embedded
-7-point Gauss value and the 15-point Kronrod value, which is deliberately
-conservative. Panels are bisected worst-first until the summed estimate meets
-the tolerance or the panel budget runs out; the achieved estimate is always
+7-point Gauss value and the 15-point Kronrod value. This is an estimate, not a
+bound: some default norms miss their reference value by more than it (ROADMAP
+item 2). Panels are bisected worst-first until the summed estimate meets the
+tolerance or the panel budget runs out; the achieved estimate is always
 reported, never hidden.
 """
 

@@ -94,7 +94,7 @@ class TestWaveletCoefficient:
 
         re, re_err = quad(real_part, -9.4, 9.4, limit=800)
         im, im_err = quad(imag_part, -9.4, 9.4, limit=800)
-        ours = _coefficient_quad(f, m, j, nu, DEFAULT_CONFIG)
+        ours = _coefficient_quad(f, m, j, nu)
         assert ours.value.real == pytest.approx(re, abs=1e-9 + 10 * re_err)
         assert ours.value.imag == pytest.approx(im, abs=1e-9 + 10 * im_err)
 
@@ -228,6 +228,55 @@ class TestVerifySweep:
     def test_default_grids_shapes(self):
         assert len(theorem1_grid()) == 45
         assert len(theorem2_grid()) == 10
+
+    @pytest.mark.parametrize("j,nu,bad", [(11, 0, 11), (0, 65, 65)])
+    def test_out_of_range_scale_or_shift_is_error_row(self, j, nu, bad):
+        case = {"m": 2, "k": 1, "p": 2.0, "sigma": 1.0, "j": j, "nu": nu}
+        (row,) = verify_sweep("bernstein", [case])
+        assert row.status == "error"
+        assert f"got {bad}" in row.note
+
+
+# check, one small case, vacuous_flags, slack, abs_error set, decay fields set
+ROW_CONTRACT = [
+    ("theorem1", {"m": 2, "k": 1, "p": 2.0}, ("lower",), None, True, True),
+    ("theorem2", {"m": 2, "k": 2, "p": 2.0}, (), 0.5, True, True),
+    ("corollary1", {"m": 1, "k": 0, "p": 2.0}, ("lower", "log_m_zero"), None, True, False),
+    ("corollary2", {"m": 2, "k": 1, "p": 2.0}, ("lower", "upper"), None, False, True),
+    ("corollary3", {"m": 2, "k": 2, "p": 2.0}, ("upper",), 0.5, False, True),
+    (
+        "bernstein",
+        {"m": 2, "k": 1, "p": 2.0, "sigma": 1.0, "j": 0, "nu": 1},
+        (),
+        None,
+        True,
+        False,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "check,case,flags,slack,has_error,has_decay", ROW_CONTRACT, ids=[c[0] for c in ROW_CONTRACT]
+)
+def test_row_contract(check, case, flags, slack, has_error, has_decay):
+    (row,) = verify_sweep(check, [case])
+    both_vacuous = {"lower", "upper"} <= set(flags)
+    assert row.status == ("vacuous" if both_vacuous else "pass")
+    assert row.vacuous_flags == flags
+    assert row.slack == slack
+    assert (row.abs_error is not None) == has_error
+    assert (row.decay_c is not None) == has_decay
+    assert (row.decay_c_tilde is not None) == has_decay
+    gaps = []
+    if row.lower_bound is not None and math.isfinite(row.lower_bound):
+        gaps.append(row.value - row.lower_bound)
+    if row.upper_bound is not None and math.isfinite(row.upper_bound):
+        gaps.append(row.upper_bound - row.value)
+    assert row.margin == min(gaps)
+    if check == "bernstein":
+        assert (row.j, row.nu) == (case["j"], case["nu"])
+    else:
+        assert row.j is None and row.nu is None
 
 
 class TestReporting:

@@ -99,6 +99,14 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["summary"]["total"] == 1
 
+    @pytest.mark.parametrize("check,k", [("theorem2", "2"), ("corollary3", "1")])
+    def test_k_list_restricts_checks_that_fix_k(self, check, k, capsys):
+        # These checks set k from m; their grid cases still carry k for --k-list.
+        assert main(["verify", check, "--k-list", k]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 1 + 2
+        assert all(line.split(",")[3] == k for line in lines[1:])
+
 
 class TestBernsteinCommand:
     def test_small_grid_passes(self, tmp_path):
