@@ -35,7 +35,6 @@ from .reporting import VerificationRow, exit_code, rows_to_csv_bytes, rows_to_js
 from .special_math import binomial, cm_constant, sinc_alternating_sum, sinc_power_integral
 from .spectral_eval import (
     DecayFit,
-    EvalConfig,
     TruncationError,
     estimate_decay,
     ideal_band_indicator,
@@ -51,7 +50,6 @@ __all__ = [
     "BoundSet",
     "DecayFit",
     "DEFAULT_OMEGA_MAX",
-    "EvalConfig",
     "FilterConstructionError",
     "FilterSpec",
     "GaussianTestFunction",

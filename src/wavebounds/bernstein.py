@@ -56,13 +56,10 @@ class GaussianTestFunction:
     sigma: float
     center: float = 0.0
     amplitude: float = 1.0
-    family: str = "gaussian"
 
     def __post_init__(self) -> None:
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.family != "gaussian":
-            raise ValueError(f"unsupported family {self.family!r}")
 
     def transform(self, omega: np.ndarray) -> np.ndarray:
         w = np.asarray(omega, dtype=float)
@@ -126,31 +123,15 @@ def wavelet_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> com
     return complex(_coefficient_quad(f, m, j, nu).value)
 
 
-def _transform_norm_quad(f: GaussianTestFunction, k: int, q: float) -> QuadResult:
-    """||(i w)^k f_hat||_q by quadrature (independent of the closed form)."""
-    width = (_GAUSS_CUT + 2.0 * math.sqrt(k * q)) / f.sigma
-    peak = f.amplitude * f.sigma
-
-    def integrand(w: np.ndarray) -> np.ndarray:
-        return w ** (k * q) * peak**q * np.exp(-0.5 * q * (f.sigma * w) ** 2)
-
-    quad = adaptive_quadrature(integrand, 0.0, width, rel_tol=1e-12, abs_tol=1e-15)
-    total = 2.0 * quad.value
-    value = total ** (1.0 / q)
-    err = value / (q * total) * 2.0 * quad.abs_error if total > 0 else 0.0
-    return QuadResult(value=value, abs_error=err, evaluations=quad.evaluations)
-
-
 def _bernstein_rhs_detail(m: int, k: int, p: float, j: int, f: GaussianTestFunction) -> QuadResult:
     if not 0 <= k < m:
         raise ValueError(f"requires 0 <= k < m, got k={k}, m={m}")
     q = p / (p - 1.0)
     # C_(k,p) ||psi_hat||_p is ||w^-k psi_hat||_p by the definition of C_(k,p).
     num = weighted_lp_norm(NormRequest(m, k, p))
-    fnorm = _transform_norm_quad(f, k, q)
-    value = num.value * 2.0 ** (-j * (k + 1.0 / p - 0.5)) * fnorm.value
-    rel = num.abs_error / num.value + fnorm.abs_error / max(fnorm.value, 1e-300)
-    return QuadResult(value=value, abs_error=value * rel, evaluations=fnorm.evaluations)
+    value = num.value * 2.0 ** (-j * (k + 1.0 / p - 0.5)) * f.weighted_transform_norm(k, q)
+    rel = num.abs_error / num.value
+    return QuadResult(value=value, abs_error=value * rel, evaluations=num.evaluations)
 
 
 def bernstein_rhs(m: int, k: int, p: float, j: int, f: GaussianTestFunction) -> float:
@@ -204,14 +185,18 @@ def bernstein_grid() -> list[dict]:
     ]
 
 
-def _row(check, m, k, p, value, lower, upper, tol, vacuous=(), **fields) -> VerificationRow:
+def _row(
+    check, m, k, p, value, lower, upper, abs_error, tol_pad, vacuous=(), **fields
+) -> VerificationRow:
     """One sweep row, with the status and margin every check shares.
 
-    The status checks `value` within `tol` against each side (a bound that is
-    not None) not named in `vacuous`, and is 'vacuous' when no side is
-    checked. The margin is the smallest gap to a finite side. `vacuous` is
-    recorded as the row's flags, so it may also carry non-side flags.
+    The status checks `value` within tol = abs_error + tol_pad (abs_error may
+    be None, counting as 0) against each side (a bound that is not None) not
+    named in `vacuous`, and is 'vacuous' when no side is checked. The margin
+    is the smallest gap to a finite side. `vacuous` is recorded as the row's
+    flags, so it may also carry non-side flags.
     """
+    tol = (abs_error or 0.0) + tol_pad
     checks = []
     gaps = []
     if lower is not None:
@@ -237,6 +222,7 @@ def _row(check, m, k, p, value, lower, upper, tol, vacuous=(), **fields) -> Veri
         value=value,
         lower_bound=lower,
         upper_bound=upper,
+        abs_error=abs_error,
         margin=min(gaps, default=None),
         vacuous_flags=tuple(vacuous),
         **fields,
@@ -257,9 +243,9 @@ def _norm_row(check, params, lower, upper, settings, vacuous=(), **fields) -> Ve
     """Row bracketing ||w^-k psi_hat||_p, checked within its abs_error plus the pad."""
     m, k, p = params.m, params.k, params.p
     norm = weighted_lp_norm(NormRequest(m, k, p))
-    tol = norm.abs_error + settings.tol_pad
     return _row(
-        check, m, k, p, norm.value, lower, upper, tol, vacuous, abs_error=norm.abs_error, **fields
+        check, m, k, p, norm.value, lower, upper, norm.abs_error, settings.tol_pad, vacuous,
+        **fields,
     )
 
 
@@ -267,7 +253,7 @@ def _ratio_row(check, params, lower, upper, settings, vacuous=(), **fields) -> V
     """Row bracketing the best constant C_(k,p), checked within the pad alone."""
     m, k, p = params.m, params.k, params.p
     value = best_constant_Ckp(m, k, p)
-    return _row(check, m, k, p, value, lower, upper, settings.tol_pad, vacuous, **fields)
+    return _row(check, m, k, p, value, lower, upper, None, settings.tol_pad, vacuous, **fields)
 
 
 def _run_theorem1(case: Mapping, settings: SweepSettings) -> VerificationRow:
@@ -321,10 +307,10 @@ def _run_bernstein(case: Mapping, settings: SweepSettings) -> VerificationRow:
     f = GaussianTestFunction.normalized(case["sigma"], case.get("center", 0.0), k, q)
     coef = _coefficient_quad(f, m, j, nu)
     rhs = _bernstein_rhs_detail(m, k, p, j, f)
-    value = abs(coef.value)
-    tol = coef.abs_error + rhs.abs_error + settings.tol_pad
+    abs_error = coef.abs_error + rhs.abs_error
     return _row(
-        "bernstein", m, k, p, value, None, rhs.value, tol, j=j, nu=nu, abs_error=coef.abs_error
+        "bernstein", m, k, p, abs(coef.value), None, rhs.value, abs_error, settings.tol_pad,
+        j=j, nu=nu,
     )
 
 

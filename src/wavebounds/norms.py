@@ -39,16 +39,14 @@ _ORIGIN_CUT = 1e-6
 class NormRequest:
     """One weighted-norm computation: order m, weight exponent k, Lp index p.
 
-    `decay` supplies the high-frequency envelope: a DecayFit, an explicit
-    (C_tilde, c) pair, or None for the cached default fit over [4 pi, omega_max]
-    (order 1 falls back to the exact closed-form envelope).
+    The high-frequency envelope is not part of the request: it is the exact
+    closed form for order 1 and default_decay(m, omega_max) otherwise.
     """
 
     m: int
     k: int
     p: float
     omega_max: float = DEFAULT_OMEGA_MAX
-    decay: DecayFit | tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -76,24 +74,12 @@ def default_decay(m: int, omega_max: float) -> DecayFit:
     return estimate_decay(m, 4.0 * math.pi, omega_max, 128)
 
 
-def _resolve_envelope(req: NormRequest) -> tuple[float, float]:
-    """Reduce the request's decay specification to (C_tilde, alpha)."""
-    if req.decay is None:
-        if req.m == 1:
-            return _HAAR_ENVELOPE
-        fit = default_decay(req.m, req.omega_max)
-        return fit.C_tilde, fit.c * math.log(req.m)
-    if isinstance(req.decay, DecayFit):
-        return req.decay.C_tilde, req.decay.c * math.log(req.m)
-    c_tilde, c = req.decay
-    if req.m == 1:
-        raise ValueError(
-            "an explicit (C_tilde, c) pair gives exponent c*log(m) = 0 for m=1; "
-            "omit it to use the built-in order-1 envelope"
-        )
-    if c_tilde <= 0 or c <= 0:
-        raise ValueError(f"decay parameters must be positive, got {req.decay}")
-    return c_tilde, c * math.log(req.m)
+def _envelope(m: int, omega_max: float) -> tuple[float, float]:
+    """(C_tilde, alpha) of the tail envelope |psi_hat(w)| <= C_tilde w^(-alpha)."""
+    if m == 1:
+        return _HAAR_ENVELOPE
+    fit = default_decay(m, omega_max)
+    return fit.C_tilde, fit.c * math.log(m)
 
 
 def _dyadic_breakpoints(omega_max: float) -> list[float]:
@@ -116,12 +102,12 @@ def weighted_lp_norm(req: NormRequest) -> QuadResult:
     propagated through the final 1/p power.
     """
     m, k, p = req.m, req.k, req.p
-    c_tilde, alpha = _resolve_envelope(req)
+    c_tilde, alpha = _envelope(m, req.omega_max)
     beta = p * (k + alpha)
     if beta <= 1.0:
         raise ValueError(
             f"tail not integrable: p*(k + alpha) = {beta:.6g} <= 1 with the "
-            f"supplied decay parameters"
+            f"fitted decay exponent alpha = {alpha:.6g}"
         )
 
     pk = p * k

@@ -3,7 +3,7 @@
 phi_hat is the infinite product of dilated filter responses; psi_hat is the
 usual modulated half-scale formula. Truncation of the product is controlled by
 two explicit per-factor bounds so the omitted tail multiplies the result by
-1 + O(product_tol):
+1 + O(PRODUCT_TOL):
 
   * modulus: 1 >= |H(x)|^2 >= 1 - c_m x^(2m) / (2m) for small x (from the
     integral identity and sin t <= t), with the tail handled as a geometric
@@ -45,24 +45,11 @@ class TruncationError(RuntimeError):
         super().__init__(f"{message} (achieved tail bound {achieved_bound:.3e})")
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Truncation tolerance and depth limits for all spectral evaluation."""
-
-    product_tol: float = 1e-12
-    min_depth: int = 16
-    max_depth: int = 64
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.product_tol < 1e-3):
-            raise ValueError(f"product_tol must be in (0, 1e-3), got {self.product_tol}")
-        if self.min_depth < 8:
-            raise ValueError(f"min_depth must be >= 8, got {self.min_depth}")
-        if self.max_depth < self.min_depth:
-            raise ValueError("max_depth must be >= min_depth")
-
-
-DEFAULT_CONFIG = EvalConfig()
+# Truncation policy of every product: the omitted tail multiplies the result
+# by 1 + O(PRODUCT_TOL), using between MIN_DEPTH and MAX_DEPTH factors.
+PRODUCT_TOL = 1e-12
+MIN_DEPTH = 16
+MAX_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -83,27 +70,27 @@ class DecayFit:
             raise ValueError("fit range must start above 2*pi")
 
 
-def _guarded_peak(w: np.ndarray, cfg: EvalConfig) -> float:
+def _guarded_peak(w: np.ndarray) -> float:
     """max |w|, which sets the product depth; raises above the evaluation guard."""
     peak = float(np.max(np.abs(w), initial=0.0))
-    if peak > 2.0**cfg.max_depth * cfg.product_tol:
+    if peak > 2.0**MAX_DEPTH * PRODUCT_TOL:
         raise ValueError(
             f"|omega|={peak:.3e} exceeds the evaluation guard "
-            f"2^max_depth * product_tol = {2.0 ** cfg.max_depth * cfg.product_tol:.3e}"
+            f"2^max_depth * product_tol = {2.0 ** MAX_DEPTH * PRODUCT_TOL:.3e}"
         )
     return peak
 
 
 @lru_cache(maxsize=None)
-def _modulus_theta(m: int, product_tol: float) -> float:
+def _modulus_theta(m: int) -> float:
     """Largest per-factor argument for which the modulus tail stays within tolerance.
 
     For |x| <= theta each factor satisfies |H(x)|^2 >= 1 - u with
     u = c_m x^(2m) / (2m); summing the geometric tail and using 1-u >= e^(-2u)
-    keeps the omitted modulus factor within [1 - product_tol, 1].
+    keeps the omitted modulus factor within [1 - PRODUCT_TOL, 1].
     """
-    # 2 * u * geometric factor (<= 4/3) <= product_tol/ safety margin 2
-    u_target = 3.0 * product_tol / 16.0
+    # 2 * u * geometric factor (<= 4/3) <= PRODUCT_TOL/ safety margin 2
+    u_target = 3.0 * PRODUCT_TOL / 16.0
     return (u_target * 2.0 * m / cm_constant(m)) ** (1.0 / (2.0 * m))
 
 
@@ -114,68 +101,62 @@ def _phase_slope(m: int) -> float:
     return sum(ell * abs(t) for ell, t in enumerate(spec.taps)) / math.sqrt(2.0)
 
 
-def _depth_modulus(m: int, abs_omega: float, cfg: EvalConfig) -> int:
-    theta = _modulus_theta(m, cfg.product_tol)
+def _depth_modulus(m: int, abs_omega: float) -> int:
+    theta = _modulus_theta(m)
     if abs_omega <= theta:
-        return cfg.min_depth
-    depth = max(cfg.min_depth, math.ceil(math.log2(abs_omega / theta)))
-    if depth > cfg.max_depth:
-        u = cm_constant(m) * (abs_omega * 2.0**-cfg.max_depth) ** (2 * m) / (2 * m)
+        return MIN_DEPTH
+    depth = max(MIN_DEPTH, math.ceil(math.log2(abs_omega / theta)))
+    if depth > MAX_DEPTH:
+        u = cm_constant(m) * (abs_omega * 2.0**-MAX_DEPTH) ** (2 * m) / (2 * m)
         raise TruncationError(
-            f"modulus tail needs depth {depth} > max_depth {cfg.max_depth}", 4.0 * u
+            f"modulus tail needs depth {depth} > max_depth {MAX_DEPTH}", 4.0 * u
         )
     return depth
 
 
-def _depth_complex(m: int, abs_omega: float, cfg: EvalConfig) -> int:
+def _depth_complex(m: int, abs_omega: float) -> int:
     slope = _phase_slope(m)
-    target = 2.0 * slope * max(abs_omega, 1e-300) / cfg.product_tol
-    depth = max(cfg.min_depth, math.ceil(math.log2(target)))
-    if depth > cfg.max_depth:
+    target = 2.0 * slope * max(abs_omega, 1e-300) / PRODUCT_TOL
+    depth = max(MIN_DEPTH, math.ceil(math.log2(target)))
+    if depth > MAX_DEPTH:
         raise TruncationError(
-            f"complex tail needs depth {depth} > max_depth {cfg.max_depth}",
-            2.0 * slope * abs_omega * 2.0**-cfg.max_depth,
+            f"complex tail needs depth {depth} > max_depth {MAX_DEPTH}",
+            2.0 * slope * abs_omega * 2.0**-MAX_DEPTH,
         )
     return depth
 
 
-def _phi_product(spec: FilterSpec, w: np.ndarray, peak: float, cfg: EvalConfig) -> np.ndarray:
+def _phi_product(spec: FilterSpec, w: np.ndarray, peak: float) -> np.ndarray:
     """phi_hat on a 1-d array whose largest |w| is peak, at the depth that peak requires."""
-    depth = _depth_complex(spec.m, peak, cfg)
+    depth = _depth_complex(spec.m, peak)
     scales = 2.0 ** -np.arange(1, depth + 1)
     args = np.multiply.outer(scales, w)
     factors = eval_H(spec, args.ravel()).reshape(args.shape)
     return _INV_SQRT_2PI * np.prod(factors, axis=0)
 
 
-def scaling_hat(
-    m: int, omega: float | np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG
-) -> complex | np.ndarray:
+def scaling_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
     """phi_hat(w): truncated infinite product (2 pi)^(-1/2) prod_l H(w 2^(-l)).
 
     An array is evaluated at the depth required by its largest entry.
     """
     w, shape = flatten_frequencies(omega)
-    peak = _guarded_peak(w, cfg)
-    return restore_shape(_phi_product(construct_filter(m), w, peak, cfg), shape)
+    peak = _guarded_peak(w)
+    return restore_shape(_phi_product(construct_filter(m), w, peak), shape)
 
 
-def wavelet_hat(
-    m: int, omega: float | np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG
-) -> complex | np.ndarray:
+def wavelet_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
     """psi_hat(w) = e^(-i w/2) conj(H(w/2 + pi)) phi_hat(w/2)."""
     w, shape = flatten_frequencies(omega)
-    peak = _guarded_peak(w, cfg)
+    peak = _guarded_peak(w)
     spec = construct_filter(m)
     half = 0.5 * w
     mod = np.exp(-1j * half)
-    psi = mod * np.conj(eval_H(spec, half + math.pi)) * _phi_product(spec, half, 0.5 * peak, cfg)
+    psi = mod * np.conj(eval_H(spec, half + math.pi)) * _phi_product(spec, half, 0.5 * peak)
     return restore_shape(psi, shape)
 
 
-def wavelet_hat_abs2(
-    m: int, omega: float | np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG
-) -> float | np.ndarray:
+def wavelet_hat_abs2(m: int, omega: float | np.ndarray) -> float | np.ndarray:
     """|psi_hat(w)|^2 computed entirely from magnitude_squared_H.
 
     Shares no code path with the tap-based wavelet_hat beyond the filter order,
@@ -184,9 +165,9 @@ def wavelet_hat_abs2(
     required by its largest entry.
     """
     w, shape = flatten_frequencies(omega)
-    peak = _guarded_peak(w, cfg)
+    peak = _guarded_peak(w)
     band = magnitude_squared_H(m, 0.5 * w + math.pi)
-    depth = _depth_modulus(m, 0.5 * peak, cfg)
+    depth = _depth_modulus(m, 0.5 * peak)
     scales = 2.0 ** -np.arange(2, depth + 2)  # arguments w/4, w/8, ...
     args = np.multiply.outer(scales, w)
     factors = magnitude_squared_H(m, args.ravel()).reshape(args.shape)
@@ -201,13 +182,7 @@ def ideal_band_indicator(omega: float) -> float:
     return 0.0
 
 
-def estimate_decay(
-    m: int,
-    omega_lo: float,
-    omega_hi: float,
-    samples: int,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> DecayFit:
+def estimate_decay(m: int, omega_lo: float, omega_hi: float, samples: int) -> DecayFit:
     """Fit the high-frequency envelope |psi_hat(w)| <= C_tilde * w^(-c log m).
 
     |psi_hat| oscillates through near-zeros, so the least-squares line goes
@@ -223,7 +198,7 @@ def estimate_decay(
         raise ValueError(f"need at least 16 samples, got {samples}")
 
     grid = np.exp(np.linspace(math.log(omega_lo), math.log(omega_hi), samples))
-    vals = np.sqrt(wavelet_hat_abs2(m, grid, cfg))
+    vals = np.sqrt(wavelet_hat_abs2(m, grid))
 
     block_x: list[float] = []
     block_y: list[float] = []

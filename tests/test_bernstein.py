@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from wavebounds.bernstein import (
     GaussianTestFunction,
+    _bernstein_rhs_detail,
     _coefficient_quad,
-    _transform_norm_quad,
     bernstein_rhs,
     theorem1_grid,
     theorem2_grid,
@@ -24,7 +24,7 @@ from wavebounds.reporting import (
     rows_to_json_bytes,
     summarize,
 )
-from wavebounds.spectral_eval import DEFAULT_CONFIG, wavelet_hat, wavelet_hat_abs2
+from wavebounds.spectral_eval import wavelet_hat, wavelet_hat_abs2
 
 
 class TestGaussianTestFunction:
@@ -32,15 +32,20 @@ class TestGaussianTestFunction:
         with pytest.raises(ValueError):
             GaussianTestFunction(sigma=0.0)
 
-    def test_family_fixed(self):
-        with pytest.raises(ValueError):
-            GaussianTestFunction(sigma=1.0, family="bump")
-
     @pytest.mark.parametrize("k,q", [(0, 2.0), (1, 2.0), (2, 3.0), (1, 1.5)])
     def test_closed_norm_matches_quadrature(self, k, q):
+        # ||(i w)^k f_hat||_q by quadrature of the even integrand over [0, width],
+        # past which the Gaussian factor is negligible.
         f = GaussianTestFunction(sigma=0.8, center=2.0)
-        numeric = _transform_norm_quad(f, k, q)
-        assert numeric.value == pytest.approx(f.weighted_transform_norm(k, q), rel=1e-10)
+        width = (9.4 + 2.0 * math.sqrt(k * q)) / f.sigma
+        peak = f.amplitude * f.sigma
+
+        def integrand(w):
+            return w ** (k * q) * peak**q * np.exp(-0.5 * q * (f.sigma * w) ** 2)
+
+        half = adaptive_quadrature(integrand, 0.0, width, rel_tol=1e-12, abs_tol=1e-15)
+        numeric = (2.0 * half.value) ** (1.0 / q)
+        assert numeric == pytest.approx(f.weighted_transform_norm(k, q), rel=1e-10)
 
     def test_normalized_lands_on_unit_sphere(self):
         f = GaussianTestFunction.normalized(1.3, -0.5, 1, 2.0)
@@ -78,7 +83,7 @@ class TestWaveletCoefficient:
                 f.transform(arr)
                 * 2.0 ** (-0.5 * j)
                 * np.exp(1j * arr * scale * nu)
-                * np.conj(wavelet_hat(m, scale * arr, DEFAULT_CONFIG))
+                * np.conj(wavelet_hat(m, scale * arr))
             )[0]
             return val.real
 
@@ -88,7 +93,7 @@ class TestWaveletCoefficient:
                 f.transform(arr)
                 * 2.0 ** (-0.5 * j)
                 * np.exp(1j * arr * scale * nu)
-                * np.conj(wavelet_hat(m, scale * arr, DEFAULT_CONFIG))
+                * np.conj(wavelet_hat(m, scale * arr))
             )[0]
             return val.imag
 
@@ -128,7 +133,7 @@ class TestWaveletCoefficient:
         span = 2.0**j * DEFAULT_OMEGA_MAX
 
         def integrand(w):
-            return 2.0**-j * wavelet_hat_abs2(m, 2.0**-j * w, DEFAULT_CONFIG)
+            return 2.0**-j * wavelet_hat_abs2(m, 2.0**-j * w)
 
         breaks = [2.0**j * math.pi * 2.0**i for i in range(13)]
         result = adaptive_quadrature(
@@ -144,7 +149,7 @@ class TestBernsteinRhs:
         manual = (
             best_constant_Ckp(2, 1, 2.0)
             * weighted_lp_norm(NormRequest(2, 0, 2.0)).value
-            * _transform_norm_quad(f, 1, 2.0).value
+            * f.weighted_transform_norm(1, 2.0)
         )
         assert rhs == pytest.approx(manual, rel=1e-12)
 
@@ -164,7 +169,7 @@ class TestBernsteinRhs:
             mp.mpf(best_constant_Ckp(2, k, p))
             * mp.mpf(2) ** (-j * (k + 1 / mp.mpf(p) - mp.mpf(1) / 2))
             * mp.mpf(weighted_lp_norm(NormRequest(2, 0, p)).value)
-            * mp.mpf(_transform_norm_quad(f, 1, 2.0).value)
+            * mp.mpf(f.weighted_transform_norm(1, 2.0))
         )
         assert bernstein_rhs(2, k, p, j, f) == pytest.approx(float(pieces), rel=1e-13)
 
@@ -277,6 +282,17 @@ def test_row_contract(check, case, flags, slack, has_error, has_decay):
         assert (row.j, row.nu) == (case["j"], case["nu"])
     else:
         assert row.j is None and row.nu is None
+
+
+def test_bernstein_row_reports_the_error_it_is_checked_with():
+    # The row's tolerance is abs_error + tol_pad, so abs_error must carry both
+    # the coefficient's error and the right-hand side's.
+    (row,) = verify_sweep("bernstein", [{"m": 2, "k": 1, "p": 2.0, "sigma": 1.0, "j": -3, "nu": 0}])
+    f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
+    coef = _coefficient_quad(f, 2, -3, 0)
+    rhs = _bernstein_rhs_detail(2, 1, 2.0, -3, f)
+    assert rhs.abs_error > 0.0
+    assert row.abs_error == coef.abs_error + rhs.abs_error
 
 
 class TestReporting:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from wavebounds import norms
 from wavebounds.norms import (
     DEFAULT_OMEGA_MAX,
     NormRequest,
@@ -11,9 +12,7 @@ from wavebounds.norms import (
     weighted_lp_norm,
 )
 from wavebounds.quadrature import adaptive_quadrature
-from wavebounds.spectral_eval import EvalConfig, estimate_decay, wavelet_hat_abs2
-
-CFG = EvalConfig()
+from wavebounds.spectral_eval import DecayFit, wavelet_hat_abs2
 
 
 class TestRequestValidation:
@@ -34,13 +33,13 @@ class TestRequestValidation:
     def test_k_equal_m_allowed(self):
         NormRequest(m=2, k=2, p=2.0)
 
-    def test_explicit_decay_pair_for_order_one_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_lp_norm(NormRequest(m=1, k=0, p=2.0, decay=(1.0, 1.0)))
-
-    def test_non_integrable_tail_rejected(self):
-        with pytest.raises(ValueError, match="tail not integrable"):
-            weighted_lp_norm(NormRequest(m=2, k=0, p=1.5, decay=(1.0, 0.05)))
+    def test_non_integrable_tail_rejected(self, monkeypatch):
+        # c = 0.05 gives alpha = 0.05 log 2, so p(k + alpha) <= 1 at (2, 0, 1.5).
+        # The omega_max is used by no other test: weighted_lp_norm is cached.
+        slow = DecayFit(C_tilde=1.0, c=0.05, fit_range=(4.0 * math.pi, 3000.0), residual=0.0)
+        monkeypatch.setattr(norms, "default_decay", lambda m, omega_max: slow)
+        with pytest.raises(ValueError, match=r"tail not integrable.*alpha = 0\.0346574"):
+            weighted_lp_norm(NormRequest(m=2, k=0, p=1.5, omega_max=3000.0))
 
 
 class TestPlancherel:
@@ -95,7 +94,7 @@ class TestSelfConsistency:
     def test_monotone_refinement_of_quadrature(self):
         # Halving the engine tolerance never worsens the reported estimate.
         def integrand(w):
-            return wavelet_hat_abs2(2, w, CFG)
+            return wavelet_hat_abs2(2, w)
 
         errors = [
             adaptive_quadrature(integrand, 0.0, 64.0 * math.pi, rel_tol=t, abs_tol=1e-16).abs_error
@@ -108,14 +107,14 @@ class TestIntegrandOriginBehavior:
     def test_vanishes_for_k_below_m(self):
         m, k, p = 3, 2, 2.0
         w = 1e-8
-        val = w ** (-p * k) * float(wavelet_hat_abs2(m, np.array([w]), CFG)[0]) ** (p / 2)
+        val = w ** (-p * k) * float(wavelet_hat_abs2(m, np.array([w]))[0]) ** (p / 2)
         assert val < 1e-10
 
     def test_bounded_for_k_equal_m(self):
         m = k = 2
         p = 2.0
         vals = [
-            float(w ** (-p * k) * wavelet_hat_abs2(m, np.array([w]), CFG)[0] ** (p / 2))
+            float(w ** (-p * k) * wavelet_hat_abs2(m, np.array([w]))[0] ** (p / 2))
             for w in (1e-8, 1e-9)
         ]
         assert vals[0] == pytest.approx(vals[1], rel=1e-2)
@@ -134,15 +133,3 @@ class TestBestConstant:
 
     def test_deterministic_repeat(self):
         assert best_constant_Ckp(2, 1, 2.0) == best_constant_Ckp(2, 1, 2.0)
-
-    def test_explicit_decay_fit_accepted(self):
-        fit = estimate_decay(2, 4 * math.pi, DEFAULT_OMEGA_MAX, 128)
-        via_fit = weighted_lp_norm(NormRequest(2, 1, 2.0, decay=fit))
-        default = weighted_lp_norm(NormRequest(2, 1, 2.0))
-        assert via_fit.value == pytest.approx(default.value, rel=1e-12)
-
-    def test_explicit_decay_tuple_accepted(self):
-        result = weighted_lp_norm(NormRequest(2, 1, 2.0, decay=(6.0, 2.0)))
-        assert result.value == pytest.approx(
-            weighted_lp_norm(NormRequest(2, 1, 2.0)).value, abs=1e-6
-        )
