@@ -215,7 +215,8 @@ def _restrict_grid(cases: list[dict], args) -> list[dict]:
 def _report_sweep(check: str, cases: list[dict], settings: SweepSettings, args) -> int:
     """Run one sweep, write its report to --out or stdout, and return the exit code.
 
-    With --out, a one-line summary of the row statuses goes to stdout.
+    With --out, a one-line summary goes to stdout: the row statuses, and how
+    many rows checked each side (a bound present and not flagged vacuous).
     """
     rows = verify_sweep(check, cases, settings)
     data = rows_to_csv_bytes(rows) if args.format == "csv" else rows_to_json_bytes(rows)
@@ -224,9 +225,12 @@ def _report_sweep(check: str, cases: list[dict], settings: SweepSettings, args) 
     else:
         args.out.write_bytes(data)
         counts = summarize(rows)
+        lower = sum(r.lower_bound is not None and "lower" not in r.vacuous_flags for r in rows)
+        upper = sum(r.upper_bound is not None and "upper" not in r.vacuous_flags for r in rows)
         print(
             f"{check}: {counts['pass']} pass, {counts['fail']} fail, "
-            f"{counts['vacuous']} vacuous, {counts['error']} error -> {args.out}"
+            f"{counts['vacuous']} vacuous, {counts['error']} error -> {args.out}; "
+            f"lower checked in {lower} of {len(rows)} rows, upper in {upper} of {len(rows)}"
         )
     return exit_code(rows)
 

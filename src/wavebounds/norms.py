@@ -98,8 +98,8 @@ def weighted_lp_norm(req: NormRequest) -> QuadResult:
     """||(i w)^(-k) psi_hat||_p with an absolute-error estimate, cached per request.
 
     The error combines the quadrature estimate, the near-origin power-law
-    patch (k >= 1), and the full width of the analytic tail interval, all
-    propagated through the final 1/p power.
+    patch (k >= 1), and the full width of the analytic tail interval, and
+    bounds their effect through the final 1/p power.
     """
     m, k, p = req.m, req.k, req.p
     c_tilde, alpha = _envelope(m, req.omega_max)
@@ -150,7 +150,13 @@ def weighted_lp_norm(req: NormRequest) -> QuadResult:
     total = 2.0 * (quad.value + origin_term) + tail_est
     err_sum = 2.0 * (quad.abs_error + origin_term) + tail_err
     value = total ** (1.0 / p)
-    abs_error = value / (p * total) * err_sum if total > 0 else err_sum ** (1.0 / p)
+    # x^(1/p) is concave, so its slope at the low end of [total - err_sum,
+    # total + err_sum] bounds its change over the interval; at or below zero,
+    # Hoelder continuity |a^(1/p) - b^(1/p)| <= |a - b|^(1/p) does.
+    if total > err_sum:
+        abs_error = err_sum / p * (total - err_sum) ** (1.0 / p - 1.0)
+    else:
+        abs_error = err_sum ** (1.0 / p)
     return QuadResult(value=value, abs_error=abs_error, evaluations=quad.evaluations)
 
 

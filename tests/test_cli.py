@@ -24,6 +24,15 @@ class TestFilters:
         assert len(lines) == 3
         assert float(lines[1].split(",")[1]) == pytest.approx(1 / math.sqrt(2), abs=1e-16)
 
+    def test_highest_order(self, capsys):
+        assert main(["filters", "--m", "20"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 40 and lines[-1].startswith("h(39) = ")
+
+    def test_order_above_limit_named(self):
+        with pytest.raises(ValueError, match="got 21"):
+            main(["filters", "--m", "21"])
+
     def test_plain_output_has_17_digits(self, capsys):
         main(["filters", "--m", "2"])
         out = capsys.readouterr().out
@@ -69,6 +78,19 @@ class TestVerifyCommand:
         assert main(["verify", "theorem2", "--m-list", "1", "2", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         assert out_a.read_text().startswith("schema_version,")
+
+    @pytest.mark.parametrize(
+        "argv,coverage",
+        [
+            (["corollary2"], "lower checked in 0 of 45 rows, upper in 0 of 45"),
+            (["theorem2", "--m-list", "1", "2"], "lower checked in 4 of 4 rows, upper in 4 of 4"),
+        ],
+    )
+    def test_summary_states_side_coverage(self, tmp_path, capsys, argv, coverage):
+        out = tmp_path / "rows.csv"
+        assert main(["verify", *argv, "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert summary.strip().endswith(f"-> {out}; {coverage}")
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "rows.json"

@@ -182,6 +182,55 @@ class TestConstruction:
                 assert abs(r + 1.0) < 0.2
                 assert abs(r) < 1.2
 
+    @pytest.mark.parametrize("m", range(2, MAX_CONSTRUCTIBLE_ORDER + 1))
+    def test_spectral_factor_zeros_strictly_inside_disk(self, m):
+        # The m zeros nearest -1 are the split m-fold zero at z = -1; its
+        # radius grows with m (0.19 at m=16, 0.35 at m=20, and 0.22 for the
+        # correctly rounded m=20 taps), beyond the 0.2 the test above allows.
+        # The other m-1 zeros are the kept spectral-factor zeros (modulus at
+        # most 0.641 up to m=20); they sit at distance >= 1.3 from -1.
+        roots = np.roots(construct_filter(m).taps)
+        order = np.argsort(np.abs(roots + 1.0))
+        cluster, kept = roots[order[:m]], roots[order[m:]]
+        assert np.max(np.abs(kept)) < 1.0
+        assert np.max(np.abs(cluster + 1.0)) < 0.5 * np.min(np.abs(kept + 1.0))
+
+    @pytest.mark.parametrize("m", range(2, MAX_CONSTRUCTIBLE_ORDER + 1))
+    def test_matches_high_precision_reference(self, m):
+        # Reference: the same construction in 50-digit arithmetic, with the
+        # roots of P_(m-1)(y) from mpmath.polyroots. Measured gaps: at most
+        # 3.8e-13 for m <= 16 (the float64 construction before the y-root
+        # form was at most 3.0e-13 off); 6.6e-13, 9.4e-13, 2.5e-12 and
+        # 8.7e-12 at m = 17, 18, 19, 20.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            ys = mp.polyroots(
+                [mp.binomial(m - 1 + k, k) for k in range(m - 1, -1, -1)],
+                maxsteps=200, extraprec=200,
+            )
+            factor = [mp.mpc(1)]  # increasing powers of z
+            for y in ys:
+                a, b = 1 - 2 * y, 2 * mp.sqrt(y * (y - 1))
+                z = 1 / (a + b if abs(a + b) >= abs(a - b) else a - b)
+                factor = [-z * factor[0]] + [
+                    lo - z * hi for lo, hi in zip(factor, factor[1:])
+                ] + [factor[-1]]
+            total = sum(factor)
+            lowpass = [mp.binomial(m, j) / mp.mpf(2) ** m for j in range(m + 1)]
+            coeffs = [
+                sum(lowpass[i] * factor[n - i] for i in range(m + 1) if 0 <= n - i < m)
+                for n in range(2 * m)
+            ]
+            ref = [float(mp.sqrt(2) * (c / total).real) for c in reversed(coeffs)]
+        tol = 1e-12 if m <= 16 else 2e-11
+        assert construct_filter(m).taps == pytest.approx(ref, abs=tol)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_zero_outside_disk_names_modulus(self, monkeypatch):
+        monkeypatch.setattr(np, "roots", lambda p: np.full(len(p) - 1, np.nan))
+        with pytest.raises(FilterConstructionError, match="modulus nan"):
+            construct_filter.__wrapped__(3)
+
     def test_order_limits(self):
         with pytest.raises(ValueError):
             construct_filter(0)

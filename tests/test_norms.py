@@ -11,7 +11,7 @@ from wavebounds.norms import (
     best_constant_Ckp,
     weighted_lp_norm,
 )
-from wavebounds.quadrature import adaptive_quadrature
+from wavebounds.quadrature import QuadResult, adaptive_quadrature
 from wavebounds.spectral_eval import DecayFit, wavelet_hat_abs2
 
 
@@ -40,6 +40,26 @@ class TestRequestValidation:
         monkeypatch.setattr(norms, "default_decay", lambda m, omega_max: slow)
         with pytest.raises(ValueError, match=r"tail not integrable.*alpha = 0\.0346574"):
             weighted_lp_norm(NormRequest(m=2, k=0, p=1.5, omega_max=3000.0))
+
+
+class TestErrorThroughRootPower:
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("fraction", [0.4, 1.5])
+    def test_abs_error_covers_low_end_of_interval(self, monkeypatch, p, fraction):
+        # A quadrature that reports an error of `fraction` times its value.
+        # The true sum may be as low as total - err_sum <= value^p - 2 quad_err,
+        # so the reported error must reach down to that sum's 1/p power.
+        quad_err = []
+
+        def loose_quadrature(*args, **kwargs):
+            quad, panels = adaptive_quadrature(*args, **kwargs)
+            quad_err.append(fraction * quad.value)
+            return QuadResult(quad.value, quad_err[-1], quad.evaluations), panels
+
+        monkeypatch.setattr(norms, "adaptive_quadrature", loose_quadrature)
+        result = weighted_lp_norm.__wrapped__(NormRequest(2, 1, p))
+        low = max(result.value**p - 2.0 * quad_err[0], 0.0) ** (1.0 / p)
+        assert result.abs_error >= result.value - low
 
 
 class TestPlancherel:
