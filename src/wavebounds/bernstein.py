@@ -114,7 +114,11 @@ def _coefficient_quad(f: GaussianTestFunction, m: int, j: int, nu: int) -> QuadR
     # |psi_hat| <= (2 pi)^(-1/2) bounds the discarded Gaussian tails.
     tail = 2.0 ** (-0.5 * j) * f.amplitude * math.erfc(f.sigma * width / math.sqrt(2.0))
     return QuadResult(
-        value=quad.value, abs_error=quad.abs_error + tail, evaluations=quad.evaluations
+        value=quad.value,
+        abs_error=quad.abs_error + tail,
+        evaluations=quad.evaluations,
+        converged=quad.converged,
+        panels=quad.panels,
     )
 
 

@@ -14,10 +14,16 @@ from pathlib import Path
 
 from .bernstein import CHECKS, SweepSettings, verify_sweep
 from .bound_formulas import BoundParams, compute_bound_set
-from .daub_filters import construct_filter
+from .daub_filters import FilterConstructionError, construct_filter
 from .norms import DEFAULT_OMEGA_MAX, NormRequest, default_decay, weighted_lp_norm
 from .reporting import exit_code, fmt17, rows_to_csv_bytes, rows_to_json_bytes, summarize
-from .spectral_eval import estimate_decay, scaling_hat, wavelet_hat, wavelet_hat_abs2
+from .spectral_eval import (
+    TruncationError,
+    estimate_decay,
+    scaling_hat,
+    wavelet_hat,
+    wavelet_hat_abs2,
+)
 
 
 def _parse_span(text: str) -> tuple[float, float]:
@@ -263,8 +269,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; bad input ends in a one-line `wavebounds: error:` and exit 2."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, FilterConstructionError, TruncationError) as exc:
+        print(f"wavebounds: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

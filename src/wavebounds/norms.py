@@ -157,7 +157,13 @@ def weighted_lp_norm(req: NormRequest) -> QuadResult:
         abs_error = err_sum / p * (total - err_sum) ** (1.0 / p - 1.0)
     else:
         abs_error = err_sum ** (1.0 / p)
-    return QuadResult(value=value, abs_error=abs_error, evaluations=quad.evaluations)
+    return QuadResult(
+        value=value,
+        abs_error=abs_error,
+        evaluations=quad.evaluations,
+        converged=quad.converged,
+        panels=quad.panels,
+    )
 
 
 def best_constant_Ckp(m: int, k: int, p: float) -> float:

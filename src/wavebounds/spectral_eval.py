@@ -13,14 +13,17 @@ two explicit per-factor bounds so the omitted tail multiplies the result by
 
 The modulus rule is much shallower and is used wherever only |psi_hat| is
 needed (all norm integrands); the complex rule is used by scaling_hat and
-wavelet_hat themselves.
+wavelet_hat themselves. In an array, each entry gets the depth its own |w|
+requires: entries are grouped by depth and each group has its own product,
+so no entry's product depends on the others in its array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -126,19 +129,74 @@ def _depth_complex(m: int, abs_omega: float) -> int:
     return depth
 
 
-def _phi_product(spec: FilterSpec, w: np.ndarray, peak: float) -> np.ndarray:
-    """phi_hat on a 1-d array whose largest |w| is peak, at the depth that peak requires."""
-    depth = _depth_complex(spec.m, peak)
+def _depths_modulus(m: int, abs_omega: np.ndarray) -> np.ndarray:
+    """_depth_modulus of each entry of an array whose peak already passed it."""
+    theta = _modulus_theta(m)
+    return np.maximum(MIN_DEPTH, np.ceil(np.log2(np.maximum(abs_omega, theta) / theta)))
+
+
+def _depths_complex(m: int, abs_omega: np.ndarray) -> np.ndarray:
+    """_depth_complex of each entry of an array whose peak already passed it."""
+    target = 2.0 * _phase_slope(m) * np.maximum(abs_omega, 1e-300) / PRODUCT_TOL
+    return np.maximum(MIN_DEPTH, np.ceil(np.log2(target)))
+
+
+def _grouped(
+    w: np.ndarray, need: np.ndarray, product: Callable[[np.ndarray, int], np.ndarray]
+) -> np.ndarray:
+    """product(w_g, depth) for each group w_g of the entries that need one depth.
+
+    need holds each entry's required depth. Every group gets its own product,
+    so an entry's value does not depend on the other entries of w.
+    """
+    order = np.argsort(need, kind="stable")
+    cuts = np.flatnonzero(np.diff(need[order])) + 1
+    if cuts.size == 0:
+        return product(w, int(need[0]))
+    values = np.concatenate(
+        [product(w[group], int(need[group[0]])) for group in np.split(order, cuts)]
+    )
+    out = np.empty_like(values)
+    out[order] = values
+    return out
+
+
+def _tap_product(spec: FilterSpec, w: np.ndarray, depth: int) -> np.ndarray:
+    """(2 pi)^(-1/2) prod_(l=1..depth) H(w 2^(-l)) for every entry of w.
+
+    One row of factors per point: np.prod then multiplies each point's factors
+    in sequence, exactly as for a lone point, whereas a reduction across rows
+    rounds complex products differently once there are two or more points.
+    """
     scales = 2.0 ** -np.arange(1, depth + 1)
-    args = np.multiply.outer(scales, w)
+    args = np.multiply.outer(w, scales)
     factors = eval_H(spec, args.ravel()).reshape(args.shape)
-    return _INV_SQRT_2PI * np.prod(factors, axis=0)
+    return _INV_SQRT_2PI * np.prod(factors, axis=1)
+
+
+def _phi_product(spec: FilterSpec, w: np.ndarray, peak: float) -> np.ndarray:
+    """phi_hat on a 1-d array whose largest |w| is peak, each entry at its own depth.
+
+    A single entry, or a peak that needs only MIN_DEPTH, is one product at the
+    peak's depth, so scalar calls pay nothing for the grouping.
+    """
+    depth = _depth_complex(spec.m, peak)
+    if w.size == 1 or depth == MIN_DEPTH:
+        return _tap_product(spec, w, depth)
+    return _grouped(w, _depths_complex(spec.m, np.abs(w)), partial(_tap_product, spec))
+
+
+def _abs2_product(m: int, w: np.ndarray, depth: int) -> np.ndarray:
+    """prod_(l=2..depth+1) |H(w 2^(-l))|^2 for every entry of w."""
+    scales = 2.0 ** -np.arange(2, depth + 2)  # arguments w/4, w/8, ...
+    args = np.multiply.outer(scales, w)
+    return np.prod(magnitude_squared_H(m, args.ravel()).reshape(args.shape), axis=0)
 
 
 def scaling_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
     """phi_hat(w): truncated infinite product (2 pi)^(-1/2) prod_l H(w 2^(-l)).
 
-    An array is evaluated at the depth required by its largest entry.
+    Each entry of an array uses the product depth its own |w| requires.
     """
     w, shape = flatten_frequencies(omega)
     peak = _guarded_peak(w)
@@ -161,17 +219,19 @@ def wavelet_hat_abs2(m: int, omega: float | np.ndarray) -> float | np.ndarray:
 
     Shares no code path with the tap-based wavelet_hat beyond the filter order,
     so agreement between |wavelet_hat|^2 and this value cross-checks the
-    spectral factorization end to end. An array is evaluated at the depth
-    required by its largest entry.
+    spectral factorization end to end. Each entry of an array uses the product
+    depth its own |w| requires, so its value is bit-identical to a call on
+    that entry alone.
     """
     w, shape = flatten_frequencies(omega)
     peak = _guarded_peak(w)
     band = magnitude_squared_H(m, 0.5 * w + math.pi)
     depth = _depth_modulus(m, 0.5 * peak)
-    scales = 2.0 ** -np.arange(2, depth + 2)  # arguments w/4, w/8, ...
-    args = np.multiply.outer(scales, w)
-    factors = magnitude_squared_H(m, args.ravel()).reshape(args.shape)
-    return restore_shape(band * np.prod(factors, axis=0) / (2.0 * math.pi), shape)
+    if w.size == 1 or depth == MIN_DEPTH:
+        product = _abs2_product(m, w, depth)
+    else:
+        product = _grouped(w, _depths_modulus(m, 0.5 * np.abs(w)), partial(_abs2_product, m))
+    return restore_shape(band * product / (2.0 * math.pi), shape)
 
 
 def ideal_band_indicator(omega: float) -> float:

@@ -29,9 +29,10 @@ class TestFilters:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 40 and lines[-1].startswith("h(39) = ")
 
-    def test_order_above_limit_named(self):
-        with pytest.raises(ValueError, match="got 21"):
-            main(["filters", "--m", "21"])
+    def test_order_above_limit_named(self, capsys):
+        assert main(["filters", "--m", "21"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wavebounds: error: ") and "got 21" in err
 
     def test_plain_output_has_17_digits(self, capsys):
         main(["filters", "--m", "2"])
@@ -40,6 +41,13 @@ class TestFilters:
 
 
 class TestPointEvaluations:
+    def test_order_above_limit_is_one_line_error(self, capsys):
+        assert main(["eval", "--m", "40", "--omega", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wavebounds: error: ") and "got 40" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_abs2(self, capsys):
         assert main(["eval", "--m", "2", "--omega", "4.0", "--abs2"]) == 0
         val = float(capsys.readouterr().out.strip())

@@ -62,6 +62,40 @@ class TestErrorThroughRootPower:
         assert result.abs_error >= result.value - low
 
 
+class TestTightReference:
+    # The two theorem1 norms whose error estimate once missed this reference.
+    @pytest.mark.parametrize("m,k,p", [(2, 1, 2.0), (6, 1, 1.5)])
+    def test_within_abs_error_of_tight_run(self, monkeypatch, m, k, p):
+        default = weighted_lp_norm.__wrapped__(NormRequest(m, k, p))
+
+        def tight_quadrature(*args, **kwargs):
+            return adaptive_quadrature(*args, **{**kwargs, "rel_tol": 1e-13, "abs_tol": 1e-16})
+
+        monkeypatch.setattr(norms, "adaptive_quadrature", tight_quadrature)
+        reference = weighted_lp_norm.__wrapped__(NormRequest(m, k, p))
+        assert abs(default.value - reference.value) <= default.abs_error
+        assert reference.converged
+
+
+class TestBatchedQuadrature:
+    def test_integrand_calls_are_batched(self, monkeypatch):
+        calls = []
+
+        def counting_quadrature(f, *args, **kwargs):
+            def counted(w):
+                calls.append(w.size)
+                return f(w)
+
+            return adaptive_quadrature(counted, *args, **kwargs)
+
+        monkeypatch.setattr(norms, "adaptive_quadrature", counting_quadrature)
+        result = weighted_lp_norm.__wrapped__(NormRequest(2, 0, 1.5))
+        panels_evaluated = sum(calls) // 15
+        assert sum(calls) == result.evaluations
+        assert 8 * len(calls) < panels_evaluated
+        assert result.converged and result.panels > 0
+
+
 class TestPlancherel:
     @pytest.mark.parametrize("m", [1, 4])
     def test_l2_norm_is_one(self, m):

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from wavebounds.quadrature import (
+    BATCH_PANELS,
     QuadResult,
     _NODES,
     _WEIGHTS_G,
@@ -62,6 +63,40 @@ def test_budget_exhaustion_keeps_honest_error():
     exact = (1.0 - math.cos(400.0 * 3.0)) / 400.0
     result = adaptive_quadrature(f, 0.0, 3.0, max_panels=8, abs_tol=1e-15, rel_tol=1e-15)
     assert abs(result.value - exact) <= result.abs_error
+
+
+@pytest.mark.parametrize("max_panels", [8, 9, 10])
+def test_rounds_never_exceed_panel_budget(max_panels):
+    # A round bisects at most as many panels as the budget has room for.
+    f = lambda x: np.sin(400.0 * x)
+    result, panels = adaptive_quadrature(
+        f, 0.0, 3.0, max_panels=max_panels, abs_tol=1e-15, rel_tol=1e-15, return_panels=True
+    )
+    assert result.panels == len(panels) == max_panels
+    assert not result.converged
+
+
+def test_converged_run_reports_its_panels():
+    result, panels = adaptive_quadrature(
+        lambda x: np.exp(-(x**2)), 0.0, 5.0, rel_tol=1e-12, return_panels=True
+    )
+    assert result.converged
+    assert result.panels == len(panels) > 1
+    assert result.evaluations == 15 * (2 * result.panels - 1)  # every bisection adds one panel
+
+
+def test_each_round_is_one_integrand_call():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.cos(13.0 * x) / (1.0 + x**2)
+
+    result = adaptive_quadrature(f, 0.0, 20.0, rel_tol=1e-12, breakpoints=[5.0, 10.0, 15.0])
+    assert calls[0] == 4 * 15  # the four breakpoint panels together
+    assert all(size % 30 == 0 and size <= 30 * BATCH_PANELS for size in calls[1:])
+    assert sum(calls) == result.evaluations
+    assert len(calls) < result.evaluations / (15 * BATCH_PANELS)
 
 
 def test_refinement_is_monotone_in_tolerance():

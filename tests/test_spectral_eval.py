@@ -163,6 +163,23 @@ class TestScalarArrayContract:
             fn(np.array([1.0, -2e7, 3.0]))
 
 
+class TestBatchIndependence:
+    @pytest.mark.parametrize("fn", [scaling_hat, wavelet_hat, wavelet_hat_abs2])
+    def test_value_alone_equals_value_beside_a_deep_point(self, fn):
+        # 1e4 needs a deeper product than 5.2; that must not reach 5.2's value.
+        assert fn(2, np.array([5.2, 1e4]))[0] == fn(2, 5.2)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_magnitude_route_entries_equal_lone_points(self, m):
+        # The norm integrand's route: every entry of a batch spanning the
+        # default integration range, bit for bit against a call on it alone.
+        rng = np.random.default_rng(m)
+        w = np.exp(rng.uniform(math.log(1e-3), math.log(2.0**12 * math.pi), 200))
+        w[:3] = (0.0, 2.0**12 * math.pi, -7.5)
+        batch = wavelet_hat_abs2(m, w)
+        assert [float(v) for v in batch] == [wavelet_hat_abs2(m, float(x)) for x in w]
+
+
 class TestIdealBandIndicator:
     def test_inside_band(self):
         assert ideal_band_indicator(1.5 * math.pi) == pytest.approx(INV_SQRT_2PI)
