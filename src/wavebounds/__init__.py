@@ -4,6 +4,7 @@ from .bernstein import (
     GaussianTestFunction,
     SweepSettings,
     bernstein_rhs,
+    bound_params,
     verify_sweep,
     wavelet_coefficient,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "bernstein_rhs",
     "best_constant_Ckp",
     "binomial",
+    "bound_params",
     "bound_A",
     "bound_B",
     "bound_D",

@@ -58,7 +58,7 @@ class GaussianTestFunction:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
     def transform(self, omega: np.ndarray) -> np.ndarray:
@@ -83,7 +83,11 @@ class GaussianTestFunction:
         return cls(sigma=sigma, center=center, amplitude=1.0 / base.weighted_transform_norm(k, q))
 
 
-def _coefficient_quad(f: GaussianTestFunction, m: int, j: int, nu: int) -> QuadResult:
+def wavelet_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> QuadResult:
+    """<f, psi_(j,nu)> computed as integral f_hat(w) conj(psi_hat_(j,nu)(w)) dw.
+
+    The abs_error covers the quadrature estimate and the discarded Gaussian tails.
+    """
     if not (J_RANGE[0] <= j <= J_RANGE[1]):
         raise ValueError(f"scale j must lie in [{J_RANGE[0]}, {J_RANGE[1]}], got {j}")
     if abs(nu) > NU_LIMIT:
@@ -122,12 +126,11 @@ def _coefficient_quad(f: GaussianTestFunction, m: int, j: int, nu: int) -> QuadR
     )
 
 
-def wavelet_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> complex:
-    """<f, psi_(j,nu)> computed as integral f_hat(w) conj(psi_hat_(j,nu)(w)) dw."""
-    return complex(_coefficient_quad(f, m, j, nu).value)
+def bernstein_rhs(m: int, k: int, p: float, j: int, f: GaussianTestFunction) -> QuadResult:
+    """Right-hand side C_(k,p) 2^(-j(k+1/p-1/2)) ||psi_hat||_p ||(i w)^k f_hat||_p'.
 
-
-def _bernstein_rhs_detail(m: int, k: int, p: float, j: int, f: GaussianTestFunction) -> QuadResult:
+    The abs_error is the norm's relative error carried to the product.
+    """
     if not 0 <= k < m:
         raise ValueError(f"requires 0 <= k < m, got k={k}, m={m}")
     q = p / (p - 1.0)
@@ -136,11 +139,6 @@ def _bernstein_rhs_detail(m: int, k: int, p: float, j: int, f: GaussianTestFunct
     value = num.value * 2.0 ** (-j * (k + 1.0 / p - 0.5)) * f.weighted_transform_norm(k, q)
     rel = num.abs_error / num.value
     return QuadResult(value=value, abs_error=value * rel, evaluations=num.evaluations)
-
-
-def bernstein_rhs(m: int, k: int, p: float, j: int, f: GaussianTestFunction) -> float:
-    """Right-hand side C_(k,p) 2^(-j(k+1/p-1/2)) ||psi_hat||_p ||(i w)^k f_hat||_p'."""
-    return _bernstein_rhs_detail(m, k, p, j, f).value
 
 
 # Multiplier on the asymptotic lower constants (G, and the Cor3 lower ratio).
@@ -153,6 +151,10 @@ class SweepSettings:
 
     eps: float = math.pi
     tol_pad: float = 1e-9
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.tol_pad < math.inf:
+            raise ValueError(f"tolerance pad must be finite and nonnegative, got {self.tol_pad}")
 
 
 DEFAULT_SETTINGS = SweepSettings()
@@ -233,14 +235,24 @@ def _row(
     )
 
 
-def _bound_params(m: int, k: int, p: float, eps: float) -> tuple[BoundParams, dict]:
-    """The closed-form parameters, and the decay fields a row records (none for m = 1)."""
-    if m == 1:
-        # The c-dependent term is vacuous at m = 1 (log m = 0) whatever c is.
-        return BoundParams(m=m, k=k, p=p, c=1.0, eps=eps), {}
+def bound_params(m: int, k: int, p: float, eps: float) -> BoundParams:
+    """The closed-form parameters with the fitted c that every sweep and the CLI use.
+
+    For m >= 2, c and C_tilde come from default_decay(m, DEFAULT_OMEGA_MAX). At
+    m = 1 the c-dependent term is vacuous (log m = 0) whatever c is, so c = 1
+    and C_tilde is None.
+    """
+    if m < 2:
+        return BoundParams(m=m, k=k, p=p, c=1.0, eps=eps)
     fit = default_decay(m, DEFAULT_OMEGA_MAX)
-    params = BoundParams(m=m, k=k, p=p, c=fit.c, eps=eps, c_tilde=fit.C_tilde)
-    return params, {"decay_c": fit.c, "decay_c_tilde": fit.C_tilde}
+    return BoundParams(m=m, k=k, p=p, c=fit.c, eps=eps, c_tilde=fit.C_tilde)
+
+
+def _decay_fields(params: BoundParams) -> dict:
+    """The fitted decay a row records; none at m = 1, which has no fit."""
+    if params.c_tilde is None:
+        return {}
+    return {"decay_c": params.c, "decay_c_tilde": params.c_tilde}
 
 
 def _norm_row(check, params, lower, upper, settings, vacuous=(), **fields) -> VerificationRow:
@@ -249,7 +261,7 @@ def _norm_row(check, params, lower, upper, settings, vacuous=(), **fields) -> Ve
     norm = weighted_lp_norm(NormRequest(m, k, p))
     return _row(
         check, m, k, p, norm.value, lower, upper, norm.abs_error, settings.tol_pad, vacuous,
-        **fields,
+        **_decay_fields(params), **fields,
     )
 
 
@@ -257,50 +269,51 @@ def _ratio_row(check, params, lower, upper, settings, vacuous=(), **fields) -> V
     """Row bracketing the best constant C_(k,p), checked within the pad alone."""
     m, k, p = params.m, params.k, params.p
     value = best_constant_Ckp(m, k, p)
-    return _row(check, m, k, p, value, lower, upper, None, settings.tol_pad, vacuous, **fields)
+    return _row(
+        check, m, k, p, value, lower, upper, None, settings.tol_pad, vacuous,
+        **_decay_fields(params), **fields,
+    )
 
 
 def _run_theorem1(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    params, decay = _bound_params(case["m"], case["k"], case["p"], settings.eps)
+    params = bound_params(case["m"], case["k"], case["p"], settings.eps)
     lower = bound_B(params)
     vacuous = ("lower",) if lower < 0 else ()
-    return _norm_row("theorem1", params, lower, bound_A(params), settings, vacuous, **decay)
+    return _norm_row("theorem1", params, lower, bound_A(params), settings, vacuous)
 
 
 def _run_theorem2(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    params, decay = _bound_params(case["m"], case["m"], case["p"], settings.eps)
+    params = bound_params(case["m"], case["m"], case["p"], settings.eps)
     lower = ASYMPTOTIC_SLACK * bound_G(params)
     note = "lower bound carries the asymptotic slack factor"
     return _norm_row(
-        "theorem2", params, lower, bound_F(params), settings,
-        slack=ASYMPTOTIC_SLACK, note=note, **decay,
+        "theorem2", params, lower, bound_F(params), settings, slack=ASYMPTOTIC_SLACK, note=note
     )
 
 
 def _run_corollary1(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    params, decay = _bound_params(case["m"], 0, case["p"], settings.eps)
+    params = bound_params(case["m"], 0, case["p"], settings.eps)
     lower = bound_E(params)
     vacuous = ("lower",) if lower <= 0 else ()
     if params.m == 1:
         vacuous += ("log_m_zero",)
-    return _norm_row("corollary1", params, lower, bound_D(params), settings, vacuous, **decay)
+    return _norm_row("corollary1", params, lower, bound_D(params), settings, vacuous)
 
 
 def _run_corollary2(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    params, decay = _bound_params(case["m"], case["k"], case["p"], settings.eps)
+    params = bound_params(case["m"], case["k"], case["p"], settings.eps)
     interval = ratio_bounds(params, "Cor2")
     vacuous = ("lower",) * interval.vacuous_lower + ("upper",) * interval.vacuous_upper
-    return _ratio_row("corollary2", params, interval.lo, interval.hi, settings, vacuous, **decay)
+    return _ratio_row("corollary2", params, interval.lo, interval.hi, settings, vacuous)
 
 
 def _run_corollary3(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    params, decay = _bound_params(case["m"], case["m"], case["p"], settings.eps)
+    params = bound_params(case["m"], case["m"], case["p"], settings.eps)
     interval = ratio_bounds(params, "Cor3")
     lower = ASYMPTOTIC_SLACK * interval.lo
     vacuous = ("upper",) * interval.vacuous_upper
     return _ratio_row(
-        "corollary3", params, lower, interval.hi, settings, vacuous,
-        slack=ASYMPTOTIC_SLACK, **decay,
+        "corollary3", params, lower, interval.hi, settings, vacuous, slack=ASYMPTOTIC_SLACK
     )
 
 
@@ -309,8 +322,8 @@ def _run_bernstein(case: Mapping, settings: SweepSettings) -> VerificationRow:
     j, nu = case["j"], case["nu"]
     q = p / (p - 1.0)
     f = GaussianTestFunction.normalized(case["sigma"], case.get("center", 0.0), k, q)
-    coef = _coefficient_quad(f, m, j, nu)
-    rhs = _bernstein_rhs_detail(m, k, p, j, f)
+    coef = wavelet_coefficient(f, m, j, nu)
+    rhs = bernstein_rhs(m, k, p, j, f)
     abs_error = coef.abs_error + rhs.abs_error
     return _row(
         "bernstein", m, k, p, abs(coef.value), None, rhs.value, abs_error, settings.tol_pad,

@@ -28,8 +28,7 @@ class BoundParams:
     """Inputs shared by the closed-form constants.
 
     eps may equal pi (the value at which the A/B brackets coincide); c is the
-    decay exponent parameter entering through c * log(m); log_base selects the
-    logarithm used there (natural by default).
+    decay exponent parameter entering through c * log(m), natural log.
     """
 
     m: int
@@ -38,7 +37,6 @@ class BoundParams:
     c: float
     eps: float = math.pi
     c_tilde: float | None = None
-    log_base: float = math.e
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -49,13 +47,8 @@ class BoundParams:
             raise ValueError(f"p must lie in (1, inf), got {self.p}")
         if not (0.0 < self.eps <= math.pi):
             raise ValueError(f"eps must lie in (0, pi], got {self.eps}")
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError(f"decay parameter c must be positive, got {self.c}")
-        if self.log_base <= 1.0:
-            raise ValueError(f"log base must exceed 1, got {self.log_base}")
-
-    def log_m(self) -> float:
-        return math.log(self.m) / math.log(self.log_base)
 
 
 @dataclass(frozen=True)
@@ -109,7 +102,7 @@ def _bracket(params: BoundParams, x: float) -> float:
         * x ** (p * (m - k - 0.5) + 1.0)
         * factorial_ratio(m) ** (0.5 * p)
     )
-    t2 = (2.0 * math.pi) ** (2.0 - params.c * p * params.log_m())
+    t2 = (2.0 * math.pi) ** (2.0 - params.c * p * math.log(m))
     t3 = 2.0 ** (1.0 - 0.5 * p) * math.pi ** (1.0 - p * (k + 0.5))
     return t1 + t2 + t3
 
@@ -137,7 +130,7 @@ def bound_D(params: BoundParams) -> float:
     return (
         2.0 * (2.0 * math.pi) ** (1.0 / p - 0.5)
         + 2.0 ** (0.5 - 2 * m) * math.pi ** (m + 0.5) * math.sqrt(factorial_ratio(m))
-        + (2.0 * math.pi) ** (2.0 - params.c * params.log_m())
+        + (2.0 * math.pi) ** (2.0 - params.c * math.log(m))
     )
 
 

@@ -12,26 +12,12 @@ import math
 import sys
 from pathlib import Path
 
-from .bernstein import CHECKS, SweepSettings, verify_sweep
+from .bernstein import CHECKS, GaussianTestFunction, SweepSettings, bound_params, verify_sweep
 from .bound_formulas import BoundParams, compute_bound_set
 from .daub_filters import FilterConstructionError, construct_filter
 from .norms import DEFAULT_OMEGA_MAX, NormRequest, default_decay, weighted_lp_norm
 from .reporting import exit_code, fmt17, rows_to_csv_bytes, rows_to_json_bytes, summarize
-from .spectral_eval import (
-    TruncationError,
-    estimate_decay,
-    scaling_hat,
-    wavelet_hat,
-    wavelet_hat_abs2,
-)
-
-
-def _parse_span(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from exc
+from .spectral_eval import TruncationError, scaling_hat, wavelet_hat, wavelet_hat_abs2
 
 
 def _parse_int_span(text: str) -> tuple[int, int]:
@@ -60,10 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--omega", type=float, required=True)
     p_eval.add_argument("--abs2", action="store_true", help="print |psi_hat|^2 instead")
 
-    p_decay = sub.add_parser("decay", help="fit the high-frequency decay envelope")
+    p_decay = sub.add_parser("decay", help="print the decay fit that bounds and sweeps use")
     p_decay.add_argument("--m", type=int, required=True)
-    p_decay.add_argument("--range", type=_parse_span, default=(4.0 * math.pi, 512.0 * math.pi))
-    p_decay.add_argument("--samples", type=int, default=64)
     p_decay.add_argument("--json", action="store_true")
 
     p_norm = sub.add_parser("norm", help="weighted Lp norm of the wavelet transform")
@@ -79,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--p", type=float, required=True)
     p_bounds.add_argument("--eps", type=float, default=math.pi)
     p_bounds.add_argument("--c", type=float, default=None, help="decay exponent (default: fitted)")
-    p_bounds.add_argument("--ctilde", type=float, default=None)
-    p_bounds.add_argument("--log-base", type=float, default=math.e)
     fmt = p_bounds.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
@@ -148,8 +130,7 @@ def _print_record(record: dict, args) -> int:
 
 
 def _cmd_decay(args) -> int:
-    lo, hi = args.range
-    fit = estimate_decay(args.m, lo, hi, args.samples)
+    fit = default_decay(args.m, DEFAULT_OMEGA_MAX)
     record = {
         "m": args.m,
         "C_tilde": fmt17(fit.C_tilde),
@@ -173,27 +154,18 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    c = args.c
-    c_tilde = args.ctilde
-    if c is None:
-        if args.m >= 2:
-            fit = default_decay(args.m, DEFAULT_OMEGA_MAX)
-            c = fit.c
-            c_tilde = fit.C_tilde if c_tilde is None else c_tilde
-        else:
-            c = 1.0  # the c-dependent term is vacuous at m = 1
-    params = BoundParams(
-        m=args.m, k=args.k, p=args.p, c=c, eps=args.eps,
-        c_tilde=c_tilde, log_base=args.log_base,
-    )
+    if args.c is None:
+        params = bound_params(args.m, args.k, args.p, args.eps)
+    else:
+        params = BoundParams(m=args.m, k=args.k, p=args.p, c=args.c, eps=args.eps)
     bounds = compute_bound_set(params)
     record = {
         "m": args.m,
         "k": args.k,
         "p": fmt17(args.p),
         "eps": fmt17(args.eps),
-        "c": fmt17(c),
-        "c_tilde": fmt17(c_tilde),
+        "c": fmt17(params.c),
+        "c_tilde": fmt17(params.c_tilde),
         "A": fmt17(bounds.A),
         "B": fmt17(bounds.B),
         "D": fmt17(bounds.D),
@@ -249,6 +221,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bernstein(args) -> int:
     settings = SweepSettings(tol_pad=args.tol)
+    GaussianTestFunction(sigma=args.sigma)  # every row shares sigma: reject a bad one here
     cases = [
         {"m": args.m, "k": args.k, "p": args.p, "sigma": args.sigma, "j": j, "nu": nu}
         for j in range(args.j_range[0], args.j_range[1] + 1)

@@ -182,8 +182,15 @@ def construct_filter(m: int) -> FilterSpec:
 
 
 def eval_H(spec: FilterSpec, omega: float | np.ndarray) -> complex | np.ndarray:
-    """H(w) = 2^(-1/2) sum_l h(l) e^(i l w)."""
+    """H(w) = 2^(-1/2) sum_l h(l) e^(i l w).
+
+    Each point's powers z^l, z = e^(iw), are a running product along its own
+    row and its tap sum is taken row by row, so an entry of an array rounds
+    exactly as the same point alone (a matrix product would not).
+    """
     w, shape = flatten_frequencies(omega)
-    ell = np.arange(2 * spec.m)
-    phases = np.exp(1j * np.multiply.outer(w, ell))
-    return restore_shape(phases @ np.asarray(spec.taps) / math.sqrt(2.0), shape)
+    powers = np.ones((w.size, 2 * spec.m), dtype=complex)
+    powers[:, 1:] = np.exp(1j * w)[:, None]
+    powers = np.cumprod(powers, axis=1)
+    values = np.einsum("ij,j->i", powers, np.asarray(spec.taps)) / math.sqrt(2.0)
+    return restore_shape(values, shape)

@@ -74,9 +74,9 @@ class DecayFit:
 
 
 def _guarded_peak(w: np.ndarray) -> float:
-    """max |w|, which sets the product depth; raises above the evaluation guard."""
+    """max |w|, which sets the product depth; raises above the guard or at NaN."""
     peak = float(np.max(np.abs(w), initial=0.0))
-    if peak > 2.0**MAX_DEPTH * PRODUCT_TOL:
+    if not peak <= 2.0**MAX_DEPTH * PRODUCT_TOL:
         raise ValueError(
             f"|omega|={peak:.3e} exceeds the evaluation guard "
             f"2^max_depth * product_tol = {2.0 ** MAX_DEPTH * PRODUCT_TOL:.3e}"

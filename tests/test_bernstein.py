@@ -7,8 +7,6 @@ from scipy.integrate import quad
 
 from wavebounds.bernstein import (
     GaussianTestFunction,
-    _bernstein_rhs_detail,
-    _coefficient_quad,
     bernstein_rhs,
     theorem1_grid,
     theorem2_grid,
@@ -70,7 +68,7 @@ class TestWaveletCoefficient:
 
     def test_distant_test_function_gives_negligible_coefficient(self):
         f = GaussianTestFunction(sigma=1.0, center=50.0)
-        assert abs(wavelet_coefficient(f, 2, 0, 0)) < 1e-8
+        assert abs(wavelet_coefficient(f, 2, 0, 0).value) < 1e-8
 
     def test_against_independent_scipy_quadrature(self):
         f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
@@ -99,7 +97,7 @@ class TestWaveletCoefficient:
 
         re, re_err = quad(real_part, -9.4, 9.4, limit=800)
         im, im_err = quad(imag_part, -9.4, 9.4, limit=800)
-        ours = _coefficient_quad(f, m, j, nu)
+        ours = wavelet_coefficient(f, m, j, nu)
         assert ours.value.real == pytest.approx(re, abs=1e-9 + 10 * re_err)
         assert ours.value.imag == pytest.approx(im, abs=1e-9 + 10 * im_err)
 
@@ -122,8 +120,10 @@ class TestWaveletCoefficient:
         lo, mid, hi = nu * 2.0**-j, (nu + 0.5) * 2.0**-j, (nu + 1) * 2.0**-j
         expected = 2.0 ** (0.5 * j) * (erf_piece(lo, mid) - erf_piece(mid, hi))
         got = wavelet_coefficient(GaussianTestFunction(sigma=sigma, center=center), 1, j, nu)
-        assert got.real == pytest.approx(expected, abs=1e-10)
-        assert abs(got.imag) < 1e-10
+        assert got.value.real == pytest.approx(expected, abs=1e-10)
+        assert abs(got.value.imag) < 1e-10
+        # The returned error bar must cover the exact coefficient.
+        assert abs(got.value - expected) <= got.abs_error
 
     @pytest.mark.parametrize("j,nu", [(0, 0), (2, 3), (-1, -2)])
     def test_dilated_wavelet_has_unit_l2_norm(self, j, nu):
@@ -145,7 +145,7 @@ class TestWaveletCoefficient:
 class TestBernsteinRhs:
     def test_unit_scale_factorization(self):
         f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
-        rhs = bernstein_rhs(2, 1, 2.0, 0, f)
+        rhs = bernstein_rhs(2, 1, 2.0, 0, f).value
         manual = (
             best_constant_Ckp(2, 1, 2.0)
             * weighted_lp_norm(NormRequest(2, 0, 2.0)).value
@@ -156,8 +156,8 @@ class TestBernsteinRhs:
     def test_dyadic_scaling_law(self):
         f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
         k, p = 1, 2.0
-        r0 = bernstein_rhs(2, k, p, 4, f)
-        r1 = bernstein_rhs(2, k, p, 5, f)
+        r0 = bernstein_rhs(2, k, p, 4, f).value
+        r1 = bernstein_rhs(2, k, p, 5, f).value
         assert r1 / r0 == pytest.approx(2.0 ** -(k + 1.0 / p - 0.5), rel=1e-12)
 
     def test_high_precision_assembly(self):
@@ -171,12 +171,13 @@ class TestBernsteinRhs:
             * mp.mpf(weighted_lp_norm(NormRequest(2, 0, p)).value)
             * mp.mpf(f.weighted_transform_norm(1, 2.0))
         )
-        assert bernstein_rhs(2, k, p, j, f) == pytest.approx(float(pieces), rel=1e-13)
+        assert bernstein_rhs(2, k, p, j, f).value == pytest.approx(float(pieces), rel=1e-13)
 
     def test_finite_positive(self):
         f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
         rhs = bernstein_rhs(2, 1, 2.0, 0, f)
-        assert 0.0 < rhs < math.inf
+        assert 0.0 < rhs.value < math.inf
+        assert 0.0 < rhs.abs_error < rhs.value
 
     def test_weight_exponent_validated(self):
         f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
@@ -289,8 +290,8 @@ def test_bernstein_row_reports_the_error_it_is_checked_with():
     # the coefficient's error and the right-hand side's.
     (row,) = verify_sweep("bernstein", [{"m": 2, "k": 1, "p": 2.0, "sigma": 1.0, "j": -3, "nu": 0}])
     f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
-    coef = _coefficient_quad(f, 2, -3, 0)
-    rhs = _bernstein_rhs_detail(2, 1, 2.0, -3, f)
+    coef = wavelet_coefficient(f, 2, -3, 0)
+    rhs = bernstein_rhs(2, 1, 2.0, -3, f)
     assert rhs.abs_error > 0.0
     assert row.abs_error == coef.abs_error + rhs.abs_error
 

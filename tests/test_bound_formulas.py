@@ -117,7 +117,6 @@ class TestValidation:
             {"m": 2, "k": 1, "p": 2.0, "c": 0.0},
             {"m": 2, "k": 1, "p": 2.0, "c": 1.0, "eps": 0.0},
             {"m": 2, "k": 1, "p": 2.0, "c": 1.0, "eps": 3.2},
-            {"m": 2, "k": 1, "p": 2.0, "c": 1.0, "log_base": 1.0},
         ],
     )
     def test_rejected(self, kwargs):

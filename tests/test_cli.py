@@ -5,7 +5,8 @@ import pytest
 
 from wavebounds.cli import main
 from wavebounds.daub_filters import construct_filter
-from wavebounds.norms import NormRequest, weighted_lp_norm
+from wavebounds.norms import DEFAULT_OMEGA_MAX, NormRequest, default_decay, weighted_lp_norm
+from wavebounds.reporting import fmt17
 from wavebounds.spectral_eval import wavelet_hat_abs2
 
 
@@ -63,6 +64,10 @@ class TestPointEvaluations:
         payload = json.loads(capsys.readouterr().out)
         assert float(payload["c"]) > 0
         assert float(payload["total_exponent"]) > 0
+        # decay prints the one fit that bounds (and every sweep) uses.
+        assert payload["c"] == fmt17(default_decay(2, DEFAULT_OMEGA_MAX).c)
+        assert main(["bounds", "--m", "2", "--k", "1", "--p", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["c"] == payload["c"]
 
     def test_norm_json(self, capsys):
         assert main(["norm", "--m", "2", "--k", "1", "--p", "2", "--json"]) == 0
@@ -76,6 +81,23 @@ class TestPointEvaluations:
         payload = json.loads(capsys.readouterr().out)
         assert "vacuous_lower_B" in payload["flags"]
         assert float(payload["A"]) > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--m", "2", "--omega", "nan"],
+        ["verify", "theorem1", "--tol", "nan"],
+        ["verify", "theorem1", "--tol", "inf"],
+        ["bernstein", "--sigma", "nan"],
+        ["bounds", "--m", "2", "--k", "1", "--p", "2", "--c", "nan"],
+    ],
+)
+def test_non_finite_input_is_named(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wavebounds: error: ") and argv[-1] in captured.err
 
 
 class TestVerifyCommand:

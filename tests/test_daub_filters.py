@@ -275,3 +275,16 @@ class TestEvalH:
             for tap in reversed(spec.taps):
                 acc = acc * phase + tap
             assert v == pytest.approx(acc / SQRT2, abs=1e-14)
+
+    @pytest.mark.parametrize("m", range(2, MAX_CONSTRUCTIBLE_ORDER + 1))
+    def test_matches_high_precision_tap_sum(self, m):
+        # The same float taps summed in 40-digit arithmetic, over the band and
+        # at the large arguments the tap route's outer factors see.
+        mp = pytest.importorskip("mpmath")
+        spec = construct_filter(m)
+        grid = np.concatenate([np.linspace(-4.0 * math.pi, 4.0 * math.pi, 49), [123.4, -987.6, 1e4]])
+        with mp.workdps(40):
+            for w, v in zip(grid, eval_H(spec, grid)):
+                z = mp.expj(mp.mpf(float(w)))
+                ref = mp.fsum(mp.mpf(t) * z**ell for ell, t in enumerate(spec.taps)) / mp.sqrt(2)
+                assert float(abs(mp.mpc(v) - ref)) <= 2e-15, (w, v)

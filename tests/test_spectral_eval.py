@@ -169,15 +169,29 @@ class TestBatchIndependence:
         # 1e4 needs a deeper product than 5.2; that must not reach 5.2's value.
         assert fn(2, np.array([5.2, 1e4]))[0] == fn(2, 5.2)
 
-    @pytest.mark.parametrize("m", [2, 3, 5])
-    def test_magnitude_route_entries_equal_lone_points(self, m):
-        # The norm integrand's route: every entry of a batch spanning the
-        # default integration range, bit for bit against a call on it alone.
+    @staticmethod
+    def wide_batch(m):
+        """200 points spanning the default integration range, plus edge cases."""
         rng = np.random.default_rng(m)
         w = np.exp(rng.uniform(math.log(1e-3), math.log(2.0**12 * math.pi), 200))
         w[:3] = (0.0, 2.0**12 * math.pi, -7.5)
+        return w
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_magnitude_route_entries_equal_lone_points(self, m):
+        # The norm integrand's route: every entry of the batch, bit for bit
+        # against a call on it alone.
+        w = self.wide_batch(m)
         batch = wavelet_hat_abs2(m, w)
         assert [float(v) for v in batch] == [wavelet_hat_abs2(m, float(x)) for x in w]
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("fn", [scaling_hat, wavelet_hat])
+    def test_tap_route_entries_equal_lone_points(self, fn, m):
+        # The tap route reaches eval_H directly and through every product factor.
+        w = self.wide_batch(m)
+        batch = fn(m, w)
+        assert [complex(v) for v in batch] == [fn(m, float(x)) for x in w]
 
 
 class TestIdealBandIndicator:
