@@ -33,10 +33,9 @@ from .daub_filters import (
 from .norms import DEFAULT_OMEGA_MAX, NormRequest, best_constant_Ckp, default_decay, weighted_lp_norm
 from .quadrature import QuadResult, adaptive_quadrature
 from .reporting import VerificationRow, exit_code, rows_to_csv_bytes, rows_to_json_bytes, summarize
-from .special_math import binomial, cm_constant, sinc_alternating_sum, sinc_power_integral
+from .special_math import binomial, cm_constant, sinc_alternating_sum
 from .spectral_eval import (
     DecayFit,
-    TruncationError,
     estimate_decay,
     ideal_band_indicator,
     scaling_hat,
@@ -58,7 +57,6 @@ __all__ = [
     "QuadResult",
     "RatioInterval",
     "SweepSettings",
-    "TruncationError",
     "VerificationRow",
     "adaptive_quadrature",
     "bernstein_rhs",
@@ -87,7 +85,6 @@ __all__ = [
     "rows_to_json_bytes",
     "scaling_hat",
     "sinc_alternating_sum",
-    "sinc_power_integral",
     "summarize",
     "verify_sweep",
     "wavelet_coefficient",

@@ -153,6 +153,8 @@ class SweepSettings:
     tol_pad: float = 1e-9
 
     def __post_init__(self) -> None:
+        if not (0.0 < self.eps <= math.pi):
+            raise ValueError(f"eps must lie in (0, pi], got {self.eps}")
         if not 0.0 <= self.tol_pad < math.inf:
             raise ValueError(f"tolerance pad must be finite and nonnegative, got {self.tol_pad}")
 

@@ -17,7 +17,7 @@ from .bound_formulas import BoundParams, compute_bound_set
 from .daub_filters import FilterConstructionError, construct_filter
 from .norms import DEFAULT_OMEGA_MAX, NormRequest, default_decay, weighted_lp_norm
 from .reporting import exit_code, fmt17, rows_to_csv_bytes, rows_to_json_bytes, summarize
-from .spectral_eval import TruncationError, scaling_hat, wavelet_hat, wavelet_hat_abs2
+from .spectral_eval import scaling_hat, wavelet_hat, wavelet_hat_abs2
 
 
 def _parse_int_span(text: str) -> tuple[int, int]:
@@ -221,7 +221,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bernstein(args) -> int:
     settings = SweepSettings(tol_pad=args.tol)
-    GaussianTestFunction(sigma=args.sigma)  # every row shares sigma: reject a bad one here
+    # Every row shares m, k, p and sigma: reject a value no row can use here,
+    # not once per row.
+    construct_filter(args.m)
+    NormRequest(args.m, args.k, args.p)
+    GaussianTestFunction(sigma=args.sigma)
     cases = [
         {"m": args.m, "k": args.k, "p": args.p, "sigma": args.sigma, "j": j, "nu": nu}
         for j in range(args.j_range[0], args.j_range[1] + 1)
@@ -246,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FilterConstructionError, TruncationError) as exc:
+    except (ValueError, FilterConstructionError) as exc:
         print(f"wavebounds: error: {exc}", file=sys.stderr)
         return 2
 

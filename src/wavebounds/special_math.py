@@ -66,14 +66,3 @@ def sinc_alternating_sum(n: int) -> int:
     for i in range(n // 2 + 1):
         total += (-1) ** i * math.comb(n, i) * (n - 2 * i) ** (n - 1)
     return total
-
-
-def sinc_power_integral(n: int) -> float:
-    """integral_0^infinity (sin t / t)^n dt for even n, via the alternating-sum closed form.
-
-    The signed sum and the factorial denominator are kept exact and reduced as a
-    single rational number before the one floating-point conversion.
-    """
-    total = sinc_alternating_sum(n)
-    scale = Fraction(total, (2**n) * math.factorial(n - 1))
-    return math.pi * float(scale)

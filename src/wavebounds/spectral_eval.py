@@ -1,29 +1,31 @@
 """Fourier-domain evaluation of the scaling function and wavelet.
 
 phi_hat is the infinite product of dilated filter responses; psi_hat is the
-usual modulated half-scale formula. Truncation of the product is controlled by
-two explicit per-factor bounds so the omitted tail multiplies the result by
-1 + O(PRODUCT_TOL):
+usual modulated half-scale formula. Each product stops at a depth L where an
+explicit per-factor bound keeps the omitted tail within a relative
+O(PRODUCT_TOL):
 
   * modulus: 1 >= |H(x)|^2 >= 1 - c_m x^(2m) / (2m) for small x (from the
     integral identity and sin t <= t), with the tail handled as a geometric
     series;
-  * full complex value: |H(x) - 1| <= S |x| with S = 2^(-1/2) sum_l l |h(l)|,
-    needed because the truncated factors also rotate the phase.
+  * full complex value: |H(x) - e^(i mu x)| <= K x^2 with H'(0) = i mu
+    (first moment of the taps). With |H| <= 1 the tail prod_(l>L) H(w 2^-l)
+    lies within K w^2 4^-L / 3 of e^(i mu w 2^-L), so the truncated product
+    is multiplied by that phase.
 
-The modulus rule is much shallower and is used wherever only |psi_hat| is
-needed (all norm integrands); the complex rule is used by scaling_hat and
-wavelet_hat themselves. In an array, each entry gets the depth its own |w|
-requires: entries are grouped by depth and each group has its own product,
-so no entry's product depends on the others in its array.
+The modulus rule is used wherever only |psi_hat| is needed (all norm
+integrands); the complex rule is used by scaling_hat and wavelet_hat
+themselves. In an array, each entry gets the depth its own |w| requires: one
+product runs to the deepest entry's depth, and every factor past an entry's
+own depth is exactly 1, so no entry's value depends on the others in its
+array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,17 +41,9 @@ from .special_math import cm_constant
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-
-class TruncationError(RuntimeError):
-    """The depth limit cannot push the product tail below the tolerance."""
-
-    def __init__(self, message: str, achieved_bound: float):
-        self.achieved_bound = achieved_bound
-        super().__init__(f"{message} (achieved tail bound {achieved_bound:.3e})")
-
-
-# Truncation policy of every product: the omitted tail multiplies the result
-# by 1 + O(PRODUCT_TOL), using between MIN_DEPTH and MAX_DEPTH factors.
+# Truncation policy of every product: the omitted tail changes the result by a
+# relative O(PRODUCT_TOL), using at least MIN_DEPTH factors. MAX_DEPTH sets the
+# evaluation guard; below it neither rule needs more than 47 factors.
 PRODUCT_TOL = 1e-12
 MIN_DEPTH = 16
 MAX_DEPTH = 64
@@ -98,103 +92,86 @@ def _modulus_theta(m: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _phase_slope(m: int) -> float:
-    """Per-factor Lipschitz bound: |H(x) - 1| <= _phase_slope(m) * |x|."""
-    spec = construct_filter(m)
-    return sum(ell * abs(t) for ell, t in enumerate(spec.taps)) / math.sqrt(2.0)
+def _phase_rule(m: int) -> tuple[float, float]:
+    """(mu, K): H'(0) = i mu and |H(x) - e^(i mu x)| <= K x^2 for every real x.
+
+    mu = 2^(-1/2) sum_l l h(l). Since sum_l h(l) = sqrt 2, H(x) - e^(i mu x) is
+    2^(-1/2) sum_l h(l) (e^(ilx) - 1 - ilx) - (e^(i mu x) - 1 - i mu x), and
+    |e^(iy) - 1 - iy| <= y^2/2 gives K = (2^(-1/2) sum_l l^2 |h(l)| + mu^2) / 2.
+    """
+    taps = construct_filter(m).taps
+    mu = sum(ell * t for ell, t in enumerate(taps)) / math.sqrt(2.0)
+    second = sum(ell * ell * abs(t) for ell, t in enumerate(taps)) / math.sqrt(2.0)
+    return mu, 0.5 * (second + mu * mu)
 
 
-def _depth_modulus(m: int, abs_omega: float) -> int:
-    theta = _modulus_theta(m)
+def _depth(theta: float, abs_omega: float) -> int:
+    """Fewest factors (at least MIN_DEPTH) that leave every omitted argument within theta."""
     if abs_omega <= theta:
         return MIN_DEPTH
-    depth = max(MIN_DEPTH, math.ceil(math.log2(abs_omega / theta)))
-    if depth > MAX_DEPTH:
-        u = cm_constant(m) * (abs_omega * 2.0**-MAX_DEPTH) ** (2 * m) / (2 * m)
-        raise TruncationError(
-            f"modulus tail needs depth {depth} > max_depth {MAX_DEPTH}", 4.0 * u
-        )
-    return depth
+    return max(MIN_DEPTH, math.ceil(math.log2(abs_omega / theta)))
 
 
-def _depth_complex(m: int, abs_omega: float) -> int:
-    slope = _phase_slope(m)
-    target = 2.0 * slope * max(abs_omega, 1e-300) / PRODUCT_TOL
-    depth = max(MIN_DEPTH, math.ceil(math.log2(target)))
-    if depth > MAX_DEPTH:
-        raise TruncationError(
-            f"complex tail needs depth {depth} > max_depth {MAX_DEPTH}",
-            2.0 * slope * abs_omega * 2.0**-MAX_DEPTH,
-        )
-    return depth
+def _entry_depths(theta: float, w: np.ndarray, peak: float) -> int | np.ndarray:
+    """_depth of each entry of w, whose largest |w| is peak.
 
-
-def _depths_modulus(m: int, abs_omega: np.ndarray) -> np.ndarray:
-    """_depth_modulus of each entry of an array whose peak already passed it."""
-    theta = _modulus_theta(m)
-    return np.maximum(MIN_DEPTH, np.ceil(np.log2(np.maximum(abs_omega, theta) / theta)))
-
-
-def _depths_complex(m: int, abs_omega: np.ndarray) -> np.ndarray:
-    """_depth_complex of each entry of an array whose peak already passed it."""
-    target = 2.0 * _phase_slope(m) * np.maximum(abs_omega, 1e-300) / PRODUCT_TOL
-    return np.maximum(MIN_DEPTH, np.ceil(np.log2(target)))
-
-
-def _grouped(
-    w: np.ndarray, need: np.ndarray, product: Callable[[np.ndarray, int], np.ndarray]
-) -> np.ndarray:
-    """product(w_g, depth) for each group w_g of the entries that need one depth.
-
-    need holds each entry's required depth. Every group gets its own product,
-    so an entry's value does not depend on the other entries of w.
+    A single entry, or a peak that needs only MIN_DEPTH, gets one int, so
+    scalar calls pay nothing for per-entry depths.
     """
-    order = np.argsort(need, kind="stable")
-    cuts = np.flatnonzero(np.diff(need[order])) + 1
-    if cuts.size == 0:
-        return product(w, int(need[0]))
-    values = np.concatenate(
-        [product(w[group], int(need[group[0]])) for group in np.split(order, cuts)]
-    )
-    out = np.empty_like(values)
-    out[order] = values
-    return out
+    depth = _depth(theta, peak)
+    if w.size == 1 or depth == MIN_DEPTH:
+        return depth
+    ratio = np.maximum(np.abs(w), theta) / theta
+    return np.maximum(MIN_DEPTH, np.ceil(np.log2(ratio))).astype(int)
 
 
-def _tap_product(spec: FilterSpec, w: np.ndarray, depth: int) -> np.ndarray:
-    """(2 pi)^(-1/2) prod_(l=1..depth) H(w 2^(-l)) for every entry of w.
+def _padded_factors(factors: np.ndarray, depth: int | np.ndarray, axis: int) -> np.ndarray:
+    """factors with each entry's factors past its own depth set to exactly 1.
 
-    One row of factors per point: np.prod then multiplies each point's factors
-    in sequence, exactly as for a lone point, whereas a reduction across rows
-    rounds complex products differently once there are two or more points.
+    factors holds max(depth) factors per entry along axis. Multiplying by 1 is
+    exact, so one product over the padded factors gives each entry the value
+    of its own-depth product.
     """
-    scales = 2.0 ** -np.arange(1, depth + 1)
-    args = np.multiply.outer(w, scales)
+    if isinstance(depth, int):
+        return factors
+    levels = np.expand_dims(np.arange(factors.shape[axis]), 1 - axis)
+    return np.where(levels < np.expand_dims(depth, axis), factors, 1.0)
+
+
+def _tap_product(spec: FilterSpec, w: np.ndarray, depth: int | np.ndarray) -> np.ndarray:
+    """(2 pi)^(-1/2) prod_(l=1..depth) H(w 2^(-l)) e^(i mu w 2^(-depth)) for every entry of w.
+
+    depth is one int or each entry's own. One row of factors per point:
+    np.prod then multiplies each point's factors in sequence, exactly as for
+    a lone point, whereas a reduction across rows rounds complex products
+    differently once there are two or more points.
+    """
+    top = depth if isinstance(depth, int) else int(depth.max())
+    args = np.multiply.outer(w, 2.0 ** -np.arange(1, top + 1))
     factors = eval_H(spec, args.ravel()).reshape(args.shape)
-    return _INV_SQRT_2PI * np.prod(factors, axis=1)
+    phase = np.exp(1j * _phase_rule(spec.m)[0] * np.ldexp(w, -depth))
+    return _INV_SQRT_2PI * np.prod(_padded_factors(factors, depth, 1), axis=1) * phase
 
 
 def _phi_product(spec: FilterSpec, w: np.ndarray, peak: float) -> np.ndarray:
     """phi_hat on a 1-d array whose largest |w| is peak, each entry at its own depth.
 
-    A single entry, or a peak that needs only MIN_DEPTH, is one product at the
-    peak's depth, so scalar calls pay nothing for the grouping.
+    An omitted argument within theta keeps K w^2 4^-L / 3 <= PRODUCT_TOL / 2.
     """
-    depth = _depth_complex(spec.m, peak)
-    if w.size == 1 or depth == MIN_DEPTH:
-        return _tap_product(spec, w, depth)
-    return _grouped(w, _depths_complex(spec.m, np.abs(w)), partial(_tap_product, spec))
+    theta = math.sqrt(1.5 * PRODUCT_TOL / _phase_rule(spec.m)[1])
+    return _tap_product(spec, w, _entry_depths(theta, w, peak))
 
 
-def _abs2_product(m: int, w: np.ndarray, depth: int) -> np.ndarray:
-    """prod_(l=2..depth+1) |H(w 2^(-l))|^2 for every entry of w."""
-    scales = 2.0 ** -np.arange(2, depth + 2)  # arguments w/4, w/8, ...
-    args = np.multiply.outer(scales, w)
-    return np.prod(magnitude_squared_H(m, args.ravel()).reshape(args.shape), axis=0)
+def _abs2_product(m: int, w: np.ndarray, depth: int | np.ndarray) -> np.ndarray:
+    """prod_(l=2..depth+1) |H(w 2^(-l))|^2 for every entry of w; depth as in _tap_product."""
+    top = depth if isinstance(depth, int) else int(depth.max())
+    args = np.multiply.outer(2.0 ** -np.arange(2, top + 2), w)  # arguments w/4, w/8, ...
+    factors = magnitude_squared_H(m, args.ravel()).reshape(args.shape)
+    return np.prod(_padded_factors(factors, depth, 0), axis=0)
 
 
 def scaling_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
-    """phi_hat(w): truncated infinite product (2 pi)^(-1/2) prod_l H(w 2^(-l)).
+    """phi_hat(w) = (2 pi)^(-1/2) prod_l H(w 2^(-l)), truncated with its tail phase.
 
     Each entry of an array uses the product depth its own |w| requires.
     """
@@ -226,11 +203,7 @@ def wavelet_hat_abs2(m: int, omega: float | np.ndarray) -> float | np.ndarray:
     w, shape = flatten_frequencies(omega)
     peak = _guarded_peak(w)
     band = magnitude_squared_H(m, 0.5 * w + math.pi)
-    depth = _depth_modulus(m, 0.5 * peak)
-    if w.size == 1 or depth == MIN_DEPTH:
-        product = _abs2_product(m, w, depth)
-    else:
-        product = _grouped(w, _depths_modulus(m, 0.5 * np.abs(w)), partial(_abs2_product, m))
+    product = _abs2_product(m, w, _entry_depths(_modulus_theta(m), 0.5 * w, 0.5 * peak))
     return restore_shape(band * product / (2.0 * math.pi), shape)
 
 

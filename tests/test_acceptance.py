@@ -26,7 +26,6 @@ from wavebounds.daub_filters import (
 )
 from wavebounds.norms import DEFAULT_OMEGA_MAX, NormRequest, weighted_lp_norm
 from wavebounds.reporting import exit_code, rows_to_csv_bytes, rows_to_json_bytes, summarize
-from wavebounds.special_math import sinc_power_integral
 from wavebounds.spectral_eval import estimate_decay, scaling_hat, wavelet_hat
 
 SQRT2 = math.sqrt(2.0)
@@ -119,7 +118,7 @@ def test_criterion_4_haar_closed_forms():
     assert worst_psi < 1e-10
 
 
-def test_criterion_5_sinc_power_integrals():
+def test_criterion_5_sinc_power_integrals(sinc_power_integral):
     exact_gap = max(
         abs(sinc_power_integral(2) - math.pi / 2), abs(sinc_power_integral(4) - math.pi / 3)
     )

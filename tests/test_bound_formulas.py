@@ -15,7 +15,7 @@ from wavebounds.bound_formulas import (
     compute_bound_set,
     ratio_bounds,
 )
-from wavebounds.special_math import sinc_alternating_sum, sinc_power_integral
+from wavebounds.special_math import sinc_alternating_sum
 
 mp.mp.dps = 50
 
@@ -231,7 +231,7 @@ class TestCriticalExponentPair:
         assert bound_F(params) == pytest.approx(math.sqrt(1.0 + 1.0 / math.pi**2), rel=1e-14)
         assert bound_G(params) == pytest.approx(1.0 / 6.0, rel=1e-14)
 
-    def test_sum_matches_sinc_integral_machinery(self):
+    def test_sum_matches_sinc_integral_machinery(self, sinc_power_integral):
         # The alternating sum inside the upper constant is the same exact
         # integer as in the sinc power integral closed form.
         n = 2

@@ -91,6 +91,10 @@ class TestPointEvaluations:
         ["verify", "theorem1", "--tol", "inf"],
         ["bernstein", "--sigma", "nan"],
         ["bounds", "--m", "2", "--k", "1", "--p", "2", "--c", "nan"],
+        ["bernstein", "--p", "nan"],
+        ["bernstein", "--k", "-1"],
+        ["bernstein", "--m", "21"],
+        ["verify", "theorem2", "--m-list", "1", "--eps", "nan"],
     ],
 )
 def test_non_finite_input_is_named(argv, capsys):

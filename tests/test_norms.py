@@ -122,11 +122,9 @@ class TestHaarClosedForms:
         assert result.value == pytest.approx(1.0 / math.sqrt(12.0), abs=1e-8)
         assert abs(result.value - 1.0 / math.sqrt(12.0)) <= result.abs_error
 
-    def test_weighted_norm_sinc_closed_form(self):
+    def test_weighted_norm_sinc_closed_form(self, sinc_power_integral):
         # k = m = 1, p = 4 reduces by substitution to the eighth sinc power:
         # ||w^-1 psi_hat||_4^4 = integral (sin u / u)^8 du / (128 pi^2).
-        from wavebounds.special_math import sinc_power_integral
-
         exact = (sinc_power_integral(8) / (128.0 * math.pi**2)) ** 0.25
         result = weighted_lp_norm(NormRequest(1, 1, 4.0))
         assert result.value == pytest.approx(exact, abs=1e-8)

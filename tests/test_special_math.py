@@ -9,7 +9,6 @@ from wavebounds.special_math import (
     cm_constant,
     factorial_ratio,
     sinc_alternating_sum,
-    sinc_power_integral,
 )
 
 
@@ -82,12 +81,12 @@ class TestCmConstant:
 
 
 class TestSincPowerIntegral:
-    def test_exact_small_cases(self):
+    def test_exact_small_cases(self, sinc_power_integral):
         assert sinc_power_integral(2) == pytest.approx(math.pi / 2, abs=1e-12)
         assert sinc_power_integral(4) == pytest.approx(math.pi / 3, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
-    def test_against_quadrature_oracle(self, n):
+    def test_against_quadrature_oracle(self, n, sinc_power_integral):
         T = 10_000.0
         pieces = [
             quad(lambda t: (math.sin(t) / t) ** n if t else 1.0, a, b, limit=4000)
@@ -108,13 +107,13 @@ class TestSincPowerIntegral:
     def test_alternating_sum_positive(self, n):
         assert sinc_alternating_sum(n) > 0
 
-    def test_large_order_finite_and_decreasing(self):
+    def test_large_order_finite_and_decreasing(self, sinc_power_integral):
         values = [sinc_power_integral(n) for n in range(2, 129, 2)]
         assert all(math.isfinite(v) and v > 0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("n", [0, -2, 3, 7, 129, 130])
-    def test_domain_errors(self, n):
+    def test_domain_errors(self, n, sinc_power_integral):
         with pytest.raises(ValueError):
             sinc_power_integral(n)
 

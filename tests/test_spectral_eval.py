@@ -5,9 +5,10 @@ import pytest
 
 from wavebounds.daub_filters import construct_filter, eval_H, magnitude_squared_H
 from wavebounds.spectral_eval import (
+    MAX_DEPTH,
     PRODUCT_TOL,
     DecayFit,
-    TruncationError,
+    _phase_rule,
     estimate_decay,
     ideal_band_indicator,
     scaling_hat,
@@ -60,7 +61,9 @@ class TestScalingHat:
                 haar_scaling_modulus(float(w)), abs=1e-12
             )
 
-    @pytest.mark.parametrize("m,w", [(4, 3.7), (2, 250.0), (6, 4000.0)])
+    @pytest.mark.parametrize(
+        "m,w", [(4, 3.7), (2, 250.0), (6, 4000.0), (2, 1e7), (20, 1.7e7), (16, 0.5)]
+    )
     def test_stable_under_deeper_truncation(self, m, w):
         v1 = scaling_hat(m, w)
         v2 = deep_phi_hat(m, w)
@@ -70,11 +73,22 @@ class TestScalingHat:
         with pytest.raises(ValueError):
             scaling_hat(2, 1e9)
 
-    def test_depth_exhaustion_reports_bound(self):
-        # Below the omega guard (~1.8e7), yet the complex rule needs depth 65.
-        with pytest.raises(TruncationError) as excinfo:
-            scaling_hat(2, 1e7)
-        assert excinfo.value.achieved_bound > 0
+    def test_every_order_evaluates_at_the_guard(self):
+        # Both depth rules stay within MAX_DEPTH up to the omega guard.
+        guard = 2.0**MAX_DEPTH * PRODUCT_TOL
+        for m in range(1, 21):
+            assert np.isfinite(scaling_hat(m, guard))
+            assert np.isfinite(wavelet_hat(m, -guard))
+        for m in range(1, 33):
+            assert np.isfinite(wavelet_hat_abs2(m, guard))
+
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_first_moment_phase_rule(self, m):
+        # |H(x) - e^(i mu x)| <= K x^2, the per-factor bound behind the tail phase.
+        mu, K = _phase_rule(m)
+        x = np.linspace(-math.pi, math.pi, 20001)
+        gap = np.abs(eval_H(construct_filter(m), x) - np.exp(1j * mu * x))
+        assert np.all(gap <= K * x**2 * (1.0 + 1e-12) + 1e-15)
 
 
 class TestWaveletHat:
@@ -95,7 +109,9 @@ class TestWaveletHat:
                 abs(wavelet_hat(m, -float(w))), abs=1e-12
             )
 
-    @pytest.mark.parametrize("m,w", [(4, 3.7), (3, 777.0)])
+    @pytest.mark.parametrize(
+        "m,w", [(4, 3.7), (3, 777.0), (2, 1e7), (20, 1.7e7), (16, 0.5)]
+    )
     def test_stable_under_deeper_truncation(self, m, w):
         v1 = wavelet_hat(m, w)
         v2 = deep_psi_hat(m, w)
