@@ -268,11 +268,11 @@ def _norm_row(check, params, lower, upper, settings, vacuous=(), **fields) -> Ve
 
 
 def _ratio_row(check, params, lower, upper, settings, vacuous=(), **fields) -> VerificationRow:
-    """Row bracketing the best constant C_(k,p), checked within the pad alone."""
+    """Row bracketing the best constant C_(k,p), checked within its abs_error plus the pad."""
     m, k, p = params.m, params.k, params.p
-    value = best_constant_Ckp(m, k, p)
+    ratio = best_constant_Ckp(m, k, p)
     return _row(
-        check, m, k, p, value, lower, upper, None, settings.tol_pad, vacuous,
+        check, m, k, p, ratio.value, lower, upper, ratio.abs_error, settings.tol_pad, vacuous,
         **_decay_fields(params), **fields,
     )
 

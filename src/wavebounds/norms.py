@@ -11,8 +11,15 @@ using evenness. The truncated tail carries an envelope estimate
 ratio over the top octave [Omega/2, Omega] (the shape of |psi_hat| is close to
 self-similar across octaves, so the top octave calibrates the
 oscillation-averaged tail far more sharply than the raw ceiling), while the
-reported abs_error keeps the full uncalibrated interval. Everything here is
-deterministic for a fixed request.
+reported abs_error keeps the full uncalibrated interval.
+
+The quadrature's absolute tolerance is max(1e-13, QUAD_SHARE * (tail_bound / 4
++ origin term)). The tail error is at least tail_bound / 2, so once the
+quadrature meets that tolerance its part 2 * quad_err of the error sum is at
+most QUAD_SHARE times the origin and tail part, which more panels cannot
+reduce. abs_error stays an upper bound as far as the panel estimate is one:
+the sum still counts that estimate in full, and stopping earlier only makes it
+larger. Everything here is deterministic for a fixed request.
 """
 
 from __future__ import annotations
@@ -33,6 +40,10 @@ DEFAULT_OMEGA_MAX = 2.0**12 * math.pi
 _HAAR_ENVELOPE = (4.0 / math.sqrt(2.0 * math.pi), 1.0)
 
 _ORIGIN_CUT = 1e-6
+
+# The quadrature stops once its error is this share of the tail and origin
+# error, which more panels cannot reduce.
+QUAD_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -99,7 +110,9 @@ def weighted_lp_norm(req: NormRequest) -> QuadResult:
 
     The error combines the quadrature estimate, the near-origin power-law
     patch (k >= 1), and the full width of the analytic tail interval, and
-    bounds their effect through the final 1/p power.
+    bounds their effect through the final 1/p power. The origin and tail
+    terms come first, so the quadrature stops once its own estimate is a
+    QUAD_SHARE of theirs (module docstring).
     """
     m, k, p = req.m, req.k, req.p
     c_tilde, alpha = _envelope(m, req.omega_max)
@@ -118,25 +131,26 @@ def weighted_lp_norm(req: NormRequest) -> QuadResult:
         return weight * abs2 ** (0.5 * p)
 
     lo = _ORIGIN_CUT if k >= 1 else 0.0
-    quad, panels = adaptive_quadrature(
-        integrand,
-        lo,
-        req.omega_max,
-        rel_tol=1e-9,
-        abs_tol=1e-13,
-        max_panels=60_000,
-        breakpoints=_dyadic_breakpoints(req.omega_max),
-        return_panels=True,
-    )
-
     # Near-origin patch: |psi_hat| ~ K w^m makes the integrand ~ w^(p(m-k)),
     # integrated over [0, w0] by a one-term power law and counted fully as error.
     origin_term = 0.0
     if k >= 1:
         origin_term = float(integrand(np.array([lo]))[0]) * lo / (p * (m - k) + 1.0)
 
-    # Envelope tail estimate and its top-octave calibration.
+    # Envelope tail estimate; its error is at least tail_bound / 2 whatever rho is.
     tail_bound = 2.0 * c_tilde**p * req.omega_max ** (1.0 - beta) / (beta - 1.0)
+    quad, panels = adaptive_quadrature(
+        integrand,
+        lo,
+        req.omega_max,
+        rel_tol=1e-9,
+        abs_tol=max(1e-13, QUAD_SHARE * (tail_bound / 4.0 + origin_term)),
+        max_panels=60_000,
+        breakpoints=_dyadic_breakpoints(req.omega_max),
+        return_panels=True,
+    )
+
+    # Top-octave calibration of the tail estimate.
     env_top = (
         c_tilde**p
         * ((req.omega_max / 2.0) ** (1.0 - beta) - req.omega_max ** (1.0 - beta))
@@ -166,10 +180,24 @@ def weighted_lp_norm(req: NormRequest) -> QuadResult:
     )
 
 
-def best_constant_Ckp(m: int, k: int, p: float) -> float:
-    """Best constant C_(k,p) = ||w^(-k) psi_hat||_p / ||psi_hat||_p."""
+def best_constant_Ckp(m: int, k: int, p: float) -> QuadResult:
+    """Best constant C_(k,p) = ||w^(-k) psi_hat||_p / ||psi_hat||_p with its error.
+
+    With |num - N| <= e_num and |den - D| <= e_den, the ratio C = num / den
+    misses N / D by |(N - num) - C (D - den)| / D <= (e_num + C e_den) /
+    (den - e_den), which is the reported abs_error (inf when e_den >= den).
+    At k = 0 the constant is exactly 1 with no error.
+    """
     if k == 0:
-        return 1.0
+        return QuadResult(value=1.0, abs_error=0.0, evaluations=0)
     num = weighted_lp_norm(NormRequest(m, k, p))
     den = weighted_lp_norm(NormRequest(m, 0, p))
-    return num.value / den.value
+    value = num.value / den.value
+    margin = den.value - den.abs_error
+    abs_error = (num.abs_error + value * den.abs_error) / margin if margin > 0 else math.inf
+    return QuadResult(
+        value=value,
+        abs_error=abs_error,
+        evaluations=num.evaluations + den.evaluations,
+        converged=num.converged and den.converged,
+    )

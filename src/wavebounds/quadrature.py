@@ -8,7 +8,8 @@ integrand call, and each round bisects up to BATCH_PANELS of the worst panels
 and evaluates all their children in one more call, so the integrand sees
 arrays of hundreds of nodes instead of 15. Rounds stop when the summed
 estimate meets the tolerance or the panel budget runs out; the achieved
-estimate is always reported, never hidden, and `converged` says which.
+estimate is always reported, never hidden, and `converged` says which. A
+non-finite panel value or error raises ValueError at once.
 """
 
 from __future__ import annotations
@@ -102,7 +103,11 @@ class Panel:
 def _kronrod_panels(
     f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float], hi: Sequence[float]
 ) -> list[Panel]:
-    """15-point Kronrod panels over each [lo_i, hi_i], all nodes in one call of f."""
+    """15-point Kronrod panels over each [lo_i, hi_i], all nodes in one call of f.
+
+    Raises ValueError, naming the first such panel, when a K15 value or its
+    error is not finite: bisection cannot mend that, only spend the budget.
+    """
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
     half = 0.5 * (b - a)
@@ -111,6 +116,13 @@ def _kronrod_panels(
     y = np.asarray(f(x.ravel())).reshape(x.shape)
     kg = half[:, None] * (y @ _RULES)
     errors = np.abs(kg[:, 0] - kg[:, 1])
+    bad = ~np.isfinite(errors)  # |K15 - G7| is finite only where both values are
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"non-finite integrand on [{a[i]:.17g}, {b[i]:.17g}]: "
+            f"K15 value {kg[i, 0].item()} with error {errors[i]}"
+        )
     return [
         Panel(lo, hi, complex(val), err)
         for lo, hi, val, err in zip(a.tolist(), b.tolist(), kg[:, 0].tolist(), errors.tolist())

@@ -147,7 +147,7 @@ class TestBernsteinRhs:
         f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
         rhs = bernstein_rhs(2, 1, 2.0, 0, f).value
         manual = (
-            best_constant_Ckp(2, 1, 2.0)
+            best_constant_Ckp(2, 1, 2.0).value
             * weighted_lp_norm(NormRequest(2, 0, 2.0)).value
             * f.weighted_transform_norm(1, 2.0)
         )
@@ -166,7 +166,7 @@ class TestBernsteinRhs:
         j, k, p = 5, 1, 2.0
         mp.mp.dps = 50
         pieces = (
-            mp.mpf(best_constant_Ckp(2, k, p))
+            mp.mpf(best_constant_Ckp(2, k, p).value)
             * mp.mpf(2) ** (-j * (k + 1 / mp.mpf(p) - mp.mpf(1) / 2))
             * mp.mpf(weighted_lp_norm(NormRequest(2, 0, p)).value)
             * mp.mpf(f.weighted_transform_norm(1, 2.0))
@@ -248,8 +248,8 @@ ROW_CONTRACT = [
     ("theorem1", {"m": 2, "k": 1, "p": 2.0}, ("lower",), None, True, True),
     ("theorem2", {"m": 2, "k": 2, "p": 2.0}, (), 0.5, True, True),
     ("corollary1", {"m": 1, "k": 0, "p": 2.0}, ("lower", "log_m_zero"), None, True, False),
-    ("corollary2", {"m": 2, "k": 1, "p": 2.0}, ("lower", "upper"), None, False, True),
-    ("corollary3", {"m": 2, "k": 2, "p": 2.0}, ("upper",), 0.5, False, True),
+    ("corollary2", {"m": 2, "k": 1, "p": 2.0}, ("lower", "upper"), None, True, True),
+    ("corollary3", {"m": 2, "k": 2, "p": 2.0}, ("upper",), 0.5, True, True),
     (
         "bernstein",
         {"m": 2, "k": 1, "p": 2.0, "sigma": 1.0, "j": 0, "nu": 1},

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from wavebounds import norms
+from wavebounds.bernstein import corollary1_grid, theorem1_grid, theorem2_grid
 from wavebounds.norms import (
     DEFAULT_OMEGA_MAX,
     NormRequest,
@@ -63,8 +64,23 @@ class TestErrorThroughRootPower:
 
 
 class TestTightReference:
-    # The two theorem1 norms whose error estimate once missed this reference.
-    @pytest.mark.parametrize("m,k,p", [(2, 1, 2.0), (6, 1, 1.5)])
+    # The two theorem1 norms whose error estimate once missed this reference,
+    # then every norm whose quadrature stops early at the tail-error share.
+    @pytest.mark.parametrize(
+        "m,k,p",
+        [
+            (2, 1, 2.0),
+            (6, 1, 1.5),
+            (1, 0, 1.5),
+            (1, 0, 2.0),
+            (1, 0, 3.0),
+            (2, 0, 1.5),
+            (2, 0, 2.0),
+            (3, 0, 1.5),
+            (1, 1, 2.0),
+            (2, 2, 2.0),
+        ],
+    )
     def test_within_abs_error_of_tight_run(self, monkeypatch, m, k, p):
         default = weighted_lp_norm.__wrapped__(NormRequest(m, k, p))
 
@@ -75,6 +91,27 @@ class TestTightReference:
         reference = weighted_lp_norm.__wrapped__(NormRequest(m, k, p))
         assert abs(default.value - reference.value) <= default.abs_error
         assert reference.converged
+
+
+class TestEvaluationBudget:
+    # Evaluation counts are deterministic, so they pin the stop rule's savings.
+    def test_tail_dominated_norm_stops_early(self):
+        # The tail error of (1, 0, 1.5) is about 2e-2; the quadrature stops at
+        # a tenth of it instead of 1e-9 relative (57,555 evaluations).
+        assert weighted_lp_norm.__wrapped__(NormRequest(1, 0, 1.5)).evaluations < 20_000
+
+    def test_default_sweep_norms_total(self):
+        # The 78 distinct norms behind theorem1, theorem2 and corollary1 and
+        # the ratio denominators of corollary2 and corollary3.
+        requests = set()
+        for case in theorem1_grid() + theorem2_grid() + corollary1_grid():
+            m, p = case["m"], case["p"]
+            requests.add(NormRequest(m, case["k"], p))
+            requests.add(NormRequest(m, 0, p))
+        results = [weighted_lp_norm(req) for req in requests]
+        assert len(results) == 78
+        assert all(result.converged for result in results)
+        assert sum(result.evaluations for result in results) <= 280_000
 
 
 class TestBatchedQuadrature:
@@ -175,13 +212,31 @@ class TestIntegrandOriginBehavior:
 
 class TestBestConstant:
     def test_k_zero_is_exactly_one(self):
-        assert best_constant_Ckp(3, 0, 1.5) == 1.0
+        ratio = best_constant_Ckp(3, 0, 1.5)
+        assert ratio.value == 1.0 and ratio.abs_error == 0.0
 
     def test_finite_positive_values(self):
         c1 = best_constant_Ckp(3, 1, 2.0)
         c2 = best_constant_Ckp(3, 2, 2.0)
-        assert 0 < c1 < math.inf
-        assert 0 < c2 < math.inf
+        assert 0 < c1.value < math.inf
+        assert 0 < c2.value < math.inf
+        assert 0 < c1.abs_error < c1.value and 0 < c2.abs_error < c2.value
 
     def test_deterministic_repeat(self):
         assert best_constant_Ckp(2, 1, 2.0) == best_constant_Ckp(2, 1, 2.0)
+
+    def test_error_covers_every_ratio_of_the_norm_intervals(self, monkeypatch):
+        # num = 2 +- 0.1 and den = 1 +- 0.1: the farthest ratio is 2.1 / 0.9.
+        norms_by_k = {1: QuadResult(2.0, 0.1, 15), 0: QuadResult(1.0, 0.1, 30)}
+        monkeypatch.setattr(norms, "weighted_lp_norm", lambda req: norms_by_k[req.k])
+        ratio = best_constant_Ckp(2, 1, 2.0)
+        assert ratio.value == 2.0 and ratio.evaluations == 45
+        for num in (1.9, 2.1):
+            for den in (0.9, 1.1):
+                assert abs(num / den - ratio.value) <= ratio.abs_error + 1e-15
+        assert ratio.abs_error == pytest.approx(2.1 / 0.9 - 2.0, rel=1e-12)
+
+    def test_denominator_error_past_its_value_gives_infinite_error(self, monkeypatch):
+        norms_by_k = {1: QuadResult(2.0, 0.1, 15), 0: QuadResult(1.0, 1.0, 30)}
+        monkeypatch.setattr(norms, "weighted_lp_norm", lambda req: norms_by_k[req.k])
+        assert best_constant_Ckp(2, 1, 2.0).abs_error == math.inf

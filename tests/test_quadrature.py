@@ -115,6 +115,26 @@ def test_deterministic_repeat():
     assert r1 == r2
 
 
+def test_non_finite_integrand_fails_after_one_call():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.full_like(x, np.nan)
+
+    with pytest.raises(ValueError, match=r"non-finite integrand on \[0, 1\]: K15 value nan"):
+        adaptive_quadrature(f, 0, 1)
+    assert calls == [15]
+
+
+def test_non_finite_panel_is_named():
+    # Only the right breakpoint panel sees the infinite values.
+    f = lambda x: np.where(x > 0.7, np.inf, x)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=r"on \[0.5, 1\]: K15 value inf"):
+            adaptive_quadrature(f, 0.0, 1.0, breakpoints=[0.5])
+
+
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
         adaptive_quadrature(lambda x: x, 1.0, 1.0)
