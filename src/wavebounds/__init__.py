@@ -5,6 +5,7 @@ from .bernstein import (
     SweepSettings,
     bernstein_rhs,
     bound_params,
+    pyramid_coefficient,
     verify_sweep,
     wavelet_coefficient,
 )
@@ -37,7 +38,6 @@ from .special_math import binomial, cm_constant, sinc_alternating_sum
 from .spectral_eval import (
     DecayFit,
     estimate_decay,
-    ideal_band_indicator,
     scaling_hat,
     wavelet_hat,
     wavelet_hat_abs2,
@@ -77,9 +77,9 @@ __all__ = [
     "eval_H",
     "eval_P",
     "exit_code",
-    "ideal_band_indicator",
     "magnitude_squared_H",
     "magnitude_squared_H_integral",
+    "pyramid_coefficient",
     "ratio_bounds",
     "rows_to_csv_bytes",
     "rows_to_json_bytes",

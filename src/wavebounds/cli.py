@@ -12,7 +12,14 @@ import math
 import sys
 from pathlib import Path
 
-from .bernstein import CHECKS, GaussianTestFunction, SweepSettings, bound_params, verify_sweep
+from .bernstein import (
+    CHECKS,
+    GaussianTestFunction,
+    SweepSettings,
+    bound_params,
+    check_weight,
+    verify_sweep,
+)
 from .bound_formulas import BoundParams, compute_bound_set
 from .daub_filters import FilterConstructionError, construct_filter
 from .norms import DEFAULT_OMEGA_MAX, NormRequest, default_decay, weighted_lp_norm
@@ -225,6 +232,7 @@ def _cmd_bernstein(args) -> int:
     # not once per row.
     construct_filter(args.m)
     NormRequest(args.m, args.k, args.p)
+    check_weight(args.m, args.k)
     GaussianTestFunction(sigma=args.sigma)
     cases = [
         {"m": args.m, "k": args.k, "p": args.p, "sigma": args.sigma, "j": j, "nu": nu}

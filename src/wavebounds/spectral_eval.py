@@ -207,14 +207,6 @@ def wavelet_hat_abs2(m: int, omega: float | np.ndarray) -> float | np.ndarray:
     return restore_shape(band * product / (2.0 * math.pi), shape)
 
 
-def ideal_band_indicator(omega: float) -> float:
-    """(2 pi)^(-1/2) on the closed bands [-2pi, -pi] and [pi, 2pi], else 0."""
-    a = abs(omega)
-    if math.pi <= a <= 2.0 * math.pi:
-        return _INV_SQRT_2PI
-    return 0.0
-
-
 def estimate_decay(m: int, omega_lo: float, omega_hi: float, samples: int) -> DecayFit:
     """Fit the high-frequency envelope |psi_hat(w)| <= C_tilde * w^(-c log m).
 

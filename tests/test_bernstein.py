@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -7,12 +9,16 @@ from scipy.integrate import quad
 
 from wavebounds.bernstein import (
     GaussianTestFunction,
+    bernstein_grid,
     bernstein_rhs,
+    phi_moments,
+    pyramid_coefficient,
     theorem1_grid,
     theorem2_grid,
     verify_sweep,
     wavelet_coefficient,
 )
+from wavebounds.daub_filters import construct_filter
 from wavebounds.norms import DEFAULT_OMEGA_MAX, NormRequest, best_constant_Ckp, weighted_lp_norm
 from wavebounds.quadrature import adaptive_quadrature
 from wavebounds.reporting import (
@@ -29,6 +35,13 @@ class TestGaussianTestFunction:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
             GaussianTestFunction(sigma=0.0)
+
+    @pytest.mark.parametrize(
+        "fields", [{"sigma": math.inf}, {"center": math.nan}, {"amplitude": math.inf}]
+    )
+    def test_non_finite_parameter_is_named(self, fields):
+        with pytest.raises(ValueError, match="inf|nan"):
+            GaussianTestFunction(**{"sigma": 1.0, **fields})
 
     @pytest.mark.parametrize("k,q", [(0, 2.0), (1, 2.0), (2, 3.0), (1, 1.5)])
     def test_closed_norm_matches_quadrature(self, k, q):
@@ -59,12 +72,13 @@ class TestGaussianTestFunction:
 class TestWaveletCoefficient:
     def test_range_validation(self):
         f = GaussianTestFunction(sigma=1.0)
-        with pytest.raises(ValueError):
-            wavelet_coefficient(f, 2, -7, 0)
-        with pytest.raises(ValueError):
-            wavelet_coefficient(f, 2, 11, 0)
-        with pytest.raises(ValueError):
-            wavelet_coefficient(f, 2, 0, 65)
+        for route in (wavelet_coefficient, pyramid_coefficient):
+            with pytest.raises(ValueError):
+                route(f, 2, -7, 0)
+            with pytest.raises(ValueError):
+                route(f, 2, 11, 0)
+            with pytest.raises(ValueError):
+                route(f, 2, 0, 65)
 
     def test_distant_test_function_gives_negligible_coefficient(self):
         f = GaussianTestFunction(sigma=1.0, center=50.0)
@@ -106,7 +120,8 @@ class TestWaveletCoefficient:
         # The order-1 wavelet is +1 on [0, 1/2) and -1 on [1/2, 1), so the
         # coefficient of a Gaussian is a difference of erf integrals; this
         # bypasses the frequency domain entirely and pins down every phase
-        # and conjugation convention in the Parseval route.
+        # and conjugation convention in the Parseval route, and the index
+        # and reflection conventions of the pyramid route.
         sigma = 1.0
 
         def erf_piece(a, b):
@@ -119,11 +134,13 @@ class TestWaveletCoefficient:
 
         lo, mid, hi = nu * 2.0**-j, (nu + 0.5) * 2.0**-j, (nu + 1) * 2.0**-j
         expected = 2.0 ** (0.5 * j) * (erf_piece(lo, mid) - erf_piece(mid, hi))
-        got = wavelet_coefficient(GaussianTestFunction(sigma=sigma, center=center), 1, j, nu)
-        assert got.value.real == pytest.approx(expected, abs=1e-10)
-        assert abs(got.value.imag) < 1e-10
-        # The returned error bar must cover the exact coefficient.
-        assert abs(got.value - expected) <= got.abs_error
+        f = GaussianTestFunction(sigma=sigma, center=center)
+        for route in (wavelet_coefficient, pyramid_coefficient):
+            got = route(f, 1, j, nu)
+            assert got.value.real == pytest.approx(expected, abs=1e-10)
+            assert abs(got.value.imag) < 1e-10
+            # The returned error bar must cover the exact coefficient.
+            assert abs(got.value - expected) <= got.abs_error
 
     @pytest.mark.parametrize("j,nu", [(0, 0), (2, 3), (-1, -2)])
     def test_dilated_wavelet_has_unit_l2_norm(self, j, nu):
@@ -140,6 +157,60 @@ class TestWaveletCoefficient:
             integrand, 0.0, span, rel_tol=1e-9, abs_tol=1e-12, breakpoints=breaks
         )
         assert 2.0 * result.value == pytest.approx(1.0, abs=2e-4)
+
+
+# Default rows where the true coefficient is e^-512-small (the dilated wavelet
+# lies at |t| >= 32) and the Fourier route's value misses its own abs_error.
+FOURIER_MISSES = [(-3, 5), (-3, -6)]
+
+
+class TestPyramidCoefficient:
+    @pytest.mark.parametrize("q", range(17))
+    def test_haar_moments_are_exact(self, q):
+        # phi is the indicator of [-1, 0] at m = 1.
+        assert phi_moments(1)[q] == Fraction((-1) ** q, q + 1)
+
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_first_moment_is_the_tap_moment(self, m):
+        taps = construct_filter(m).taps
+        first = -sum(ell * h for ell, h in enumerate(taps)) / math.sqrt(2.0)
+        assert phi_moments(m)[0] == 1
+        assert float(phi_moments(m)[1]) == pytest.approx(first, rel=1e-13)
+
+    def test_negative_amplitude_negates_value_and_keeps_error(self):
+        f = GaussianTestFunction(sigma=0.7, center=0.2)
+        up = pyramid_coefficient(f, 3, 0, 1)
+        down = pyramid_coefficient(GaussianTestFunction(f.sigma, f.center, amplitude=-1.0), 3, 0, 1)
+        assert (down.value, down.abs_error) == (-up.value, up.abs_error)
+
+    def test_default_grid_agrees_with_fourier_route(self):
+        f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
+        for case in bernstein_grid():
+            j, nu = case["j"], case["nu"]
+            pyramid = pyramid_coefficient(f, 2, j, nu)
+            if (j, nu) in FOURIER_MISSES:
+                assert abs(pyramid.value) <= pyramid.abs_error <= 1e-15
+                continue
+            fourier = wavelet_coefficient(f, 2, j, nu)
+            assert abs(pyramid.value - fourier.value) <= pyramid.abs_error + fourier.abs_error
+
+    @pytest.mark.parametrize("m", [3, 4, 8])
+    def test_seeded_rows_agree_with_fourier_route(self, m):
+        rng = random.Random(f"pyramid:{m}")
+        for _ in range(4):
+            j, nu = rng.randint(-3, 6), rng.randint(-8, 8)
+            sigma, center = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+            f = GaussianTestFunction.normalized(sigma, center, 1, 2.0)
+            pyramid = pyramid_coefficient(f, m, j, nu)
+            fourier = wavelet_coefficient(f, m, j, nu)
+            assert abs(pyramid.value - fourier.value) <= pyramid.abs_error + fourier.abs_error
+
+    @pytest.mark.xfail(strict=True, reason="the Fourier abs_error is an estimate, not a bound")
+    @pytest.mark.parametrize("j,nu", FOURIER_MISSES)
+    def test_fourier_error_covers_the_pyramid_value(self, j, nu):
+        f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
+        fourier = wavelet_coefficient(f, 2, j, nu)
+        assert abs(fourier.value - pyramid_coefficient(f, 2, j, nu).value) <= fourier.abs_error
 
 
 class TestBernsteinRhs:
@@ -285,12 +356,24 @@ def test_row_contract(check, case, flags, slack, has_error, has_decay):
         assert row.j is None and row.nu is None
 
 
+def test_bernstein_row_too_narrow_for_the_pyramid_uses_quadrature():
+    # At m=20, j=-6 the pyramid's 2^20-sample cap stops its fine level before
+    # its Taylor bound is small for sigma=0.05; the row takes the Fourier route.
+    case = {"m": 20, "k": 1, "p": 2.0, "sigma": 0.05, "center": 0.3, "j": -6, "nu": 0}
+    (row,) = verify_sweep("bernstein", [case])
+    f = GaussianTestFunction.normalized(0.05, 0.3, 1, 2.0)
+    assert not pyramid_coefficient(f, 20, -6, 0).converged
+    coef = wavelet_coefficient(f, 20, -6, 0)
+    assert row.status == "pass"
+    assert row.abs_error == coef.abs_error + bernstein_rhs(20, 1, 2.0, -6, f).abs_error
+
+
 def test_bernstein_row_reports_the_error_it_is_checked_with():
     # The row's tolerance is abs_error + tol_pad, so abs_error must carry both
     # the coefficient's error and the right-hand side's.
     (row,) = verify_sweep("bernstein", [{"m": 2, "k": 1, "p": 2.0, "sigma": 1.0, "j": -3, "nu": 0}])
     f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
-    coef = wavelet_coefficient(f, 2, -3, 0)
+    coef = pyramid_coefficient(f, 2, -3, 0)
     rhs = bernstein_rhs(2, 1, 2.0, -3, f)
     assert rhs.abs_error > 0.0
     assert row.abs_error == coef.abs_error + rhs.abs_error

@@ -175,11 +175,16 @@ class TestBernsteinCommand:
         assert len(lines) == 1 + 2 * 3
 
     def test_invalid_weight_yields_nonzero_exit(self, tmp_path, capsys):
-        # k = m is outside the inequality's hypotheses: every row errors.
+        # k = m is outside the inequality's hypotheses: no row can use it, so
+        # the command fails once, before the sweep, as for any bad argument.
         out = tmp_path / "bad.csv"
         code = main(
             ["bernstein", "--m", "2", "--k", "2", "--j-range=0:0", "--nu-range=0:0",
              "--out", str(out)]
         )
-        assert code == 1
-        assert "error" in out.read_text()
+        assert code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wavebounds: error: ") and captured.err.count("\n") == 1
+        assert "got k=2, m=2" in captured.err

@@ -10,7 +10,6 @@ from wavebounds.spectral_eval import (
     DecayFit,
     _phase_rule,
     estimate_decay,
-    ideal_band_indicator,
     scaling_hat,
     wavelet_hat,
     wavelet_hat_abs2,
@@ -208,19 +207,6 @@ class TestBatchIndependence:
         w = self.wide_batch(m)
         batch = fn(m, w)
         assert [complex(v) for v in batch] == [fn(m, float(x)) for x in w]
-
-
-class TestIdealBandIndicator:
-    def test_inside_band(self):
-        assert ideal_band_indicator(1.5 * math.pi) == pytest.approx(INV_SQRT_2PI)
-
-    def test_outside(self):
-        assert ideal_band_indicator(0.0) == 0.0
-        assert ideal_band_indicator(2.5 * math.pi) == 0.0
-
-    def test_closed_endpoints(self):
-        for w in (math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi):
-            assert ideal_band_indicator(w) == pytest.approx(INV_SQRT_2PI)
 
 
 class TestEstimateDecay:
