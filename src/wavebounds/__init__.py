@@ -31,7 +31,14 @@ from .daub_filters import (
     magnitude_squared_H,
     magnitude_squared_H_integral,
 )
-from .norms import DEFAULT_OMEGA_MAX, NormRequest, best_constant_Ckp, default_decay, weighted_lp_norm
+from .norms import (
+    DEFAULT_OMEGA_MAX,
+    NormRequest,
+    best_constant_Ckp,
+    default_decay,
+    quadrature_lp_norm,
+    weighted_lp_norm,
+)
 from .quadrature import QuadResult, adaptive_quadrature
 from .reporting import VerificationRow, exit_code, rows_to_csv_bytes, rows_to_json_bytes, summarize
 from .special_math import binomial, cm_constant, sinc_alternating_sum
@@ -80,6 +87,7 @@ __all__ = [
     "magnitude_squared_H",
     "magnitude_squared_H_integral",
     "pyramid_coefficient",
+    "quadrature_lp_norm",
     "ratio_bounds",
     "rows_to_csv_bytes",
     "rows_to_json_bytes",

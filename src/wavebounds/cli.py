@@ -61,7 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--m", type=int, required=True)
     p_norm.add_argument("--k", type=int, required=True)
     p_norm.add_argument("--p", type=float, required=True)
-    p_norm.add_argument("--omega-max", type=float, default=DEFAULT_OMEGA_MAX)
+    p_norm.add_argument(
+        "--omega-max",
+        type=float,
+        default=DEFAULT_OMEGA_MAX,
+        help="tail cutoff of the quadrature route; p = 2 and p = 4 take the exact route, "
+        "which has no cutoff and ignores it",
+    )
     p_norm.add_argument("--json", action="store_true")
 
     p_bounds = sub.add_parser("bounds", help="closed-form sandwich constants")
@@ -220,9 +226,22 @@ def _report_sweep(check: str, cases: list[dict], settings: SweepSettings, args) 
     return exit_code(rows)
 
 
+def _grid_values(cases: list[dict]) -> str:
+    """The m, k and p values a grid holds, as 'm in 2 3, k in 1, p in 1.5 2'."""
+    return ", ".join(
+        f"{key} in " + " ".join(f"{value:g}" for value in sorted({case[key] for case in cases}))
+        for key in ("m", "k", "p")
+    )
+
+
 def _cmd_verify(args) -> int:
     settings = SweepSettings(eps=args.eps, tol_pad=args.tol)
-    cases = _restrict_grid(CHECKS[args.check][1](), args)
+    grid = CHECKS[args.check][1]()
+    cases = _restrict_grid(grid, args)
+    if not cases:
+        raise ValueError(
+            f"no {args.check} case matches the filters; its grid has {_grid_values(grid)}"
+        )
     return _report_sweep(args.check, cases, settings, args)
 
 

@@ -1,17 +1,29 @@
 """Weighted Fourier-domain Lp norms of the wavelet and the best constant.
 
-The norm ||w^(-k) psi_hat||_p is computed as
+weighted_lp_norm takes one of two routes, chosen by p alone:
+
+* p = 2 or 4 (EXACT_P): the p-th power of the norm is the fixed vector of a
+  finite refinement system with rational coefficients, solved in floats with
+  a proven error bound (refinable.even_power_integral). No quadrature, no
+  tail and no decay fit; omega_max plays no part, and the QuadResult reports
+  0 evaluations and 0 panels.
+* every other p: quadrature_lp_norm, described below. It also stays callable
+  for any p, as the cross-check of the exact route.
+
+The quadrature route computes
 
     (2 * integral_[w0, Omega] w^(-pk) |psi_hat|^p dw  +  origin term  +  tail)^(1/p)
 
 using evenness. The truncated tail carries an envelope estimate
 2 C~^p Omega^(1 - p(k + alpha)) / (p(k + alpha) - 1) from the fitted decay
 |psi_hat| <= C~ w^(-alpha), which is a fit, not a proven bound (ROADMAP item
-2). The value uses that estimate scaled by the measured envelope-to-integrand
+5). The value uses that estimate scaled by the measured envelope-to-integrand
 ratio over the top octave [Omega/2, Omega] (the shape of |psi_hat| is close to
 self-similar across octaves, so the top octave calibrates the
 oscillation-averaged tail far more sharply than the raw ceiling), while the
-reported abs_error keeps the full uncalibrated interval.
+reported abs_error keeps the full uncalibrated interval. It also counts the
+product truncation of |psi_hat|^2 (relative PRODUCT_TOL), which moves the
+integral by at most a relative p/2 * PRODUCT_TOL.
 
 The quadrature's absolute tolerance is max(1e-13, QUAD_SHARE * (tail_bound / 4
 + origin term)). The tail error is at least tail_bound / 2, so once the
@@ -31,7 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import QuadResult, adaptive_quadrature
-from .spectral_eval import DecayFit, estimate_decay, wavelet_hat_abs2
+from .refinable import even_power_integral
+from .spectral_eval import PRODUCT_TOL, DecayFit, estimate_decay, wavelet_hat_abs2
 
 DEFAULT_OMEGA_MAX = 2.0**12 * math.pi
 
@@ -44,6 +57,9 @@ _ORIGIN_CUT = 1e-6
 # The quadrature stops once its error is this share of the tail and origin
 # error, which more panels cannot reduce.
 QUAD_SHARE = 0.1
+
+# The Lp indices weighted_lp_norm computes by the exact route.
+EXACT_P = (2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -104,9 +120,43 @@ def _dyadic_breakpoints(omega_max: float) -> list[float]:
     return sorted(points)
 
 
+def _root_error(total: float, err_sum: float, p: float) -> float:
+    """A bound on |total^(1/p) - x^(1/p)| for every x within err_sum of total.
+
+    x^(1/p) is concave, so its slope at the low end of [total - err_sum,
+    total + err_sum] bounds its change over the interval; at or below zero,
+    Hoelder continuity |a^(1/p) - b^(1/p)| <= |a - b|^(1/p) does.
+    """
+    if total > err_sum:
+        return err_sum / p * (total - err_sum) ** (1.0 / p - 1.0)
+    return err_sum ** (1.0 / p)
+
+
 @lru_cache(maxsize=None)
 def weighted_lp_norm(req: NormRequest) -> QuadResult:
-    """||(i w)^(-k) psi_hat||_p with an absolute-error estimate, cached per request.
+    """||(i w)^(-k) psi_hat||_p with its abs_error, cached per request.
+
+    p in EXACT_P takes the exact route, every other p quadrature_lp_norm
+    (module docstring).
+    """
+    if req.p in EXACT_P:
+        return _exact_lp_norm(req)
+    return quadrature_lp_norm(req)
+
+
+def _exact_lp_norm(req: NormRequest) -> QuadResult:
+    """The exact route: the refinement system's integral and its proven error, to the 1/p power.
+
+    The power itself rounds by at most 2 ulp, which abs_error adds.
+    """
+    integral, err = even_power_integral(req.m, req.k, round(req.p) // 2)
+    value = integral ** (1.0 / req.p)
+    abs_error = _root_error(integral, err, req.p) + 4.0 * 2.0**-53 * value
+    return QuadResult(value=value, abs_error=abs_error, evaluations=0, panels=0)
+
+
+def quadrature_lp_norm(req: NormRequest) -> QuadResult:
+    """||(i w)^(-k) psi_hat||_p by quadrature, for any p; not cached.
 
     The error combines the quadrature estimate, the near-origin power-law
     patch (k >= 1), and the full width of the analytic tail interval, and
@@ -162,18 +212,13 @@ def weighted_lp_norm(req: NormRequest) -> QuadResult:
     tail_err = max(tail_est, tail_bound - tail_est)
 
     total = 2.0 * (quad.value + origin_term) + tail_est
-    err_sum = 2.0 * (quad.abs_error + origin_term) + tail_err
-    value = total ** (1.0 / p)
-    # x^(1/p) is concave, so its slope at the low end of [total - err_sum,
-    # total + err_sum] bounds its change over the interval; at or below zero,
-    # Hoelder continuity |a^(1/p) - b^(1/p)| <= |a - b|^(1/p) does.
-    if total > err_sum:
-        abs_error = err_sum / p * (total - err_sum) ** (1.0 / p - 1.0)
-    else:
-        abs_error = err_sum ** (1.0 / p)
+    # The product truncation moves |psi_hat|^p, and so the product part
+    # 2 * (quad + origin) of the integral, by at most p/2 * PRODUCT_TOL relative.
+    truncation = p * PRODUCT_TOL * (quad.value + origin_term)
+    err_sum = 2.0 * (quad.abs_error + origin_term) + tail_err + truncation
     return QuadResult(
-        value=value,
-        abs_error=abs_error,
+        value=total ** (1.0 / p),
+        abs_error=_root_error(total, err_sum, p),
         evaluations=quad.evaluations,
         converged=quad.converged,
         panels=quad.panels,

@@ -2,12 +2,12 @@
 
 The error of each panel is estimated by the difference between the embedded
 7-point Gauss value and the 15-point Kronrod value. This is an estimate, not a
-bound: some default norms miss their reference value by more than it (ROADMAP
-item 1). Refinement is batched: the initial breakpoint panels share one
-integrand call, and each round bisects up to BATCH_PANELS of the worst panels
-and evaluates all their children in one more call, so the integrand sees
-arrays of hundreds of nodes instead of 15. Rounds stop when the summed
-estimate meets the tolerance or the panel budget runs out; the achieved
+bound: quadrature_lp_norm(m, 0, 2) misses Plancherel's 1 by more than it at
+m = 7 and 10 (ROADMAP item 3). Refinement is batched: the initial breakpoint
+panels share one integrand call, and each round bisects up to BATCH_PANELS of
+the worst panels and evaluates all their children in one more call, so the
+integrand sees arrays of hundreds of nodes instead of 15. Rounds stop when the
+summed estimate meets the tolerance or the panel budget runs out; the achieved
 estimate is always reported, never hidden, and `converged` says which. A
 non-finite panel value or error raises ValueError at once.
 """

@@ -155,6 +155,23 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["summary"]["total"] == 1
 
+    @pytest.mark.parametrize(
+        "argv,grid",
+        [
+            (["theorem1", "--m-list", "8"], "m in 2 3 4 5 6,"),
+            (["theorem2", "--k-list", "7"], "k in 1 2 3 4 5,"),
+            (["corollary1", "--m-list", "2", "--p-list", "4"], "p in 1.5 2 3"),
+        ],
+    )
+    def test_filter_selecting_no_case_exits_2(self, tmp_path, capsys, argv, grid):
+        out = tmp_path / "rows.csv"
+        assert main(["verify", *argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wavebounds: error: no ") and captured.err.count("\n") == 1
+        assert grid in captured.err
+
     @pytest.mark.parametrize("check,k", [("theorem2", "2"), ("corollary3", "1")])
     def test_k_list_restricts_checks_that_fix_k(self, check, k, capsys):
         # These checks set k from m; their grid cases still carry k for --k-list.
