@@ -47,6 +47,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .special_math import MAX_ORDER
+
 _U = 2.0**-53  # unit roundoff of a double
 
 
@@ -161,11 +163,22 @@ def _up(num: int, shift: int) -> float:
 def even_power_integral(m: int, k: int, r: int) -> tuple[float, float]:
     """(I, err): I = integral |w|^(-2rk) |psi_hat(w)|^(2r) dw and a proven bound on |I - exact|.
 
-    Raises ValueError with the measured delta when the float inverse does not
-    certify (delta >= 1), rather than returning an unproven value.
+    Raises ValueError for an order above MAX_ORDER, the library's limit, or a
+    system whose coefficients leave the float range, and with the measured
+    delta when the float inverse does not certify (delta >= 1), rather than
+    returning an unproven value.
     """
-    if not (m >= 1 and 0 <= k <= m and r >= 1):
-        raise ValueError(f"need m >= 1, 0 <= k <= m and r >= 1, got m={m}, k={k}, r={r}")
+    if not (1 <= m <= MAX_ORDER and 0 <= k <= m and r >= 1):
+        raise ValueError(
+            f"even_power_integral requires 1 <= m <= {MAX_ORDER}, 0 <= k <= m and r >= 1, "
+            f"got m={m}, k={k}, r={r}"
+        )
+    # The symbol's numerators run up to 4^d, d = r(2m + k - 1), and must convert to floats.
+    if 2 * r * (2 * m + k - 1) > 1023:
+        raise ValueError(
+            f"the ({m}, {k}, r={r}) cascade system has coefficients over 4^{r * (2 * m + k - 1)}, "
+            "beyond the float range"
+        )
     s, d = symbol(m, k, r)
     a_f = cascade_matrix(s, d)
     size = len(a_f)

@@ -41,6 +41,14 @@ class TestFilters:
         assert "h(0) = 0.48296291314453" in out
 
 
+def test_norm_order_above_limit_is_one_line_error(capsys):
+    assert main(["norm", "--m", "300", "--k", "0", "--p", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wavebounds: error: ") and "got m=300" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 class TestPointEvaluations:
     def test_order_above_limit_is_one_line_error(self, capsys):
         assert main(["eval", "--m", "40", "--omega", "1.0"]) == 2

@@ -15,8 +15,9 @@ from wavebounds.norms import (
     quadrature_lp_norm,
     weighted_lp_norm,
 )
-from wavebounds.refinable import even_power_integral
 from wavebounds.quadrature import QuadResult, adaptive_quadrature
+from wavebounds.refinable import even_power_integral
+from wavebounds.special_math import MAX_ORDER
 from wavebounds.spectral_eval import DecayFit, wavelet_hat_abs2
 
 
@@ -182,14 +183,14 @@ class TestHaarClosedForms:
 
 class TestSelfConsistency:
     def test_value_stable_under_doubled_cutoff(self):
-        base = weighted_lp_norm(NormRequest(2, 1, 2.0))
-        doubled = weighted_lp_norm(NormRequest(2, 1, 2.0, omega_max=2.0 * DEFAULT_OMEGA_MAX))
+        base = quadrature_lp_norm(NormRequest(2, 1, 2.0))
+        doubled = quadrature_lp_norm(NormRequest(2, 1, 2.0, omega_max=2.0 * DEFAULT_OMEGA_MAX))
         assert abs(base.value - doubled.value) <= base.abs_error
 
     @pytest.mark.parametrize("m,k,p", [(3, 1, 2.0), (4, 2, 1.5), (2, 2, 4.0)])
     def test_tail_honesty(self, m, k, p):
-        base = weighted_lp_norm(NormRequest(m, k, p))
-        doubled = weighted_lp_norm(NormRequest(m, k, p, omega_max=2.0 * DEFAULT_OMEGA_MAX))
+        base = quadrature_lp_norm(NormRequest(m, k, p))
+        doubled = quadrature_lp_norm(NormRequest(m, k, p, omega_max=2.0 * DEFAULT_OMEGA_MAX))
         assert abs(base.value - doubled.value) <= base.abs_error
 
     def test_monotone_refinement_of_quadrature(self):
@@ -319,7 +320,7 @@ def _covers(result, integral: Fraction, p: float) -> bool:
 
 
 class TestExactRoute:
-    @pytest.mark.parametrize("m", range(1, 21))
+    @pytest.mark.parametrize("m", range(1, MAX_ORDER + 1))
     def test_plancherel(self, m):
         result = weighted_lp_norm(NormRequest(m, 0, 2.0))
         assert abs(result.value - 1.0) <= result.abs_error <= 1e-13
@@ -366,6 +367,20 @@ class TestExactRoute:
     def test_quadrature_route_plancherel_misses(self, m):
         result = quadrature_lp_norm(NormRequest(m, 0, 2.0))
         assert abs(result.value - 1.0) <= result.abs_error
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_highest_order_against_quadrature(self, p):
+        req = NormRequest(MAX_ORDER, 3, p)
+        ours = quadrature_lp_norm(req)
+        assert abs(ours.value - weighted_lp_norm(req).value) <= ours.abs_error
+
+    def test_order_above_limit_raises_value_error(self):
+        with pytest.raises(ValueError, match=rf"1 <= m <= {MAX_ORDER}.*got m=300, k=0, r=1"):
+            even_power_integral(300, 0, 1)
+
+    def test_coefficients_beyond_float_range_raise_value_error(self):
+        with pytest.raises(ValueError, match=r"\(32, 32, r=6\) .* beyond the float range"):
+            even_power_integral(32, 32, 6)
 
     def test_uncertified_inverse_raises_with_delta(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "inv", lambda a: np.zeros_like(a))
