@@ -35,11 +35,13 @@ from .bound_formulas import (
     bound_F,
     bound_G,
     ratio_bounds,
+    require_k_below_m,
 )
 from .daub_filters import construct_filter
 from .norms import DEFAULT_OMEGA_MAX, NormRequest, best_constant_Ckp, default_decay, weighted_lp_norm
 from .quadrature import QuadResult, adaptive_quadrature
 from .reporting import VerificationRow
+from .special_math import gamma_n
 from .spectral_eval import wavelet_hat
 
 J_RANGE = (-6, 10)
@@ -154,7 +156,6 @@ _CRAMER = 1.0865
 # dropped; the fine level has at most _MAX_SAMPLES samples.
 _U_CUT = 37.0
 _MAX_SAMPLES = 2**20
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 @lru_cache(maxsize=None)
@@ -199,11 +200,6 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _gamma(k: float | np.ndarray) -> float | np.ndarray:
-    """gamma_k = k u / (1 - k u): the relative error of k rounded operations."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-
-
 @lru_cache(maxsize=None)
 def _cascade(m: int, levels: int) -> tuple[int, np.ndarray, np.ndarray, float]:
     """(start, g, g_abs, rel_error): d_(j,nu) = sum_n g[n] s_(j+levels, start + 2^levels nu + n).
@@ -228,7 +224,7 @@ def _cascade(m: int, levels: int) -> tuple[int, np.ndarray, np.ndarray, float]:
     total = sum(Fraction(t) for t in taps)
     delta = float(abs(total * total - 2)) / (float(total) + math.sqrt(2.0)) / math.sqrt(2.0)
     drift = math.expm1(levels * math.log1p(delta))
-    return start, _frozen(g), _frozen(g_abs), _gamma(2 * m * levels) + drift
+    return start, _frozen(g), _frozen(g_abs), gamma_n(2 * m * levels) + drift
 
 
 def _upsampled(c: np.ndarray) -> np.ndarray:
@@ -315,8 +311,8 @@ def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> Qua
     # the Q recurrence steps, its shift by the error in u, and the Taylor sum
     # (8 units a step), and in the exponent, whose error grows like u^2.
     # math.fsum adds the rounded products exactly and rounds once.
-    sample_error = _gamma(8 * _TAYLOR_ORDER + 16 + 3 * u * u) * abs(f.amplitude) * weight * poly[1]
-    rounding = _gamma(2) * np.abs(products).sum()
+    sample_error = gamma_n(8 * _TAYLOR_ORDER + 16 + 3 * u * u) * abs(f.amplitude) * weight * poly[1]
+    rounding = gamma_n(2) * np.abs(products).sum()
     rounding += cascade_error * np.dot(g_abs, np.abs(samples)) + np.dot(g_abs, sample_error)
     # Past _U_CUT, |f^(q)| <= A sigma^-q 1.0865 sqrt(q!) e^(-u^2/4) by Cramer's inequality.
     factorials = np.sqrt([math.factorial(q) for q in range(_TAYLOR_ORDER + 1)])
@@ -330,18 +326,12 @@ def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> Qua
     )
 
 
-def check_weight(m: int, k: int) -> None:
-    """The inequality's hypothesis on the weight exponent: 0 <= k < m."""
-    if not 0 <= k < m:
-        raise ValueError(f"requires 0 <= k < m, got k={k}, m={m}")
-
-
 def bernstein_rhs(m: int, k: int, p: float, j: int, f: GaussianTestFunction) -> QuadResult:
     """Right-hand side C_(k,p) 2^(-j(k+1/p-1/2)) ||psi_hat||_p ||(i w)^k f_hat||_p'.
 
     The abs_error is the norm's relative error carried to the product.
     """
-    check_weight(m, k)
+    require_k_below_m(m, k)
     q = p / (p - 1.0)
     # C_(k,p) ||psi_hat||_p is ||w^-k psi_hat||_p by the definition of C_(k,p).
     num = weighted_lp_norm(NormRequest(m, k, p))

@@ -107,20 +107,21 @@ def _bracket(params: BoundParams, x: float) -> float:
     return t1 + t2 + t3
 
 
-def _require_k_below_m(params: BoundParams) -> None:
-    if params.k >= params.m:
-        raise ValueError(f"requires k < m, got k={params.k}, m={params.m}")
+def require_k_below_m(m: int, k: int) -> None:
+    """The hypothesis on the weight exponent of A, B and the coefficient inequality: 0 <= k < m."""
+    if not 0 <= k < m:
+        raise ValueError(f"requires 0 <= k < m, got k={k}, m={m}")
 
 
 def bound_A(params: BoundParams) -> float:
     """Upper constant for ||w^(-k) psi_hat||_p."""
-    _require_k_below_m(params)
+    require_k_below_m(params.m, params.k)
     return _leading_term(params) + _bracket(params, math.pi) ** (1.0 / params.p)
 
 
 def bound_B(params: BoundParams) -> float:
     """Lower constant for ||w^(-k) psi_hat||_p; may be negative (vacuous)."""
-    _require_k_below_m(params)
+    require_k_below_m(params.m, params.k)
     return _leading_term(params) - _bracket(params, params.eps) ** (1.0 / params.p)
 
 

@@ -17,10 +17,9 @@ from .bernstein import (
     GaussianTestFunction,
     SweepSettings,
     bound_params,
-    check_weight,
     verify_sweep,
 )
-from .bound_formulas import BoundParams, compute_bound_set
+from .bound_formulas import BoundParams, compute_bound_set, require_k_below_m
 from .daub_filters import FilterConstructionError, construct_filter
 from .norms import DEFAULT_OMEGA_MAX, NormRequest, default_decay, weighted_lp_norm
 from .reporting import exit_code, fmt17, rows_to_csv_bytes, rows_to_json_bytes, summarize
@@ -251,7 +250,7 @@ def _cmd_bernstein(args) -> int:
     # not once per row.
     construct_filter(args.m)
     NormRequest(args.m, args.k, args.p)
-    check_weight(args.m, args.k)
+    require_k_below_m(args.m, args.k)
     GaussianTestFunction(sigma=args.sigma)
     cases = [
         {"m": args.m, "k": args.k, "p": args.p, "sigma": args.sigma, "j": j, "nu": nu}

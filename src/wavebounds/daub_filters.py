@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special_math import MAX_ORDER, binomial, cm_constant
+from .special_math import MAX_ORDER, cm_constant, p_coefficients
 
 # The reconstruction residual grows with the order in double precision: 3.9e-11
 # at order 20, 1.7e-10 at order 22, against the 1e-10 the tests require.
@@ -66,12 +66,10 @@ def restore_shape(values: np.ndarray, shape: tuple[int, ...]) -> float | complex
 
 
 def eval_P(m: int, x: float | np.ndarray) -> float | np.ndarray:
-    """Truncated binomial-series polynomial sum_k C(m-1+k, k) x^k, by Horner."""
-    if m < 1 or m > MAX_ORDER:
-        raise ValueError(f"eval_P requires 1 <= m <= {MAX_ORDER}, got {m}")
+    """Truncated binomial-series polynomial P_(m-1)(x) = sum_k C(m-1+k, k) x^k, by Horner."""
     acc = 0.0
-    for k in range(m - 1, -1, -1):
-        acc = acc * x + binomial(m - 1 + k, k)
+    for coef in reversed(p_coefficients(m)):
+        acc = acc * x + coef
     return acc
 
 
@@ -120,13 +118,13 @@ def _construction_residual(m: int, taps: tuple[float, ...]) -> float:
 def _minimum_phase_zeros(m: int) -> np.ndarray:
     """The m-1 zeros in the open unit disk of the factor L(z) with |L|^2 = P_(m-1)(y).
 
-    The roots y of P_(m-1)(y) = sum_k C(m-1+k, k) y^k (integer coefficients)
-    come from the companion matrix and take one float Newton step. Each y
+    The roots y of P_(m-1)(y) (integer coefficients, p_coefficients) come
+    from the companion matrix and take one float Newton step. Each y
     gives z + 1/z = 2 - 4y, whose two roots are reciprocal; the larger-modulus
     one, (1-2y) +/- 2 sqrt(y(y-1)) with the sign that adds, is formed without
     cancellation and inverted. Conjugate y give conjugate z.
     """
-    p = np.array([binomial(m - 1 + k, k) for k in range(m - 1, -1, -1)], dtype=float)
+    p = np.array(p_coefficients(m)[::-1], dtype=float)
     y = np.roots(p).astype(complex)
     y = y - np.polyval(p, y) / np.polyval(np.polyder(p), y)
     a = 1.0 - 2.0 * y

@@ -44,6 +44,7 @@ import numpy as np
 
 from .quadrature import QuadResult, adaptive_quadrature
 from .refinable import even_power_integral
+from .special_math import UNIT_ROUNDOFF
 from .spectral_eval import PRODUCT_TOL, DecayFit, estimate_decay, wavelet_hat_abs2
 
 DEFAULT_OMEGA_MAX = 2.0**12 * math.pi
@@ -151,7 +152,7 @@ def _exact_lp_norm(req: NormRequest) -> QuadResult:
     """
     integral, err = even_power_integral(req.m, req.k, round(req.p) // 2)
     value = integral ** (1.0 / req.p)
-    abs_error = _root_error(integral, err, req.p) + 4.0 * 2.0**-53 * value
+    abs_error = _root_error(integral, err, req.p) + 4.0 * UNIT_ROUNDOFF * value
     return QuadResult(value=value, abs_error=abs_error, evaluations=0, panels=0)
 
 

@@ -47,14 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .special_math import MAX_ORDER
-
-_U = 2.0**-53  # unit roundoff of a double
-
-
-def _gamma(n: int) -> float:
-    """gamma_n = n u / (1 - n u), the relative rounding bound of an n-term float sum."""
-    return n * _U / (1.0 - n * _U)
+from .special_math import MAX_ORDER, UNIT_ROUNDOFF, gamma_n, p_coefficients
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:
@@ -71,11 +64,6 @@ def _power(a: list[int], r: int) -> list[int]:
     for _ in range(r):
         out = _mul(out, a)
     return out
-
-
-def _P(m: int) -> list[int]:
-    """P(y) = sum_(j<m) C(m-1+j, j) y^j."""
-    return [math.comb(m - 1 + j, j) for j in range(m)]
 
 
 def _one_minus(n: int) -> list[int]:
@@ -100,7 +88,7 @@ def _laurent(a: list[int]) -> tuple[list[int], int]:
 def symbol(m: int, k: int, r: int) -> tuple[list[int], int]:
     """S = (|H|^2 cos^(2k))^r = (c^(m+k) P(1 - c))^r as Laurent numerators over 4^d."""
     p_flip = [0] * m
-    for j, coef in enumerate(_P(m)):
+    for j, coef in enumerate(p_coefficients(m)):
         for i, term in enumerate(_one_minus(j)):
             p_flip[i] += coef * term
     return _laurent(_power([0] * (m + k) + p_flip, r))
@@ -108,7 +96,7 @@ def symbol(m: int, k: int, r: int) -> tuple[list[int], int]:
 
 def band_factor(m: int, k: int, r: int) -> tuple[list[int], int]:
     """R_k^r = ((1 - c)^(m-k) P(c))^r as Laurent numerators over 4^d."""
-    return _laurent(_power(_mul(_one_minus(m - k), _P(m)), r))
+    return _laurent(_power(_mul(_one_minus(m - k), p_coefficients(m)), r))
 
 
 def cascade_matrix(s: list[int], d: int) -> np.ndarray:
@@ -184,7 +172,7 @@ def even_power_integral(m: int, k: int, r: int) -> tuple[float, float]:
     size = len(a_f)
     n_max = d - 1
     x = np.linalg.inv(a_f)
-    g = _gamma(size + 2)
+    g = gamma_n(size + 2)
 
     # delta >= ||I - X A||_inf: the float product, its gamma_n |X||A_f| rounding, and
     # the rounding |A - A_f| <= u |A| of the entries, each float sum inflated by (1 + g).
@@ -213,12 +201,12 @@ def even_power_integral(m: int, k: int, r: int) -> tuple[float, float]:
     err = (
         float(rho_abs @ (abs_x @ r_abs))
         + float(rho_abs.sum()) * delta * x_norm * float(r_abs.max()) / (1.0 - delta)
-    ) * (1.0 + g) ** 4 + 2.0 * _U * abs(v_hat)
+    ) * (1.0 + g) ** 4 + 2.0 * UNIT_ROUNDOFF * abs(v_hat)
 
     # I = 2 * 4^(-2kr) (2 pi)^(1-r) V: the power of two is exact; 2 pi, its
     # power and the product round by at most (r + 2) u <= 4 r u relative.
     factor = (2.0 * math.pi) ** (1 - r)
     integral = math.ldexp(v_hat, 1 - 4 * k * r) * factor
-    rounding = 4.0 * r * _U
+    rounding = 4.0 * r * UNIT_ROUNDOFF
     err = math.ldexp(err, 1 - 4 * k * r) * factor * (1.0 + rounding) + rounding * abs(integral)
     return integral, err

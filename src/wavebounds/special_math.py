@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 # Large enough for filter orders up to 32 and weighted-norm exponents up to 128.
 MAX_BINOMIAL_N = 128
 MAX_ORDER = 32
 MAX_SINC_POWER = 128
+
+UNIT_ROUNDOFF = 2.0**-53  # unit roundoff u of a double
+
+
+def gamma_n(n: float | np.ndarray) -> float | np.ndarray:
+    """gamma_n = n u / (1 - n u), the relative error of n rounded operations (Higham, 3.1).
+
+    n may be an array, which gives one bound per entry.
+    """
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
 
 
 def binomial(n: int, k: int) -> int:
@@ -26,30 +38,33 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+@lru_cache(maxsize=None)
+def p_coefficients(m: int) -> tuple[int, ...]:
+    """P_(m-1)(y) = sum_(j<m) C(m-1+j, j) y^j as its ascending integer coefficients.
+
+    P_(m-1)(y) (1-y)^m + P_(m-1)(1-y) y^m = 1 (Daubechies, Ten Lectures, section 6.1).
+    """
+    if m < 1 or m > MAX_ORDER:
+        raise ValueError(f"P_(m-1) requires 1 <= m <= {MAX_ORDER}, got {m}")
+    return tuple(math.comb(m - 1 + j, j) for j in range(m))
+
+
 def cm_constant(m: int) -> float:
     """Normalizing constant (2m)! / (2^(2m) m! (m-1)!), i.e. Gamma(m+1/2)/(sqrt(pi) Gamma(m)).
 
-    Evaluated in log-space via lgamma for stability across the full order range.
+    factorial_ratio(m) scaled by the exact power 2^(-2m), so correctly rounded.
     It is exactly the constant that makes c_m * integral_0^pi sin^(2m-1) t dt = 1.
     """
     if m < 1 or m > MAX_ORDER:
         raise ValueError(f"cm_constant requires 1 <= m <= {MAX_ORDER}, got {m}")
-    log_val = (
-        math.lgamma(2 * m + 1)
-        - 2 * m * math.log(2.0)
-        - math.lgamma(m + 1)
-        - math.lgamma(m)
-    )
-    return math.exp(log_val)
+    return math.ldexp(factorial_ratio(m), -2 * m)
 
 
 def factorial_ratio(m: int) -> float:
-    """(2m)! / (m! (m-1)!) as a float, from the exact integer value."""
+    """(2m)! / (m! (m-1)!) = m C(2m, m) as a float, correctly rounded from the exact integer."""
     if m < 1 or m > MAX_ORDER:
         raise ValueError(f"factorial_ratio requires 1 <= m <= {MAX_ORDER}, got {m}")
-    return float(
-        Fraction(math.factorial(2 * m), math.factorial(m) * math.factorial(m - 1))
-    )
+    return float(m * math.comb(2 * m, m))
 
 
 def sinc_alternating_sum(n: int) -> int:
