@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special_math import MAX_ORDER, cm_constant, p_coefficients
+from .special_math import cm_constant, p_coefficients
 
 # The reconstruction residual grows with the order in double precision: 3.9e-11
 # at order 20, 1.7e-10 at order 22, against the 1e-10 the tests require.
@@ -97,10 +97,8 @@ def magnitude_squared_H_integral(m: int, omega: float) -> float:
 
     The identity is stated on [0, pi]; other arguments are reduced by evenness
     and 2pi-periodicity. Independent of the trigonometric closed form, which
-    makes the two routes a cross-check of each other.
+    makes the two routes a cross-check of each other. cm_constant checks the order.
     """
-    if m < 1 or m > MAX_ORDER:
-        raise ValueError(f"magnitude_squared_H_integral requires 1 <= m <= {MAX_ORDER}, got {m}")
     x = math.fmod(abs(omega), 2.0 * math.pi)
     if x > math.pi:
         x = 2.0 * math.pi - x

@@ -174,12 +174,9 @@ def quadrature_lp_norm(req: NormRequest) -> QuadResult:
             f"fitted decay exponent alpha = {alpha:.6g}"
         )
 
-    pk = p * k
-
     def integrand(w: np.ndarray) -> np.ndarray:
-        abs2 = wavelet_hat_abs2(m, w)
-        weight = w**-pk if pk else np.ones_like(w)
-        return weight * abs2 ** (0.5 * p)
+        # Weighting before the power keeps w^(-pk) from overflowing near the origin.
+        return (np.sqrt(wavelet_hat_abs2(m, w)) * w**-k) ** p
 
     lo = _ORIGIN_CUT if k >= 1 else 0.0
     # Near-origin patch: |psi_hat| ~ K w^m makes the integrand ~ w^(p(m-k)),
@@ -217,6 +214,8 @@ def quadrature_lp_norm(req: NormRequest) -> QuadResult:
     # 2 * (quad + origin) of the integral, by at most p/2 * PRODUCT_TOL relative.
     truncation = p * PRODUCT_TOL * (quad.value + origin_term)
     err_sum = 2.0 * (quad.abs_error + origin_term) + tail_err + truncation
+    if not (math.isfinite(total) and math.isfinite(err_sum)):
+        raise ValueError(f"the ({m}, {k}, {p}) norm integral is not finite: {total} +/- {err_sum}")
     return QuadResult(
         value=total ** (1.0 / p),
         abs_error=_root_error(total, err_sum, p),

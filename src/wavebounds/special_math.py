@@ -16,10 +16,7 @@ UNIT_ROUNDOFF = 2.0**-53  # unit roundoff u of a double
 
 
 def gamma_n(n: float | np.ndarray) -> float | np.ndarray:
-    """gamma_n = n u / (1 - n u), the relative error of n rounded operations (Higham, 3.1).
-
-    n may be an array, which gives one bound per entry.
-    """
+    """gamma_n = n u / (1 - n u), the relative error of n rounded operations (Higham, 3.1)."""
     return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
 
 
@@ -45,25 +42,24 @@ def p_coefficients(m: int) -> tuple[int, ...]:
     P_(m-1)(y) (1-y)^m + P_(m-1)(1-y) y^m = 1 (Daubechies, Ten Lectures, section 6.1).
     """
     if m < 1 or m > MAX_ORDER:
-        raise ValueError(f"P_(m-1) requires 1 <= m <= {MAX_ORDER}, got {m}")
+        raise ValueError(f"the order must satisfy 1 <= m <= {MAX_ORDER}, got {m}")
     return tuple(math.comb(m - 1 + j, j) for j in range(m))
 
 
 def cm_constant(m: int) -> float:
     """Normalizing constant (2m)! / (2^(2m) m! (m-1)!), i.e. Gamma(m+1/2)/(sqrt(pi) Gamma(m)).
 
-    factorial_ratio(m) scaled by the exact power 2^(-2m), so correctly rounded.
-    It is exactly the constant that makes c_m * integral_0^pi sin^(2m-1) t dt = 1.
+    factorial_ratio(m) scaled by the exact power 2^(-2m), so correctly rounded,
+    with its order check. It is exactly the constant that makes
+    c_m * integral_0^pi sin^(2m-1) t dt = 1.
     """
-    if m < 1 or m > MAX_ORDER:
-        raise ValueError(f"cm_constant requires 1 <= m <= {MAX_ORDER}, got {m}")
     return math.ldexp(factorial_ratio(m), -2 * m)
 
 
 def factorial_ratio(m: int) -> float:
     """(2m)! / (m! (m-1)!) = m C(2m, m) as a float, correctly rounded from the exact integer."""
     if m < 1 or m > MAX_ORDER:
-        raise ValueError(f"factorial_ratio requires 1 <= m <= {MAX_ORDER}, got {m}")
+        raise ValueError(f"the order must satisfy 1 <= m <= {MAX_ORDER}, got {m}")
     return float(m * math.comb(2 * m, m))
 
 

@@ -223,6 +223,35 @@ class TestIntegrandOriginBehavior:
         assert 0 < vals[0] < math.inf
 
 
+class TestLargeWeightPowers:
+    """Quadrature norms with p k past ~54, where w^(-pk) alone overflows at the origin cut.
+
+    The brackets use no quadrature: the exact route gives I_2 and I_4, and
+    I_p = integral |w|^(-pk) |psi_hat|^p dw satisfies I_3 <= sqrt(I_2 I_4)
+    (Cauchy-Schwarz) and, log-convex in p with 2 = 0.8 * 1.5 + 0.2 * 4,
+    I_1.5 >= (I_2 / I_4^0.2)^1.25.
+    """
+
+    @pytest.mark.parametrize("m,k,p", [(20, 20, 3.0), (32, 32, 3.0), (32, 16, 1.5), (25, 25, 1.5)])
+    def test_within_exact_brackets(self, m, k, p):
+        result = quadrature_lp_norm(NormRequest(m, k, p))
+        assert math.isfinite(result.value) and math.isfinite(result.abs_error)
+        (i2, e2), (i4, e4) = even_power_integral(m, k, 1), even_power_integral(m, k, 2)
+        if p == 3.0:
+            assert (result.value - result.abs_error) ** p <= math.sqrt((i2 + e2) * (i4 + e4))
+        else:
+            assert (result.value + result.abs_error) ** p >= ((i2 - e2) / (i4 + e4) ** 0.2) ** 1.25
+
+    def test_non_finite_integral_raises_naming_the_request(self, monkeypatch):
+        # Infinite only at the origin cut, which no quadrature node reaches.
+        def abs2(m, w):
+            return np.where(w == norms._ORIGIN_CUT, math.inf, wavelet_hat_abs2(m, w))
+
+        monkeypatch.setattr(norms, "wavelet_hat_abs2", abs2)
+        with pytest.raises(ValueError, match=r"the \(3, 1, 3\.0\) norm integral is not finite"):
+            quadrature_lp_norm(NormRequest(3, 1, 3.0))
+
+
 class TestBestConstant:
     def test_k_zero_is_exactly_one(self):
         ratio = best_constant_Ckp(3, 0, 1.5)

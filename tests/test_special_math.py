@@ -5,9 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 from wavebounds.special_math import (
+    MAX_ORDER,
     binomial,
     cm_constant,
     factorial_ratio,
+    p_coefficients,
     sinc_alternating_sum,
 )
 
@@ -46,14 +48,19 @@ class TestBinomial:
 
 class TestCmConstant:
     def test_order_one_is_half(self):
-        assert cm_constant(1) == pytest.approx(0.5, abs=1e-15)
+        assert cm_constant(1) == 0.5
 
     def test_order_two_dual_forms(self):
         # Gamma-ratio form and the factorial form must agree independently.
         gamma_form = math.gamma(2.5) / (math.sqrt(math.pi) * math.gamma(2))
         factorial_form = math.factorial(4) / (2**4 * math.factorial(2) * math.factorial(1))
         assert gamma_form == pytest.approx(factorial_form, rel=1e-15)
-        assert cm_constant(2) == pytest.approx(0.75, rel=1e-14)
+        assert cm_constant(2) == 0.75
+
+    @pytest.mark.parametrize("m", range(1, 33))
+    def test_is_the_factorial_ratio_scaled_exactly(self, m):
+        # 4^-m is exact, so c_m is correctly rounded whenever factorial_ratio is.
+        assert cm_constant(m) == math.ldexp(factorial_ratio(m), -2 * m)
 
     @pytest.mark.parametrize("m", range(1, 21))
     def test_matches_gamma_ratio(self, m):
@@ -119,6 +126,32 @@ class TestSincPowerIntegral:
 
 
 def test_factorial_ratio_matches_exact():
-    for m in range(1, 17):
+    for m in range(1, MAX_ORDER + 1):
         exact = Fraction(math.factorial(2 * m), math.factorial(m) * math.factorial(m - 1))
-        assert factorial_ratio(m) == pytest.approx(float(exact), rel=1e-15)
+        assert factorial_ratio(m) == float(exact)
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _one_minus_y(n: int) -> list[int]:
+    return [(-1) ** i * math.comb(n, i) for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("m", range(1, MAX_ORDER + 1))
+def test_p_coefficients_solve_the_bezout_identity(m):
+    # P(y) (1-y)^m + P(1-y) y^m = 1 (Daubechies, Ten Lectures, section 6.1), in integers.
+    p = list(p_coefficients(m))
+    p_flipped = [0] * m
+    for j, coef in enumerate(p):
+        for i, term in enumerate(_one_minus_y(j)):
+            p_flipped[i] += coef * term
+    lhs = _poly_mul(p, _one_minus_y(m))
+    for i, coef in enumerate(p_flipped):
+        lhs[m + i] += coef
+    assert lhs == [1] + [0] * (2 * m - 1)
