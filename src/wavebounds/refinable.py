@@ -44,13 +44,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .special_math import MAX_ORDER, UNIT_ROUNDOFF, gamma_n, p_coefficients
 
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two polynomials given by their ascending integer coefficients."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

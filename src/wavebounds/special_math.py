@@ -49,9 +49,8 @@ def p_coefficients(m: int) -> tuple[int, ...]:
 def cm_constant(m: int) -> float:
     """Normalizing constant (2m)! / (2^(2m) m! (m-1)!), i.e. Gamma(m+1/2)/(sqrt(pi) Gamma(m)).
 
-    factorial_ratio(m) scaled by the exact power 2^(-2m), so correctly rounded,
-    with its order check. It is exactly the constant that makes
-    c_m * integral_0^pi sin^(2m-1) t dt = 1.
+    Correctly rounded: factorial_ratio(m), with its order check, times the exact 2^(-2m).
+    It is exactly the constant that makes c_m * integral_0^pi sin^(2m-1) t dt = 1.
     """
     return math.ldexp(factorial_ratio(m), -2 * m)
 

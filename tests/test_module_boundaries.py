@@ -1,5 +1,8 @@
-"""Design rules: no library module imports another module's private names, and the
-unit roundoff and gamma_n are defined in special_math alone."""
+"""Design rules of the library modules.
+
+No module imports another module's private names, and the unit roundoff and
+gamma_n are defined in special_math alone.
+"""
 
 import ast
 from pathlib import Path
