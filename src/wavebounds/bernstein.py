@@ -393,26 +393,31 @@ def bernstein_grid() -> list[dict]:
 
 
 def _row(
-    check, m, k, p, value, lower, upper, abs_error, tol_pad, vacuous=(), **fields
+    check, m, k, p, value, lower, upper, abs_error, tol_pad, flags=(), **fields
 ) -> VerificationRow:
-    """One sweep row, with the status and margin every check shares.
+    """One sweep row, with the status, margin and side flags every check shares.
 
-    The status checks `value` within tol = abs_error + tol_pad (abs_error may
-    be None, counting as 0) against each side (a bound that is not None) not
-    named in `vacuous`, and is 'vacuous' when no side is checked. The margin
-    is the smallest gap to a finite side. `vacuous` is recorded as the row's
-    flags, so it may also carry non-side flags.
+    Every checked value (a norm, a ratio of norms, |<f, psi_(j,nu)>|) is >= 0,
+    so a lower bound <= 0 or an infinite upper bound cannot fail: such a side
+    is flagged 'lower'/'upper' and left unchecked. Each other side (a bound
+    that is not None) checks `value` within tol = abs_error + tol_pad
+    (abs_error may be None, counting as 0). The status is 'vacuous' when no
+    side is checked. The margin is the smallest gap to a finite side. The
+    row's flags are the side flags, then the non-side `flags`.
     """
     tol = (abs_error or 0.0) + tol_pad
-    checks = []
-    gaps = []
+    sides, checks, gaps = [], [], []
     if lower is not None:
-        if "lower" not in vacuous:
+        if lower <= 0:
+            sides.append("lower")
+        else:
             checks.append(value >= lower - tol)
         if math.isfinite(lower):
             gaps.append(value - lower)
     if upper is not None:
-        if "upper" not in vacuous:
+        if upper == math.inf:
+            sides.append("upper")
+        else:
             checks.append(value <= upper + tol)
         if math.isfinite(upper):
             gaps.append(upper - value)
@@ -431,7 +436,7 @@ def _row(
         upper_bound=upper,
         abs_error=abs_error,
         margin=min(gaps, default=None),
-        vacuous_flags=tuple(vacuous),
+        vacuous_flags=(*sides, *flags),
         **fields,
     )
 
@@ -449,72 +454,58 @@ def bound_params(m: int, k: int, p: float, eps: float) -> BoundParams:
     return BoundParams(m=m, k=k, p=p, c=fit.c, eps=eps, c_tilde=fit.C_tilde)
 
 
-def _decay_fields(params: BoundParams) -> dict:
-    """The fitted decay a row records; none at m = 1, which has no fit."""
-    if params.c_tilde is None:
-        return {}
-    return {"decay_c": params.c, "decay_c_tilde": params.c_tilde}
-
-
-def _norm_row(check, params, lower, upper, settings, vacuous=(), **fields) -> VerificationRow:
-    """Row bracketing ||w^-k psi_hat||_p, checked within its abs_error plus the pad."""
-    m, k, p = params.m, params.k, params.p
-    norm = weighted_lp_norm(NormRequest(m, k, p))
+def _bracket_row(
+    check, params, lower, upper, result, settings, flags=(), **fields
+) -> VerificationRow:
+    """Row bracketing `result`, a value at `params` with its abs_error; records the fitted decay."""
+    if params.c_tilde is not None:  # m = 1 has no fit
+        fields.update(decay_c=params.c, decay_c_tilde=params.c_tilde)
     return _row(
-        check, m, k, p, norm.value, lower, upper, norm.abs_error, settings.tol_pad, vacuous,
-        **_decay_fields(params), **fields,
+        check, params.m, params.k, params.p, result.value, lower, upper, result.abs_error,
+        settings.tol_pad, flags, **fields,
     )
 
 
-def _ratio_row(check, params, lower, upper, settings, vacuous=(), **fields) -> VerificationRow:
-    """Row bracketing the best constant C_(k,p), checked within its abs_error plus the pad."""
-    m, k, p = params.m, params.k, params.p
-    ratio = best_constant_Ckp(m, k, p)
-    return _row(
-        check, m, k, p, ratio.value, lower, upper, ratio.abs_error, settings.tol_pad, vacuous,
-        **_decay_fields(params), **fields,
-    )
+def _norm(params: BoundParams) -> QuadResult:
+    return weighted_lp_norm(NormRequest(params.m, params.k, params.p))
 
 
 def _run_theorem1(case: Mapping, settings: SweepSettings) -> VerificationRow:
     params = bound_params(case["m"], case["k"], case["p"], settings.eps)
-    lower = bound_B(params)
-    vacuous = ("lower",) if lower < 0 else ()
-    return _norm_row("theorem1", params, lower, bound_A(params), settings, vacuous)
+    lower, upper = bound_B(params), bound_A(params)
+    return _bracket_row("theorem1", params, lower, upper, _norm(params), settings)
 
 
 def _run_theorem2(case: Mapping, settings: SweepSettings) -> VerificationRow:
     params = bound_params(case["m"], case["m"], case["p"], settings.eps)
-    lower = ASYMPTOTIC_SLACK * bound_G(params)
+    lower, upper = ASYMPTOTIC_SLACK * bound_G(params), bound_F(params)
     note = "lower bound carries the asymptotic slack factor"
-    return _norm_row(
-        "theorem2", params, lower, bound_F(params), settings, slack=ASYMPTOTIC_SLACK, note=note
+    return _bracket_row(
+        "theorem2", params, lower, upper, _norm(params), settings, slack=ASYMPTOTIC_SLACK, note=note
     )
 
 
 def _run_corollary1(case: Mapping, settings: SweepSettings) -> VerificationRow:
     params = bound_params(case["m"], 0, case["p"], settings.eps)
-    lower = bound_E(params)
-    vacuous = ("lower",) if lower <= 0 else ()
-    if params.m == 1:
-        vacuous += ("log_m_zero",)
-    return _norm_row("corollary1", params, lower, bound_D(params), settings, vacuous)
+    lower, upper = bound_E(params), bound_D(params)
+    flags = ("log_m_zero",) if params.m == 1 else ()
+    return _bracket_row("corollary1", params, lower, upper, _norm(params), settings, flags)
 
 
 def _run_corollary2(case: Mapping, settings: SweepSettings) -> VerificationRow:
     params = bound_params(case["m"], case["k"], case["p"], settings.eps)
     interval = ratio_bounds(params, "Cor2")
-    vacuous = ("lower",) * interval.vacuous_lower + ("upper",) * interval.vacuous_upper
-    return _ratio_row("corollary2", params, interval.lo, interval.hi, settings, vacuous)
+    ratio = best_constant_Ckp(params.m, params.k, params.p)
+    return _bracket_row("corollary2", params, interval.lo, interval.hi, ratio, settings)
 
 
 def _run_corollary3(case: Mapping, settings: SweepSettings) -> VerificationRow:
     params = bound_params(case["m"], case["m"], case["p"], settings.eps)
     interval = ratio_bounds(params, "Cor3")
     lower = ASYMPTOTIC_SLACK * interval.lo
-    vacuous = ("upper",) * interval.vacuous_upper
-    return _ratio_row(
-        "corollary3", params, lower, interval.hi, settings, vacuous, slack=ASYMPTOTIC_SLACK
+    ratio = best_constant_Ckp(params.m, params.k, params.p)
+    return _bracket_row(
+        "corollary3", params, lower, interval.hi, ratio, settings, slack=ASYMPTOTIC_SLACK
     )
 
 
@@ -565,16 +556,7 @@ def verify_sweep(
         try:
             rows.append(runner(case, settings))
         except Exception as exc:  # recorded, never raised: a failing case is data
-            rows.append(
-                VerificationRow(
-                    check=check,
-                    status="error",
-                    m=case.get("m"),
-                    k=case.get("k"),
-                    p=case.get("p"),
-                    j=case.get("j"),
-                    nu=case.get("nu"),
-                    note=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            keys = {key: case.get(key) for key in ("m", "k", "p", "j", "nu")}
+            note = f"{type(exc).__name__}: {exc}"
+            rows.append(VerificationRow(check=check, status="error", note=note, **keys))
     return rows

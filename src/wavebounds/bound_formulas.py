@@ -53,12 +53,10 @@ class BoundParams:
 
 @dataclass(frozen=True)
 class RatioInterval:
-    """Sandwich interval for a best-constant ratio, with vacuousness flags."""
+    """Sandwich interval for a best-constant ratio."""
 
     lo: float
     hi: float
-    vacuous_lower: bool
-    vacuous_upper: bool
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,7 @@ def ratio_bounds(params: BoundParams, which: str) -> RatioInterval:
     """Sandwich interval for the best constant: (B/D, A/E) or (G/D, F/E).
 
     A negative numerator clamps the lower end to 0 (vacuous but not wrong);
-    E <= 0 makes the upper ratio meaningless, reported as +inf with a flag.
+    E <= 0 makes the upper ratio meaningless, reported as +inf.
     """
     if which not in ("Cor2", "Cor3"):
         raise ValueError(f"which must be 'Cor2' or 'Cor3', got {which!r}")
@@ -221,8 +219,4 @@ def ratio_bounds(params: BoundParams, which: str) -> RatioInterval:
         num_lo, num_hi = bound_B(params), bound_A(params)
     else:
         num_lo, num_hi = bound_G(params), bound_F(params)
-    vac_lower = num_lo < 0
-    lo = max(num_lo, 0.0) / d
-    if e > 0:
-        return RatioInterval(lo=lo, hi=num_hi / e, vacuous_lower=vac_lower, vacuous_upper=False)
-    return RatioInterval(lo=lo, hi=math.inf, vacuous_lower=vac_lower, vacuous_upper=True)
+    return RatioInterval(lo=max(num_lo, 0.0) / d, hi=num_hi / e if e > 0 else math.inf)

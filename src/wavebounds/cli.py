@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .bernstein import (
     CHECKS,
+    DEFAULT_SETTINGS,
     GaussianTestFunction,
     SweepSettings,
     bound_params,
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--m", type=int, required=True)
     p_bounds.add_argument("--k", type=int, required=True)
     p_bounds.add_argument("--p", type=float, required=True)
-    p_bounds.add_argument("--eps", type=float, default=math.pi)
+    p_bounds.add_argument("--eps", type=float, default=DEFAULT_SETTINGS.eps)
     p_bounds.add_argument("--c", type=float, default=None, help="decay exponent (default: fitted)")
     fmt = p_bounds.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
@@ -84,8 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m-list", type=int, nargs="+", default=None)
     p_verify.add_argument("--k-list", type=int, nargs="+", default=None)
     p_verify.add_argument("--p-list", type=float, nargs="+", default=None)
-    p_verify.add_argument("--eps", type=float, default=math.pi)
-    p_verify.add_argument("--tol", type=float, default=1e-9, help="tolerance pad added to abs_error")
+    p_verify.add_argument("--eps", type=float, default=DEFAULT_SETTINGS.eps)
+    p_verify.add_argument(
+        "--tol", type=float, default=DEFAULT_SETTINGS.tol_pad,
+        help="tolerance pad added to abs_error",
+    )
     p_verify.add_argument("--out", type=Path, default=None)
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -96,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bern.add_argument("--sigma", type=float, default=1.0)
     p_bern.add_argument("--j-range", type=_parse_int_span, default=(-3, 6))
     p_bern.add_argument("--nu-range", type=_parse_int_span, default=(-8, 8))
-    p_bern.add_argument("--tol", type=float, default=1e-9)
+    p_bern.add_argument("--tol", type=float, default=DEFAULT_SETTINGS.tol_pad)
     p_bern.add_argument("--out", type=Path, default=None)
     p_bern.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
@@ -252,6 +256,9 @@ def _cmd_bernstein(args) -> int:
     NormRequest(args.m, args.k, args.p)
     require_k_below_m(args.m, args.k)
     GaussianTestFunction(sigma=args.sigma)
+    for flag, (lo, hi) in (("--j-range", args.j_range), ("--nu-range", args.nu_range)):
+        if lo > hi:
+            raise ValueError(f"{flag} {lo}:{hi} is empty: its start exceeds its end")
     cases = [
         {"m": args.m, "k": args.k, "p": args.p, "sigma": args.sigma, "j": j, "nu": nu}
         for j in range(args.j_range[0], args.j_range[1] + 1)

@@ -10,40 +10,21 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 SCHEMA_VERSION = "v1"
-
-CSV_COLUMNS = [
-    "schema_version",
-    "check",
-    "m",
-    "k",
-    "p",
-    "j",
-    "nu",
-    "value",
-    "abs_error",
-    "lower_bound",
-    "upper_bound",
-    "margin",
-    "status",
-    "vacuous_flags",
-    "slack",
-    "decay_c",
-    "decay_c_tilde",
-    "note",
-]
 
 STATUSES = ("pass", "fail", "vacuous", "error")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VerificationRow:
-    """One verified case: the numeric value, its bound interval, and the verdict."""
+    """One verified case: the numeric value, its bound interval, and the verdict.
+
+    The fields, in order, are the v1 report columns after schema_version.
+    """
 
     check: str
-    status: str
     m: int | None = None
     k: int | None = None
     p: float | None = None
@@ -54,7 +35,8 @@ class VerificationRow:
     lower_bound: float | None = None
     upper_bound: float | None = None
     margin: float | None = None
-    vacuous_flags: tuple[str, ...] = field(default=())
+    status: str
+    vacuous_flags: tuple[str, ...] = ()
     slack: float | None = None
     decay_c: float | None = None
     decay_c_tilde: float | None = None
@@ -63,6 +45,9 @@ class VerificationRow:
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
+
+
+CSV_COLUMNS = ["schema_version", *(f.name for f in fields(VerificationRow))]
 
 
 def fmt17(x: float | int | None) -> str:
@@ -76,26 +61,18 @@ def fmt17(x: float | int | None) -> str:
     return format(float(x), ".17g")
 
 
+def _cell(value) -> str:
+    """A report cell: a string as it is, the flag tuple joined by ';', a number by fmt17."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ";".join(value)
+    return fmt17(value)
+
+
 def _row_record(row: VerificationRow) -> dict[str, str]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "check": row.check,
-        "m": fmt17(row.m),
-        "k": fmt17(row.k),
-        "p": fmt17(row.p),
-        "j": fmt17(row.j),
-        "nu": fmt17(row.nu),
-        "value": fmt17(row.value),
-        "abs_error": fmt17(row.abs_error),
-        "lower_bound": fmt17(row.lower_bound),
-        "upper_bound": fmt17(row.upper_bound),
-        "margin": fmt17(row.margin),
-        "status": row.status,
-        "vacuous_flags": ";".join(row.vacuous_flags),
-        "slack": fmt17(row.slack),
-        "decay_c": fmt17(row.decay_c),
-        "decay_c_tilde": fmt17(row.decay_c_tilde),
-        "note": row.note,
+    return {"schema_version": SCHEMA_VERSION} | {
+        f.name: _cell(getattr(row, f.name)) for f in fields(row)
     }
 
 

@@ -401,6 +401,20 @@ class TestReporting:
         assert header.startswith("schema_version,check,m,k,p")
         assert line.startswith("v1,theorem2,2,")
 
+    def test_v1_columns_in_order(self):
+        import json
+
+        columns = (
+            "schema_version,check,m,k,p,j,nu,value,abs_error,lower_bound,upper_bound,margin,"
+            "status,vacuous_flags,slack,decay_c,decay_c_tilde,note"
+        ).split(",")
+        assert len(columns) == 18
+        rows = [VerificationRow(check="theorem2", status="pass", m=2, p=2.0, value=0.1)]
+        header = rows_to_csv_bytes(rows).decode().split("\n")[0]
+        assert header.split(",") == columns
+        payload = json.loads(rows_to_json_bytes(rows))
+        assert sorted(payload["rows"][0]) == sorted(columns)
+
     def test_json_mirror_contains_summary(self):
         import json
 

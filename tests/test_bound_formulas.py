@@ -257,17 +257,14 @@ class TestRatioBounds:
     def test_negative_numerator_clamped(self):
         interval = ratio_bounds(BoundParams(m=2, k=1, p=2.0, c=1.0), "Cor2")
         assert interval.lo == 0.0
-        assert interval.vacuous_lower
 
     def test_nonpositive_e_flags_upper(self):
         interval = ratio_bounds(BoundParams(m=2, k=1, p=2.0, c=1.0), "Cor2")
         assert math.isinf(interval.hi)
-        assert interval.vacuous_upper
 
     def test_critical_ratio_lower_is_binding(self):
         interval = ratio_bounds(BoundParams(m=2, k=2, p=2.0, c=1.0), "Cor3")
         assert interval.lo > 0.0
-        assert not interval.vacuous_lower
 
     def test_unknown_selector_rejected(self):
         with pytest.raises(ValueError):

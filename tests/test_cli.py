@@ -199,6 +199,20 @@ class TestBernsteinCommand:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 3
 
+    @pytest.mark.parametrize(
+        "span", [["--j-range=5:2"], ["--nu-range=3:-3"], ["--j-range=0:0", "--nu-range=1:0"]]
+    )
+    def test_empty_range_exits_2(self, tmp_path, capsys, span):
+        # A range whose start exceeds its end selects no case: nothing is checked.
+        out = tmp_path / "rows.csv"
+        assert main(["bernstein", *span, "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wavebounds: error: ") and captured.err.count("\n") == 1
+        flag, value = span[-1].split("=")
+        assert f"{flag} {value} is empty" in captured.err
+
     def test_invalid_weight_yields_nonzero_exit(self, tmp_path, capsys):
         # k = m is outside the inequality's hypotheses: no row can use it, so
         # the command fails once, before the sweep, as for any bad argument.
