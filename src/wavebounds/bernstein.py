@@ -38,7 +38,7 @@ from .bound_formulas import (
     require_k_below_m,
 )
 from .daub_filters import construct_filter
-from .norms import DEFAULT_OMEGA_MAX, NormRequest, best_constant_Ckp, default_decay, weighted_lp_norm
+from .norms import NormRequest, best_constant_Ckp, default_decay, weighted_lp_norm
 from .quadrature import QuadResult, adaptive_quadrature
 from .reporting import VerificationRow
 from .special_math import gamma_n
@@ -444,13 +444,13 @@ def _row(
 def bound_params(m: int, k: int, p: float, eps: float) -> BoundParams:
     """The closed-form parameters with the fitted c that every sweep and the CLI use.
 
-    For m >= 2, c and C_tilde come from default_decay(m, DEFAULT_OMEGA_MAX). At
+    For m >= 2, c and C_tilde come from default_decay(m). At
     m = 1 the c-dependent term is vacuous (log m = 0) whatever c is, so c = 1
     and C_tilde is None.
     """
     if m < 2:
         return BoundParams(m=m, k=k, p=p, c=1.0, eps=eps)
-    fit = default_decay(m, DEFAULT_OMEGA_MAX)
+    fit = default_decay(m)
     return BoundParams(m=m, k=k, p=p, c=fit.c, eps=eps, c_tilde=fit.C_tilde)
 
 

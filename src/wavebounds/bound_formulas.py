@@ -207,14 +207,13 @@ def ratio_bounds(params: BoundParams, which: str) -> RatioInterval:
     """Sandwich interval for the best constant: (B/D, A/E) or (G/D, F/E).
 
     A negative numerator clamps the lower end to 0 (vacuous but not wrong);
-    E <= 0 makes the upper ratio meaningless, reported as +inf.
+    D >= 2 (2 pi)^(-1/2) is always positive, but E <= 0 makes the upper ratio
+    meaningless, reported as +inf.
     """
     if which not in ("Cor2", "Cor3"):
         raise ValueError(f"which must be 'Cor2' or 'Cor3', got {which!r}")
     d = bound_D(params)
     e = bound_E(params)
-    if d <= 0:
-        raise ValueError(f"upper constant D={d:.6g} is not positive")
     if which == "Cor2":
         num_lo, num_hi = bound_B(params), bound_A(params)
     else:

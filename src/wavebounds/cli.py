@@ -15,6 +15,8 @@ from pathlib import Path
 from .bernstein import (
     CHECKS,
     DEFAULT_SETTINGS,
+    J_RANGE,
+    NU_LIMIT,
     GaussianTestFunction,
     SweepSettings,
     bound_params,
@@ -22,7 +24,7 @@ from .bernstein import (
 )
 from .bound_formulas import BoundParams, compute_bound_set, require_k_below_m
 from .daub_filters import FilterConstructionError, construct_filter
-from .norms import DEFAULT_OMEGA_MAX, NormRequest, default_decay, weighted_lp_norm
+from .norms import NormRequest, default_decay, weighted_lp_norm
 from .reporting import exit_code, fmt17, rows_to_csv_bytes, rows_to_json_bytes, summarize
 from .spectral_eval import scaling_hat, wavelet_hat, wavelet_hat_abs2
 
@@ -61,13 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--m", type=int, required=True)
     p_norm.add_argument("--k", type=int, required=True)
     p_norm.add_argument("--p", type=float, required=True)
-    p_norm.add_argument(
-        "--omega-max",
-        type=float,
-        default=DEFAULT_OMEGA_MAX,
-        help="tail cutoff of the quadrature route; p = 2 and p = 4 take the exact route, "
-        "which has no cutoff and ignores it",
-    )
     p_norm.add_argument("--json", action="store_true")
 
     p_bounds = sub.add_parser("bounds", help="closed-form sandwich constants")
@@ -146,7 +141,7 @@ def _print_record(record: dict, args) -> int:
 
 
 def _cmd_decay(args) -> int:
-    fit = default_decay(args.m, DEFAULT_OMEGA_MAX)
+    fit = default_decay(args.m)
     record = {
         "m": args.m,
         "C_tilde": fmt17(fit.C_tilde),
@@ -160,7 +155,7 @@ def _cmd_decay(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    result = weighted_lp_norm(NormRequest(args.m, args.k, args.p, args.omega_max))
+    result = weighted_lp_norm(NormRequest(args.m, args.k, args.p))
     record = {
         "value": fmt17(result.value),
         "abs_error": fmt17(result.abs_error),
@@ -250,15 +245,20 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bernstein(args) -> int:
     settings = SweepSettings(tol_pad=args.tol)
-    # Every row shares m, k, p and sigma: reject a value no row can use here,
-    # not once per row.
+    # Every row shares m, k, p and sigma, and the row limits bound both ranges:
+    # reject a value no row can use here, not once per row.
     construct_filter(args.m)
     NormRequest(args.m, args.k, args.p)
     require_k_below_m(args.m, args.k)
     GaussianTestFunction(sigma=args.sigma)
-    for flag, (lo, hi) in (("--j-range", args.j_range), ("--nu-range", args.nu_range)):
+    for flag, (lo, hi), (first, last) in (
+        ("--j-range", args.j_range, J_RANGE),
+        ("--nu-range", args.nu_range, (-NU_LIMIT, NU_LIMIT)),
+    ):
         if lo > hi:
             raise ValueError(f"{flag} {lo}:{hi} is empty: its start exceeds its end")
+        if lo < first or hi > last:
+            raise ValueError(f"{flag} {lo}:{hi} reaches outside its limit {first}:{last}")
     cases = [
         {"m": args.m, "k": args.k, "p": args.p, "sigma": args.sigma, "j": j, "nu": nu}
         for j in range(args.j_range[0], args.j_range[1] + 1)

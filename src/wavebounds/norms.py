@@ -5,12 +5,12 @@ weighted_lp_norm takes one of two routes, chosen by p alone:
 * p = 2 or 4 (EXACT_P): the p-th power of the norm is the fixed vector of a
   finite refinement system with rational coefficients, solved in floats with
   a proven error bound (refinable.even_power_integral). No quadrature, no
-  tail and no decay fit; omega_max plays no part, and the QuadResult reports
-  0 evaluations and 0 panels.
+  tail and no decay fit; the QuadResult reports 0 evaluations and 0 panels.
 * every other p: quadrature_lp_norm, described below. It also stays callable
   for any p, as the cross-check of the exact route.
 
-The quadrature route computes
+The quadrature route computes, with the tail cutoff Omega (its omega_max,
+DEFAULT_OMEGA_MAX unless given),
 
     (2 * integral_[w0, Omega] w^(-pk) |psi_hat|^p dw  +  origin term  +  tail)^(1/p)
 
@@ -65,16 +65,11 @@ EXACT_P = (2.0, 4.0)
 
 @dataclass(frozen=True)
 class NormRequest:
-    """One weighted-norm computation: order m, weight exponent k, Lp index p.
-
-    The high-frequency envelope is not part of the request: it is the exact
-    closed form for order 1 and default_decay(m, omega_max) otherwise.
-    """
+    """One weighted-norm computation: order m, weight exponent k, Lp index p."""
 
     m: int
     k: int
     p: float
-    omega_max: float = DEFAULT_OMEGA_MAX
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -88,25 +83,24 @@ class NormRequest:
             )
         if not (1.0 < self.p < math.inf):
             raise ValueError(f"p must lie in (1, inf), got {self.p}")
-        if self.omega_max <= 2.0 * math.pi:
-            raise ValueError(f"omega_max must exceed 2*pi, got {self.omega_max}")
 
 
 @lru_cache(maxsize=None)
-def default_decay(m: int, omega_max: float) -> DecayFit:
-    """The decay fit every default envelope uses: 128 samples over [4 pi, omega_max].
+def default_decay(m: int) -> DecayFit:
+    """The decay fit of order m: 128 samples over [4 pi, DEFAULT_OMEGA_MAX].
 
-    Cached, so norms, sweep rows and the CLI share one fit per order. Raises
-    for m = 1, whose exponent c is undefined; callers handle that order.
+    Cached, so norms at every cutoff, sweep rows and the CLI share one fit per
+    order. Raises for m = 1, whose exponent c is undefined; callers handle
+    that order.
     """
-    return estimate_decay(m, 4.0 * math.pi, omega_max, 128)
+    return estimate_decay(m, 4.0 * math.pi, DEFAULT_OMEGA_MAX, 128)
 
 
-def _envelope(m: int, omega_max: float) -> tuple[float, float]:
+def _envelope(m: int) -> tuple[float, float]:
     """(C_tilde, alpha) of the tail envelope |psi_hat(w)| <= C_tilde w^(-alpha)."""
     if m == 1:
         return _HAAR_ENVELOPE
-    fit = default_decay(m, omega_max)
+    fit = default_decay(m)
     return fit.C_tilde, fit.c * math.log(m)
 
 
@@ -156,8 +150,8 @@ def _exact_lp_norm(req: NormRequest) -> QuadResult:
     return QuadResult(value=value, abs_error=abs_error, evaluations=0, panels=0)
 
 
-def quadrature_lp_norm(req: NormRequest) -> QuadResult:
-    """||(i w)^(-k) psi_hat||_p by quadrature, for any p; not cached.
+def quadrature_lp_norm(req: NormRequest, *, omega_max: float = DEFAULT_OMEGA_MAX) -> QuadResult:
+    """||(i w)^(-k) psi_hat||_p by quadrature up to omega_max, for any p; not cached.
 
     The error combines the quadrature estimate, the near-origin power-law
     patch (k >= 1), and the full width of the analytic tail interval, and
@@ -165,8 +159,10 @@ def quadrature_lp_norm(req: NormRequest) -> QuadResult:
     terms come first, so the quadrature stops once its own estimate is a
     QUAD_SHARE of theirs (module docstring).
     """
+    if omega_max <= 2.0 * math.pi:
+        raise ValueError(f"omega_max must exceed 2*pi, got {omega_max}")
     m, k, p = req.m, req.k, req.p
-    c_tilde, alpha = _envelope(m, req.omega_max)
+    c_tilde, alpha = _envelope(m)
     beta = p * (k + alpha)
     if beta <= 1.0:
         raise ValueError(
@@ -186,25 +182,25 @@ def quadrature_lp_norm(req: NormRequest) -> QuadResult:
         origin_term = float(integrand(np.array([lo]))[0]) * lo / (p * (m - k) + 1.0)
 
     # Envelope tail estimate; its error is at least tail_bound / 2 whatever rho is.
-    tail_bound = 2.0 * c_tilde**p * req.omega_max ** (1.0 - beta) / (beta - 1.0)
+    tail_bound = 2.0 * c_tilde**p * omega_max ** (1.0 - beta) / (beta - 1.0)
     quad, panels = adaptive_quadrature(
         integrand,
         lo,
-        req.omega_max,
+        omega_max,
         rel_tol=1e-9,
         abs_tol=max(1e-13, QUAD_SHARE * (tail_bound / 4.0 + origin_term)),
         max_panels=60_000,
-        breakpoints=_dyadic_breakpoints(req.omega_max),
+        breakpoints=_dyadic_breakpoints(omega_max),
         return_panels=True,
     )
 
     # Top-octave calibration of the tail estimate.
     env_top = (
         c_tilde**p
-        * ((req.omega_max / 2.0) ** (1.0 - beta) - req.omega_max ** (1.0 - beta))
+        * ((omega_max / 2.0) ** (1.0 - beta) - omega_max ** (1.0 - beta))
         / (beta - 1.0)
     )
-    num_top = sum(pnl.value.real for pnl in panels if pnl.a >= req.omega_max / 2.0 - 1e-9)
+    num_top = sum(pnl.value.real for pnl in panels if pnl.a >= omega_max / 2.0 - 1e-9)
     rho = min(max(num_top / env_top, 0.0), 1.0) if env_top > 0 else 1.0
     tail_est = rho * tail_bound
     tail_err = max(tail_est, tail_bound - tail_est)

@@ -129,11 +129,6 @@ def _kronrod_panels(
     ]
 
 
-def kronrod_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> Panel:
-    """Single 15-point Kronrod evaluation of f over [a, b] with a G7 error estimate."""
-    return _kronrod_panels(f, [a], [b])[0]
-
-
 def adaptive_quadrature(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,

@@ -93,8 +93,7 @@ def test_criterion_3_plancherel():
     started = time.perf_counter()
     worst = 0.0
     for m in range(1, 9):
-        omega_max = 2.0**15 * math.pi if m <= 2 else DEFAULT_OMEGA_MAX
-        result = weighted_lp_norm(NormRequest(m, 0, 2.0, omega_max=omega_max))
+        result = weighted_lp_norm(NormRequest(m, 0, 2.0))
         worst = max(worst, abs(result.value - 1.0))
     elapsed = time.perf_counter() - started
     _report("3 (Plancherel)", worst < 1e-6 and elapsed < 60.0, f"max |norm-1| {worst:.2e}, {elapsed:.1f}s")

@@ -5,7 +5,7 @@ import pytest
 
 from wavebounds.cli import main
 from wavebounds.daub_filters import construct_filter
-from wavebounds.norms import DEFAULT_OMEGA_MAX, NormRequest, default_decay, weighted_lp_norm
+from wavebounds.norms import NormRequest, default_decay, weighted_lp_norm
 from wavebounds.reporting import fmt17
 from wavebounds.spectral_eval import wavelet_hat_abs2
 
@@ -73,7 +73,7 @@ class TestPointEvaluations:
         assert float(payload["c"]) > 0
         assert float(payload["total_exponent"]) > 0
         # decay prints the one fit that bounds (and every sweep) uses.
-        assert payload["c"] == fmt17(default_decay(2, DEFAULT_OMEGA_MAX).c)
+        assert payload["c"] == fmt17(default_decay(2).c)
         assert main(["bounds", "--m", "2", "--k", "1", "--p", "2", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["c"] == payload["c"]
 
@@ -83,6 +83,12 @@ class TestPointEvaluations:
         ref = weighted_lp_norm(NormRequest(2, 1, 2.0))
         assert float(payload["value"]) == pytest.approx(ref.value, rel=1e-15)
         assert payload["evaluations"] == ref.evaluations
+
+    def test_norm_has_no_cutoff_flag(self):
+        # The tail cutoff is a setting of quadrature_lp_norm alone.
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--m", "2", "--k", "1", "--p", "3", "--omega-max", "1e5"])
+        assert exc.value.code == 2
 
     def test_bounds_json_flags(self, capsys):
         assert main(["bounds", "--m", "2", "--k", "1", "--p", "2", "--json"]) == 0
@@ -212,6 +218,26 @@ class TestBernsteinCommand:
         assert captured.err.startswith("wavebounds: error: ") and captured.err.count("\n") == 1
         flag, value = span[-1].split("=")
         assert f"{flag} {value} is empty" in captured.err
+
+    @pytest.mark.parametrize(
+        "span,limit",
+        [
+            ("--j-range=11:11", "-6:10"),
+            ("--j-range=-7:0", "-6:10"),
+            ("--nu-range=70:70", "-64:64"),
+            ("--nu-range=-65:0", "-64:64"),
+        ],
+    )
+    def test_range_past_row_limits_exits_2(self, tmp_path, capsys, span, limit):
+        # Every row of such a range would fail alike: one error, before the sweep.
+        out = tmp_path / "rows.csv"
+        assert main(["bernstein", span, "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wavebounds: error: ") and captured.err.count("\n") == 1
+        flag, value = span.split("=")
+        assert f"{flag} {value}" in captured.err and limit in captured.err
 
     def test_invalid_weight_yields_nonzero_exit(self, tmp_path, capsys):
         # k = m is outside the inequality's hypotheses: no row can use it, so

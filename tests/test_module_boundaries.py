@@ -1,7 +1,7 @@
 """Design rules of the library modules.
 
-No module imports another module's private names, and the unit roundoff and
-gamma_n are defined in special_math alone.
+No module imports another module's private names, the unit roundoff and
+gamma_n are defined in special_math alone, and only norms knows the tail cutoff.
 """
 
 import ast
@@ -50,3 +50,18 @@ def test_rounding_constants_defined_once():
             if isinstance(node, ast.FunctionDef) and node.name.lstrip("_") in ("gamma", "gamma_n"):
                 offenders.append(f"{path.name}:{node.lineno} defines {node.name}")
     assert not offenders, "use special_math.UNIT_ROUNDOFF and gamma_n: " + ", ".join(offenders)
+
+
+def test_tail_cutoff_known_to_norms_alone():
+    # The package __init__ only re-exports it.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("norms.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name == "DEFAULT_OMEGA_MAX":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, "DEFAULT_OMEGA_MAX outside norms: " + ", ".join(offenders)

@@ -7,18 +7,19 @@ import pytest
 from scipy.integrate import quad
 
 from wavebounds import norms
-from wavebounds.bernstein import corollary1_grid, theorem1_grid, theorem2_grid
+from wavebounds.bernstein import bound_params, corollary1_grid, theorem1_grid, theorem2_grid
 from wavebounds.norms import (
     DEFAULT_OMEGA_MAX,
     NormRequest,
     best_constant_Ckp,
+    default_decay,
     quadrature_lp_norm,
     weighted_lp_norm,
 )
 from wavebounds.quadrature import QuadResult, adaptive_quadrature
 from wavebounds.refinable import even_power_integral
 from wavebounds.special_math import MAX_ORDER
-from wavebounds.spectral_eval import DecayFit, wavelet_hat_abs2
+from wavebounds.spectral_eval import DecayFit, estimate_decay, wavelet_hat_abs2
 
 
 class TestRequestValidation:
@@ -29,7 +30,6 @@ class TestRequestValidation:
             {"m": 2, "k": -1, "p": 2.0},
             {"m": 2, "k": 3, "p": 2.0},  # k > m diverges at the origin
             {"m": 2, "k": 1, "p": 1.0},
-            {"m": 2, "k": 1, "p": 2.0, "omega_max": math.pi},
         ],
     )
     def test_rejected(self, kwargs):
@@ -41,11 +41,31 @@ class TestRequestValidation:
 
     def test_non_integrable_tail_rejected(self, monkeypatch):
         # c = 0.05 gives alpha = 0.05 log 2, so p(k + alpha) <= 1 at (2, 0, 1.5).
-        # The omega_max is used by no other test: weighted_lp_norm is cached.
         slow = DecayFit(C_tilde=1.0, c=0.05, fit_range=(4.0 * math.pi, 3000.0), residual=0.0)
-        monkeypatch.setattr(norms, "default_decay", lambda m, omega_max: slow)
+        monkeypatch.setattr(norms, "default_decay", lambda m: slow)
         with pytest.raises(ValueError, match=r"tail not integrable.*alpha = 0\.0346574"):
-            weighted_lp_norm(NormRequest(m=2, k=0, p=1.5, omega_max=3000.0))
+            quadrature_lp_norm(NormRequest(m=2, k=0, p=1.5))
+
+
+class TestTailCutoff:
+    def test_cutoff_must_exceed_2pi(self):
+        with pytest.raises(ValueError, match="omega_max must exceed 2\\*pi"):
+            quadrature_lp_norm(NormRequest(2, 1, 2.0), omega_max=math.pi)
+
+    def test_one_decay_fit_per_order(self, monkeypatch):
+        # Norms at any cutoff and the sweeps' bound parameters share one fit.
+        calls = []
+
+        def counting_fit(*args):
+            calls.append(args)
+            return estimate_decay(*args)
+
+        default_decay.cache_clear()
+        monkeypatch.setattr(norms, "estimate_decay", counting_fit)
+        quadrature_lp_norm(NormRequest(3, 1, 1.5), omega_max=2.0 * DEFAULT_OMEGA_MAX)
+        quadrature_lp_norm(NormRequest(3, 1, 1.5))
+        bound_params(3, 1, 1.5, math.pi)
+        assert calls == [(3, 4.0 * math.pi, DEFAULT_OMEGA_MAX, 128)]
 
 
 class TestErrorThroughRootPower:
@@ -150,7 +170,7 @@ class TestPlancherel:
     @pytest.mark.parametrize("m", [1, 4])
     def test_l2_norm_is_one(self, m):
         omega_max = 2.0**15 * math.pi if m <= 2 else DEFAULT_OMEGA_MAX
-        result = quadrature_lp_norm(NormRequest(m, 0, 2.0, omega_max=omega_max))
+        result = quadrature_lp_norm(NormRequest(m, 0, 2.0), omega_max=omega_max)
         assert result.value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -163,7 +183,7 @@ class TestHaarClosedForms:
         pieces = [quad(integrand, a, b, limit=4000) for a, b in ((0, 200.0), (200.0, T))]
         closed = 2.0 * sum(p[0] for p in pieces) + 2.0 * (8 / math.pi) * (3 / 8) / T
         err = 2.0 * sum(p[1] for p in pieces) + 1e-7
-        ours = quadrature_lp_norm(NormRequest(1, 0, 2.0, omega_max=2.0**15 * math.pi))
+        ours = quadrature_lp_norm(NormRequest(1, 0, 2.0), omega_max=2.0**15 * math.pi)
         assert ours.value == pytest.approx(math.sqrt(closed), abs=1e-6 + err)
 
     def test_weighted_norm_analytic_value(self):
@@ -184,13 +204,13 @@ class TestHaarClosedForms:
 class TestSelfConsistency:
     def test_value_stable_under_doubled_cutoff(self):
         base = quadrature_lp_norm(NormRequest(2, 1, 2.0))
-        doubled = quadrature_lp_norm(NormRequest(2, 1, 2.0, omega_max=2.0 * DEFAULT_OMEGA_MAX))
+        doubled = quadrature_lp_norm(NormRequest(2, 1, 2.0), omega_max=2.0 * DEFAULT_OMEGA_MAX)
         assert abs(base.value - doubled.value) <= base.abs_error
 
     @pytest.mark.parametrize("m,k,p", [(3, 1, 2.0), (4, 2, 1.5), (2, 2, 4.0)])
     def test_tail_honesty(self, m, k, p):
         base = quadrature_lp_norm(NormRequest(m, k, p))
-        doubled = quadrature_lp_norm(NormRequest(m, k, p, omega_max=2.0 * DEFAULT_OMEGA_MAX))
+        doubled = quadrature_lp_norm(NormRequest(m, k, p), omega_max=2.0 * DEFAULT_OMEGA_MAX)
         assert abs(base.value - doubled.value) <= base.abs_error
 
     def test_monotone_refinement_of_quadrature(self):
@@ -374,10 +394,7 @@ class TestExactRoute:
         assert _covers(result, _fraction_integral(m, k, round(p) // 2), p)
 
     def test_route_is_chosen_by_p(self):
-        # omega_max, a quadrature setting, leaves the exact route's value alone.
-        assert weighted_lp_norm(NormRequest(2, 1, 4.0, omega_max=1e3)) == weighted_lp_norm(
-            NormRequest(2, 1, 4.0)
-        )
+        assert weighted_lp_norm(NormRequest(2, 1, 4.0)).evaluations == 0
         assert weighted_lp_norm(NormRequest(2, 1, 3.0)).evaluations > 0
 
     def test_quadrature_route_within_its_error_of_exact(self):

@@ -11,7 +11,6 @@ from wavebounds.quadrature import (
     _WEIGHTS_G,
     _WEIGHTS_K,
     adaptive_quadrature,
-    kronrod_panel,
 )
 
 
@@ -24,9 +23,10 @@ def test_rule_constants():
 
 @pytest.mark.parametrize("degree", [4, 10, 18, 22])
 def test_polynomial_exactness(degree):
-    # The 15-point Kronrod rule is exact through degree 22.
-    panel = kronrod_panel(lambda x: x**degree, 0.0, 1.0)
-    assert panel.value.real == pytest.approx(1.0 / (degree + 1), rel=1e-13)
+    # The 15-point Kronrod rule is exact through degree 22; one panel, no bisection.
+    result = adaptive_quadrature(lambda x: x**degree, 0.0, 1.0, max_panels=1)
+    assert result.value == pytest.approx(1.0 / (degree + 1), rel=1e-13)
+    assert result.evaluations == 15 and result.panels == 1
 
 
 @pytest.mark.parametrize(
