@@ -2,7 +2,6 @@
 
 from .bernstein import (
     GaussianTestFunction,
-    SweepSettings,
     bernstein_rhs,
     bound_params,
     pyramid_coefficient,
@@ -41,7 +40,7 @@ from .norms import (
 )
 from .quadrature import QuadResult, adaptive_quadrature
 from .reporting import VerificationRow, exit_code, rows_to_csv_bytes, rows_to_json_bytes, summarize
-from .special_math import binomial, cm_constant, sinc_alternating_sum
+from .special_math import cm_constant, sinc_alternating_sum
 from .spectral_eval import (
     DecayFit,
     estimate_decay,
@@ -63,12 +62,10 @@ __all__ = [
     "NormRequest",
     "QuadResult",
     "RatioInterval",
-    "SweepSettings",
     "VerificationRow",
     "adaptive_quadrature",
     "bernstein_rhs",
     "best_constant_Ckp",
-    "binomial",
     "bound_params",
     "bound_A",
     "bound_B",

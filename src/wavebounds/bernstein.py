@@ -95,7 +95,15 @@ class GaussianTestFunction:
     @classmethod
     def normalized(cls, sigma: float, center: float, k: int, q: float) -> "GaussianTestFunction":
         base = cls(sigma=sigma, center=center)
-        return cls(sigma=sigma, center=center, amplitude=1.0 / base.weighted_transform_norm(k, q))
+        try:
+            amplitude = 1.0 / base.weighted_transform_norm(k, q)
+        except (OverflowError, ZeroDivisionError):
+            amplitude = math.inf
+        if not 0.0 < amplitude < math.inf:
+            raise ValueError(
+                f"sigma={sigma} puts ||(i w)^{k} f_hat||_{q:g} outside the floating-point range"
+            )
+        return cls(sigma=sigma, center=center, amplitude=amplitude)
 
 
 def _check_scale_and_shift(j: int, nu: int) -> None:
@@ -344,21 +352,8 @@ def bernstein_rhs(m: int, k: int, p: float, j: int, f: GaussianTestFunction) -> 
 ASYMPTOTIC_SLACK = 0.5
 
 
-@dataclass(frozen=True)
-class SweepSettings:
-    """The band parameter of the closed forms and the pad added to every tolerance."""
-
-    eps: float = math.pi
-    tol_pad: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eps <= math.pi):
-            raise ValueError(f"eps must lie in (0, pi], got {self.eps}")
-        if not 0.0 <= self.tol_pad < math.inf:
-            raise ValueError(f"tolerance pad must be finite and nonnegative, got {self.tol_pad}")
-
-
-DEFAULT_SETTINGS = SweepSettings()
+# Pad added to every row's tolerance, on top of the row's abs_error.
+TOL_PAD = 1e-9
 
 
 def theorem1_grid() -> list[dict]:
@@ -392,20 +387,18 @@ def bernstein_grid() -> list[dict]:
     ]
 
 
-def _row(
-    check, m, k, p, value, lower, upper, abs_error, tol_pad, flags=(), **fields
-) -> VerificationRow:
+def _row(check, m, k, p, value, lower, upper, abs_error, flags=(), **fields) -> VerificationRow:
     """One sweep row, with the status, margin and side flags every check shares.
 
     Every checked value (a norm, a ratio of norms, |<f, psi_(j,nu)>|) is >= 0,
     so a lower bound <= 0 or an infinite upper bound cannot fail: such a side
     is flagged 'lower'/'upper' and left unchecked. Each other side (a bound
-    that is not None) checks `value` within tol = abs_error + tol_pad
+    that is not None) checks `value` within tol = abs_error + TOL_PAD
     (abs_error may be None, counting as 0). The status is 'vacuous' when no
     side is checked. The margin is the smallest gap to a finite side. The
     row's flags are the side flags, then the non-side `flags`.
     """
-    tol = (abs_error or 0.0) + tol_pad
+    tol = (abs_error or 0.0) + TOL_PAD
     sides, checks, gaps = [], [], []
     if lower is not None:
         if lower <= 0:
@@ -441,12 +434,13 @@ def _row(
     )
 
 
-def bound_params(m: int, k: int, p: float, eps: float) -> BoundParams:
+def bound_params(m: int, k: int, p: float, eps: float = math.pi) -> BoundParams:
     """The closed-form parameters with the fitted c that every sweep and the CLI use.
 
-    For m >= 2, c and C_tilde come from default_decay(m). At
-    m = 1 the c-dependent term is vacuous (log m = 0) whatever c is, so c = 1
-    and C_tilde is None.
+    For m >= 2, c and C_tilde come from default_decay(m). At m = 1 the
+    c-dependent term is vacuous (log m = 0) whatever c is, so c = 1 and
+    C_tilde is None. The sweeps take the default eps = pi; `bounds --eps`
+    passes its own.
     """
     if m < 2:
         return BoundParams(m=m, k=k, p=p, c=1.0, eps=eps)
@@ -454,15 +448,13 @@ def bound_params(m: int, k: int, p: float, eps: float) -> BoundParams:
     return BoundParams(m=m, k=k, p=p, c=fit.c, eps=eps, c_tilde=fit.C_tilde)
 
 
-def _bracket_row(
-    check, params, lower, upper, result, settings, flags=(), **fields
-) -> VerificationRow:
+def _bracket_row(check, params, lower, upper, result, flags=(), **fields) -> VerificationRow:
     """Row bracketing `result`, a value at `params` with its abs_error; records the fitted decay."""
     if params.c_tilde is not None:  # m = 1 has no fit
         fields.update(decay_c=params.c, decay_c_tilde=params.c_tilde)
     return _row(
         check, params.m, params.k, params.p, result.value, lower, upper, result.abs_error,
-        settings.tol_pad, flags, **fields,
+        flags, **fields,
     )
 
 
@@ -470,46 +462,44 @@ def _norm(params: BoundParams) -> QuadResult:
     return weighted_lp_norm(NormRequest(params.m, params.k, params.p))
 
 
-def _run_theorem1(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    params = bound_params(case["m"], case["k"], case["p"], settings.eps)
+def _run_theorem1(case: Mapping) -> VerificationRow:
+    params = bound_params(case["m"], case["k"], case["p"])
     lower, upper = bound_B(params), bound_A(params)
-    return _bracket_row("theorem1", params, lower, upper, _norm(params), settings)
+    return _bracket_row("theorem1", params, lower, upper, _norm(params))
 
 
-def _run_theorem2(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    params = bound_params(case["m"], case["m"], case["p"], settings.eps)
+def _run_theorem2(case: Mapping) -> VerificationRow:
+    params = bound_params(case["m"], case["m"], case["p"])
     lower, upper = ASYMPTOTIC_SLACK * bound_G(params), bound_F(params)
     note = "lower bound carries the asymptotic slack factor"
     return _bracket_row(
-        "theorem2", params, lower, upper, _norm(params), settings, slack=ASYMPTOTIC_SLACK, note=note
+        "theorem2", params, lower, upper, _norm(params), slack=ASYMPTOTIC_SLACK, note=note
     )
 
 
-def _run_corollary1(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    params = bound_params(case["m"], 0, case["p"], settings.eps)
+def _run_corollary1(case: Mapping) -> VerificationRow:
+    params = bound_params(case["m"], 0, case["p"])
     lower, upper = bound_E(params), bound_D(params)
     flags = ("log_m_zero",) if params.m == 1 else ()
-    return _bracket_row("corollary1", params, lower, upper, _norm(params), settings, flags)
+    return _bracket_row("corollary1", params, lower, upper, _norm(params), flags)
 
 
-def _run_corollary2(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    params = bound_params(case["m"], case["k"], case["p"], settings.eps)
+def _run_corollary2(case: Mapping) -> VerificationRow:
+    params = bound_params(case["m"], case["k"], case["p"])
     interval = ratio_bounds(params, "Cor2")
     ratio = best_constant_Ckp(params.m, params.k, params.p)
-    return _bracket_row("corollary2", params, interval.lo, interval.hi, ratio, settings)
+    return _bracket_row("corollary2", params, interval.lo, interval.hi, ratio)
 
 
-def _run_corollary3(case: Mapping, settings: SweepSettings) -> VerificationRow:
-    params = bound_params(case["m"], case["m"], case["p"], settings.eps)
+def _run_corollary3(case: Mapping) -> VerificationRow:
+    params = bound_params(case["m"], case["m"], case["p"])
     interval = ratio_bounds(params, "Cor3")
     lower = ASYMPTOTIC_SLACK * interval.lo
     ratio = best_constant_Ckp(params.m, params.k, params.p)
-    return _bracket_row(
-        "corollary3", params, lower, interval.hi, ratio, settings, slack=ASYMPTOTIC_SLACK
-    )
+    return _bracket_row("corollary3", params, lower, interval.hi, ratio, slack=ASYMPTOTIC_SLACK)
 
 
-def _run_bernstein(case: Mapping, settings: SweepSettings) -> VerificationRow:
+def _run_bernstein(case: Mapping) -> VerificationRow:
     m, k, p = case["m"], case["k"], case["p"]
     j, nu = case["j"], case["nu"]
     q = p / (p - 1.0)
@@ -519,10 +509,7 @@ def _run_bernstein(case: Mapping, settings: SweepSettings) -> VerificationRow:
         coef = wavelet_coefficient(f, m, j, nu)
     rhs = bernstein_rhs(m, k, p, j, f)
     abs_error = coef.abs_error + rhs.abs_error
-    return _row(
-        "bernstein", m, k, p, abs(coef.value), None, rhs.value, abs_error, settings.tol_pad,
-        j=j, nu=nu,
-    )
+    return _row("bernstein", m, k, p, abs(coef.value), None, rhs.value, abs_error, j=j, nu=nu)
 
 
 # Each check's row runner and the default grid it sweeps.
@@ -536,15 +523,13 @@ CHECKS = {
 }
 
 
-def verify_sweep(
-    check: str,
-    cases: Sequence[Mapping] | None = None,
-    settings: SweepSettings = DEFAULT_SETTINGS,
-) -> list[VerificationRow]:
+def verify_sweep(check: str, cases: Sequence[Mapping] | None = None) -> list[VerificationRow]:
     """Run one named check over a parameter grid, one row per case.
 
-    Case errors become rows with status 'error' rather than aborting the sweep,
-    and the output order always follows the grid order.
+    Every check runs at eps = pi and checks each side within the row's
+    abs_error + TOL_PAD (_row). Case errors become rows with status 'error'
+    rather than aborting the sweep, and the output order always follows the
+    grid order.
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; expected one of {sorted(CHECKS)}")
@@ -554,7 +539,7 @@ def verify_sweep(
     rows: list[VerificationRow] = []
     for case in cases:
         try:
-            rows.append(runner(case, settings))
+            rows.append(runner(case))
         except Exception as exc:  # recorded, never raised: a failing case is data
             keys = {key: case.get(key) for key in ("m", "k", "p", "j", "nu")}
             note = f"{type(exc).__name__}: {exc}"

@@ -14,11 +14,9 @@ from pathlib import Path
 
 from .bernstein import (
     CHECKS,
-    DEFAULT_SETTINGS,
     J_RANGE,
     NU_LIMIT,
     GaussianTestFunction,
-    SweepSettings,
     bound_params,
     verify_sweep,
 )
@@ -69,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--m", type=int, required=True)
     p_bounds.add_argument("--k", type=int, required=True)
     p_bounds.add_argument("--p", type=float, required=True)
-    p_bounds.add_argument("--eps", type=float, default=DEFAULT_SETTINGS.eps)
+    p_bounds.add_argument("--eps", type=float, default=math.pi)
     p_bounds.add_argument("--c", type=float, default=None, help="decay exponent (default: fitted)")
     fmt = p_bounds.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
@@ -80,11 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m-list", type=int, nargs="+", default=None)
     p_verify.add_argument("--k-list", type=int, nargs="+", default=None)
     p_verify.add_argument("--p-list", type=float, nargs="+", default=None)
-    p_verify.add_argument("--eps", type=float, default=DEFAULT_SETTINGS.eps)
-    p_verify.add_argument(
-        "--tol", type=float, default=DEFAULT_SETTINGS.tol_pad,
-        help="tolerance pad added to abs_error",
-    )
     p_verify.add_argument("--out", type=Path, default=None)
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -95,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bern.add_argument("--sigma", type=float, default=1.0)
     p_bern.add_argument("--j-range", type=_parse_int_span, default=(-3, 6))
     p_bern.add_argument("--nu-range", type=_parse_int_span, default=(-8, 8))
-    p_bern.add_argument("--tol", type=float, default=DEFAULT_SETTINGS.tol_pad)
     p_bern.add_argument("--out", type=Path, default=None)
     p_bern.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
@@ -201,13 +193,13 @@ def _restrict_grid(cases: list[dict], args) -> list[dict]:
     return [case for case in cases if keep(case)]
 
 
-def _report_sweep(check: str, cases: list[dict], settings: SweepSettings, args) -> int:
+def _report_sweep(check: str, cases: list[dict], args) -> int:
     """Run one sweep, write its report to --out or stdout, and return the exit code.
 
     With --out, a one-line summary goes to stdout: the row statuses, and how
     many rows checked each side (a bound present and not flagged vacuous).
     """
-    rows = verify_sweep(check, cases, settings)
+    rows = verify_sweep(check, cases)
     data = rows_to_csv_bytes(rows) if args.format == "csv" else rows_to_json_bytes(rows)
     if args.out is None:
         sys.stdout.write(data.decode("utf-8"))
@@ -233,24 +225,22 @@ def _grid_values(cases: list[dict]) -> str:
 
 
 def _cmd_verify(args) -> int:
-    settings = SweepSettings(eps=args.eps, tol_pad=args.tol)
     grid = CHECKS[args.check][1]()
     cases = _restrict_grid(grid, args)
     if not cases:
         raise ValueError(
             f"no {args.check} case matches the filters; its grid has {_grid_values(grid)}"
         )
-    return _report_sweep(args.check, cases, settings, args)
+    return _report_sweep(args.check, cases, args)
 
 
 def _cmd_bernstein(args) -> int:
-    settings = SweepSettings(tol_pad=args.tol)
     # Every row shares m, k, p and sigma, and the row limits bound both ranges:
     # reject a value no row can use here, not once per row.
     construct_filter(args.m)
     NormRequest(args.m, args.k, args.p)
     require_k_below_m(args.m, args.k)
-    GaussianTestFunction(sigma=args.sigma)
+    GaussianTestFunction.normalized(args.sigma, 0.0, args.k, args.p / (args.p - 1.0))
     for flag, (lo, hi), (first, last) in (
         ("--j-range", args.j_range, J_RANGE),
         ("--nu-range", args.nu_range, (-NU_LIMIT, NU_LIMIT)),
@@ -264,7 +254,7 @@ def _cmd_bernstein(args) -> int:
         for j in range(args.j_range[0], args.j_range[1] + 1)
         for nu in range(args.nu_range[0], args.nu_range[1] + 1)
     ]
-    return _report_sweep("bernstein", cases, settings, args)
+    return _report_sweep("bernstein", cases, args)
 
 
 _COMMANDS = {

@@ -8,7 +8,6 @@ from functools import lru_cache
 import numpy as np
 
 # Large enough for filter orders up to 32 and weighted-norm exponents up to 128.
-MAX_BINOMIAL_N = 128
 MAX_ORDER = 32
 MAX_SINC_POWER = 128
 
@@ -18,21 +17,6 @@ UNIT_ROUNDOFF = 2.0**-53  # unit roundoff u of a double
 def gamma_n(n: float | np.ndarray) -> float | np.ndarray:
     """gamma_n = n u / (1 - n u), the relative error of n rounded operations (Higham, 3.1)."""
     return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k), computed in integer arithmetic.
-
-    Raises ValueError outside the supported range 0 <= k <= n <= 128 so that
-    a caller can never receive a silently truncated value.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial requires nonnegative arguments, got ({n}, {k})")
-    if k > n:
-        raise ValueError(f"binomial requires k <= n, got ({n}, {k})")
-    if n > MAX_BINOMIAL_N:
-        raise ValueError(f"binomial supports n <= {MAX_BINOMIAL_N}, got n={n}")
-    return math.comb(n, k)
 
 
 @lru_cache(maxsize=None)

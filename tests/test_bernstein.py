@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,9 @@ import pytest
 from scipy.integrate import quad
 
 from wavebounds.bernstein import (
+    TOL_PAD,
     GaussianTestFunction,
+    _row,
     bernstein_grid,
     bernstein_rhs,
     phi_moments,
@@ -369,7 +372,7 @@ def test_bernstein_row_too_narrow_for_the_pyramid_uses_quadrature():
 
 
 def test_bernstein_row_reports_the_error_it_is_checked_with():
-    # The row's tolerance is abs_error + tol_pad, so abs_error must carry both
+    # The row's tolerance is abs_error + TOL_PAD, so abs_error must carry both
     # the coefficient's error and the right-hand side's.
     (row,) = verify_sweep("bernstein", [{"m": 2, "k": 1, "p": 2.0, "sigma": 1.0, "j": -3, "nu": 0}])
     f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
@@ -377,6 +380,18 @@ def test_bernstein_row_reports_the_error_it_is_checked_with():
     rhs = bernstein_rhs(2, 1, 2.0, -3, f)
     assert rhs.abs_error > 0.0
     assert row.abs_error == coef.abs_error + rhs.abs_error
+
+
+@pytest.mark.parametrize("excess,status", [(5e-10, "pass"), (2e-9, "fail")])
+def test_row_pads_its_tolerance_by_tol_pad(excess, status):
+    # With abs_error = 0 the tolerance is TOL_PAD = 1e-9 alone.
+    assert TOL_PAD == 1e-9
+    row = _row("bernstein", 2, 1, 2.0, 0.25 + excess, None, 0.25, 0.0)
+    assert row.status == status
+
+
+def test_sweep_takes_only_a_check_and_its_cases():
+    assert list(inspect.signature(verify_sweep).parameters) == ["check", "cases"]
 
 
 class TestReporting:

@@ -101,14 +101,14 @@ class TestPointEvaluations:
     "argv",
     [
         ["eval", "--m", "2", "--omega", "nan"],
-        ["verify", "theorem1", "--tol", "nan"],
-        ["verify", "theorem1", "--tol", "inf"],
+        ["bounds", "--m", "2", "--k", "1", "--p", "2", "--eps", "nan"],
+        ["bounds", "--m", "2", "--k", "1", "--p", "2", "--eps", "inf"],
         ["bernstein", "--sigma", "nan"],
         ["bounds", "--m", "2", "--k", "1", "--p", "2", "--c", "nan"],
         ["bernstein", "--p", "nan"],
         ["bernstein", "--k", "-1"],
         ["bernstein", "--m", "21"],
-        ["verify", "theorem2", "--m-list", "1", "--eps", "nan"],
+        ["norm", "--m", "2", "--k", "1", "--p", "nan"],
     ],
 )
 def test_non_finite_input_is_named(argv, capsys):
@@ -116,6 +116,21 @@ def test_non_finite_input_is_named(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("wavebounds: error: ") and argv[-1] in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "theorem1", "--tol", "1e-3"],
+        ["verify", "theorem1", "--eps", "1"],
+        ["bernstein", "--tol", "1e-3"],
+    ],
+)
+def test_sweeps_have_no_eps_or_tol_flag(argv):
+    # Every sweep checks at eps = pi with the fixed pad bernstein.TOL_PAD.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 class TestVerifyCommand:
@@ -238,6 +253,16 @@ class TestBernsteinCommand:
         assert captured.err.startswith("wavebounds: error: ") and captured.err.count("\n") == 1
         flag, value = span.split("=")
         assert f"{flag} {value}" in captured.err and limit in captured.err
+
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
+    def test_sigma_outside_float_range_exits_2(self, tmp_path, capsys, sigma):
+        # The test function's weighted norm leaves the double range: no row can use it.
+        out = tmp_path / "rows.csv"
+        assert main(["bernstein", "--sigma", sigma, "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wavebounds: error: sigma=") and captured.err.count("\n") == 1
 
     def test_invalid_weight_yields_nonzero_exit(self, tmp_path, capsys):
         # k = m is outside the inequality's hypotheses: no row can use it, so

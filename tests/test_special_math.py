@@ -6,44 +6,11 @@ from scipy.integrate import quad
 
 from wavebounds.special_math import (
     MAX_ORDER,
-    binomial,
     cm_constant,
     factorial_ratio,
     p_coefficients,
     sinc_alternating_sum,
 )
-
-
-def multiplicative_binomial(n: int, k: int) -> int:
-    """Independent oracle: product formula evaluated in exact rationals."""
-    acc = Fraction(1)
-    for i in range(1, k + 1):
-        acc *= Fraction(n - k + i, i)
-    assert acc.denominator == 1
-    return acc.numerator
-
-
-class TestBinomial:
-    def test_small_pascal_entry(self):
-        assert binomial(4, 2) == 6
-
-    @pytest.mark.parametrize("n", [0, 1, 7, 128])
-    def test_identity_case(self, n):
-        assert binomial(n, 0) == 1
-
-    @pytest.mark.parametrize("n,k", [(52, 26), (100, 37), (128, 64)])
-    def test_against_multiplicative_oracle(self, n, k):
-        assert binomial(n, k) == multiplicative_binomial(n, k)
-
-    def test_pascal_recurrence(self):
-        for n in range(2, 30):
-            for k in range(1, n):
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-    @pytest.mark.parametrize("n,k", [(-1, 0), (3, -2), (2, 3), (129, 1)])
-    def test_domain_errors(self, n, k):
-        with pytest.raises(ValueError):
-            binomial(n, k)
 
 
 class TestCmConstant:
