@@ -250,7 +250,8 @@ def _fine_levels(f: GaussianTestFunction, m: int, j: int) -> tuple[int, float]:
     Schwarz with ||phi||_2 = 1) bound each fine-level sample's error by
     2^(-J/2) |A| 1.0865 ((2m-1) / (2 sigma 2^J))^(Q+1) sqrt(2m-1) / sqrt((Q+1)!),
     J = j + L, and ||g||_1 <= (sum |h|)^L carries it to the coefficient. L
-    stops growing at _MAX_SAMPLES samples, and the bound is reported as it is.
+    stops growing at _MAX_SAMPLES samples, and the bound is reported as it is:
+    math.inf where it lies past the float range.
     """
     order = _TAYLOR_ORDER + 1
     amplitude = abs(f.amplitude)
@@ -260,7 +261,10 @@ def _fine_levels(f: GaussianTestFunction, m: int, j: int) -> tuple[int, float]:
     while True:
         fine = j + levels
         ratio = (2 * m - 1) / (2.0 * f.sigma * 2.0**fine)
-        bound = taps_l1**levels * 2.0 ** (-0.5 * fine) * amplitude * per_sample * ratio**order
+        try:
+            bound = taps_l1**levels * 2.0 ** (-0.5 * fine) * amplitude * per_sample * ratio**order
+        except OverflowError:
+            bound = math.inf
         if bound <= _REMAINDER_TARGET * amplitude or 2 * m * 2 ** (levels + 1) > _MAX_SAMPLES:
             return levels, bound
         levels += 1
@@ -287,10 +291,13 @@ def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> Qua
     converged is False when the sample cap stopped the fine level while the
     Taylor bound still exceeds both its target and the Fourier route's
     absolute tolerance: a Gaussian narrow against 2^-j (at m=2 and j=-6,
-    sigma below about 5e-4). The abs_error is then large, but still a bound.
+    sigma below about 5e-4). The abs_error is then large, but still a bound;
+    an infinite one returns before any sample is built.
     """
     _check_scale_and_shift(j, nu)
     levels, remainder = _fine_levels(f, m, j)
+    if math.isinf(remainder):
+        return QuadResult(value=0.0, abs_error=math.inf, evaluations=0, converged=False)
     start, g, g_abs, cascade_error = _cascade(m, levels)
     g_l1 = float(g_abs.sum())
     fine = j + levels

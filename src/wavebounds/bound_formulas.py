@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .special_math import factorial_ratio, sinc_alternating_sum
+from .special_math import check_norm_domain, factorial_ratio, sinc_alternating_sum
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,7 @@ class BoundParams:
     c_tilde: float | None = None
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"order must be positive, got {self.m}")
-        if self.k < 0:
-            raise ValueError(f"weight exponent must be nonnegative, got {self.k}")
-        if not (1.0 < self.p < math.inf):
-            raise ValueError(f"p must lie in (1, inf), got {self.p}")
+        check_norm_domain(self.m, self.k, self.p)
         if not (0.0 < self.eps <= math.pi):
             raise ValueError(f"eps must lie in (0, pi], got {self.eps}")
         if not self.c > 0:

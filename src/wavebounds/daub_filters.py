@@ -156,11 +156,7 @@ def construct_filter(m: int) -> FilterSpec:
             f"double precision; got {m}"
         )
 
-    if m == 1:
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        return FilterSpec(m=1, taps=(inv_sqrt2, inv_sqrt2))
-
-    spectral = np.poly(_minimum_phase_zeros(m))[::-1].real
+    spectral = np.atleast_1d(np.poly(_minimum_phase_zeros(m)))[::-1].real
     spectral = spectral / np.sum(spectral)  # normalize so the factor is 1 at z=1
 
     lowpass = np.array([math.comb(m, j) for j in range(m + 1)], dtype=float) / 2.0**m

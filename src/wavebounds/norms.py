@@ -44,7 +44,7 @@ import numpy as np
 
 from .quadrature import QuadResult, adaptive_quadrature
 from .refinable import even_power_integral
-from .special_math import UNIT_ROUNDOFF
+from .special_math import UNIT_ROUNDOFF, check_norm_domain
 from .spectral_eval import PRODUCT_TOL, DecayFit, estimate_decay, wavelet_hat_abs2
 
 DEFAULT_OMEGA_MAX = 2.0**12 * math.pi
@@ -72,17 +72,12 @@ class NormRequest:
     p: float
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"order must be positive, got {self.m}")
-        if self.k < 0:
-            raise ValueError(f"weight exponent must be nonnegative, got {self.k}")
+        check_norm_domain(self.m, self.k, self.p)
         if self.k > self.m:
             raise ValueError(
                 f"k={self.k} > m={self.m}: the integrand w^(-pk) |psi_hat|^p "
                 "diverges at the origin"
             )
-        if not (1.0 < self.p < math.inf):
-            raise ValueError(f"p must lie in (1, inf), got {self.p}")
 
 
 @lru_cache(maxsize=None)

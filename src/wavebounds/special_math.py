@@ -19,6 +19,16 @@ def gamma_n(n: float | np.ndarray) -> float | np.ndarray:
     return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
 
 
+def check_norm_domain(m: int, k: int, p: float) -> None:
+    """Raise ValueError unless the order m >= 1, the weight exponent k >= 0 and 1 < p < inf."""
+    if m < 1:
+        raise ValueError(f"order must be positive, got {m}")
+    if k < 0:
+        raise ValueError(f"weight exponent must be nonnegative, got {k}")
+    if not (1.0 < p < math.inf):
+        raise ValueError(f"p must lie in (1, inf), got {p}")
+
+
 @lru_cache(maxsize=None)
 def p_coefficients(m: int) -> tuple[int, ...]:
     """P_(m-1)(y) = sum_(j<m) C(m-1+j, j) y^j as its ascending integer coefficients.

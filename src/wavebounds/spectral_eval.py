@@ -15,17 +15,17 @@ O(PRODUCT_TOL):
 
 The modulus rule is used wherever only |psi_hat| is needed (all norm
 integrands); the complex rule is used by scaling_hat and wavelet_hat
-themselves. In an array, each entry gets the depth its own |w| requires: one
-product runs to the deepest entry's depth, and every factor past an entry's
-own depth is exactly 1, so no entry's value depends on the others in its
-array.
+themselves. Both routes run one truncated product, _truncated_product, on
+their own factors and truncation bound. In an array each entry gets the
+depth its own |w| requires, so no entry's value depends on the others.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -105,69 +105,42 @@ def _phase_rule(m: int) -> tuple[float, float]:
     return mu, 0.5 * (second + mu * mu)
 
 
-def _depth(theta: float, abs_omega: float) -> int:
-    """Fewest factors (at least MIN_DEPTH) that leave every omitted argument within theta."""
-    if abs_omega <= theta:
-        return MIN_DEPTH
-    return max(MIN_DEPTH, math.ceil(math.log2(abs_omega / theta)))
+def _truncated_product(
+    factor: Callable[[np.ndarray], np.ndarray], x: np.ndarray, theta: float, peak: float
+) -> tuple[np.ndarray, int | np.ndarray]:
+    """prod_(l=1..L) factor(x 2^(-l)) for each entry of x, and its depth L.
 
-
-def _entry_depths(theta: float, w: np.ndarray, peak: float) -> int | np.ndarray:
-    """_depth of each entry of w, whose largest |w| is peak.
-
-    A single entry, or a peak that needs only MIN_DEPTH, gets one int, so
-    scalar calls pay nothing for per-entry depths.
+    L is the fewest factors (at least MIN_DEPTH) that leave every omitted
+    argument within theta; peak is max |x|. One entry, or a peak needing only
+    MIN_DEPTH, gets one int depth, which keeps scalar calls cheap. Otherwise
+    factors past an entry's own depth are exactly 1. Real factors are reduced
+    across entries, level by level; complex ones along each entry's own row,
+    since numpy rounds a complex product reduced across entries differently.
     """
-    depth = _depth(theta, peak)
-    if w.size == 1 or depth == MIN_DEPTH:
-        return depth
-    ratio = np.maximum(np.abs(w), theta) / theta
-    return np.maximum(MIN_DEPTH, np.ceil(np.log2(ratio))).astype(int)
-
-
-def _padded_factors(factors: np.ndarray, depth: int | np.ndarray, axis: int) -> np.ndarray:
-    """factors with each entry's factors past its own depth set to exactly 1.
-
-    factors holds max(depth) factors per entry along axis. Multiplying by 1 is
-    exact, so one product over the padded factors gives each entry the value
-    of its own-depth product.
-    """
-    if isinstance(depth, int):
-        return factors
-    levels = np.expand_dims(np.arange(factors.shape[axis]), 1 - axis)
-    return np.where(levels < np.expand_dims(depth, axis), factors, 1.0)
-
-
-def _tap_product(spec: FilterSpec, w: np.ndarray, depth: int | np.ndarray) -> np.ndarray:
-    """(2 pi)^(-1/2) prod_(l=1..depth) H(w 2^(-l)) e^(i mu w 2^(-depth)) for every entry of w.
-
-    depth is one int or each entry's own. One row of factors per point:
-    np.prod then multiplies each point's factors in sequence, exactly as for
-    a lone point, whereas a reduction across rows rounds complex products
-    differently once there are two or more points.
-    """
+    depth = max(MIN_DEPTH, math.ceil(math.log2(max(peak, theta) / theta)))
+    if x.size > 1 and depth > MIN_DEPTH:
+        ratio = np.maximum(np.abs(x), theta) / theta
+        depth = np.maximum(MIN_DEPTH, np.ceil(np.log2(ratio))).astype(int)
     top = depth if isinstance(depth, int) else int(depth.max())
-    args = np.multiply.outer(w, 2.0 ** -np.arange(1, top + 1))
-    factors = eval_H(spec, args.ravel()).reshape(args.shape)
-    phase = np.exp(1j * _phase_rule(spec.m)[0] * np.ldexp(w, -depth))
-    return _INV_SQRT_2PI * np.prod(_padded_factors(factors, depth, 1), axis=1) * phase
+    args = np.multiply.outer(2.0 ** -np.arange(1, top + 1), x)
+    factors = factor(args.ravel()).reshape(args.shape)
+    if not isinstance(depth, int):
+        factors = np.where(np.arange(top)[:, None] < depth, factors, 1.0)
+    if factors.dtype.kind == "c":
+        return np.prod(np.ascontiguousarray(factors.T), axis=1), depth
+    return np.prod(factors, axis=0), depth
 
 
 def _phi_product(spec: FilterSpec, w: np.ndarray, peak: float) -> np.ndarray:
     """phi_hat on a 1-d array whose largest |w| is peak, each entry at its own depth.
 
-    An omitted argument within theta keeps K w^2 4^-L / 3 <= PRODUCT_TOL / 2.
+    An omitted argument within theta keeps K w^2 4^-L / 3 <= PRODUCT_TOL / 2,
+    and the omitted factors are replaced by their phase e^(i mu w 2^-L).
     """
-    theta = math.sqrt(1.5 * PRODUCT_TOL / _phase_rule(spec.m)[1])
-    return _tap_product(spec, w, _entry_depths(theta, w, peak))
-
-
-def _abs2_product(m: int, w: np.ndarray, depth: int | np.ndarray) -> np.ndarray:
-    """prod_(l=2..depth+1) |H(w 2^(-l))|^2 for every entry of w; depth as in _tap_product."""
-    top = depth if isinstance(depth, int) else int(depth.max())
-    args = np.multiply.outer(2.0 ** -np.arange(2, top + 2), w)  # arguments w/4, w/8, ...
-    factors = magnitude_squared_H(m, args.ravel()).reshape(args.shape)
-    return np.prod(_padded_factors(factors, depth, 0), axis=0)
+    mu, k = _phase_rule(spec.m)
+    theta = math.sqrt(1.5 * PRODUCT_TOL / k)
+    product, depth = _truncated_product(partial(eval_H, spec), w, theta, peak)
+    return _INV_SQRT_2PI * product * np.exp(1j * mu * np.ldexp(w, -depth))
 
 
 def scaling_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
@@ -194,16 +167,22 @@ def wavelet_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
 def wavelet_hat_abs2(m: int, omega: float | np.ndarray) -> float | np.ndarray:
     """|psi_hat(w)|^2 computed entirely from magnitude_squared_H.
 
-    Shares no code path with the tap-based wavelet_hat beyond the filter order,
-    so agreement between |wavelet_hat|^2 and this value cross-checks the
-    spectral factorization end to end. Each entry of an array uses the product
-    depth its own |w| requires, so its value is bit-identical to a call on
-    that entry alone.
+    Its factors (|H|^2 from P, not H from the taps) and its truncation rule
+    (the modulus bound) are independent of the tap-based wavelet_hat, so
+    agreement between |wavelet_hat|^2 and this value cross-checks the spectral
+    factorization end to end. The two routes share the product loop,
+    _truncated_product. Apart from that cross-check, the loop is checked by
+    the 72-factor reference products in tests/test_spectral_eval.py, the Haar
+    closed form, and the exact-route norms (Plancherel's 1 among them) that
+    the quadrature norms must match. Each entry of an array is bit-identical
+    to a call on that entry alone.
     """
     w, shape = flatten_frequencies(omega)
     peak = _guarded_peak(w)
     band = magnitude_squared_H(m, 0.5 * w + math.pi)
-    product = _abs2_product(m, w, _entry_depths(_modulus_theta(m), 0.5 * w, 0.5 * peak))
+    product, _ = _truncated_product(
+        partial(magnitude_squared_H, m), 0.5 * w, _modulus_theta(m), 0.5 * peak
+    )
     return restore_shape(band * product / (2.0 * math.pi), shape)
 
 

@@ -23,7 +23,7 @@ from wavebounds.bernstein import (
 )
 from wavebounds.daub_filters import construct_filter
 from wavebounds.norms import DEFAULT_OMEGA_MAX, NormRequest, best_constant_Ckp, weighted_lp_norm
-from wavebounds.quadrature import adaptive_quadrature
+from wavebounds.quadrature import QuadResult, adaptive_quadrature
 from wavebounds.reporting import (
     VerificationRow,
     exit_code,
@@ -208,6 +208,10 @@ class TestPyramidCoefficient:
             fourier = wavelet_coefficient(f, m, j, nu)
             assert abs(pyramid.value - fourier.value) <= pyramid.abs_error + fourier.abs_error
 
+    def test_bound_past_the_float_range_builds_no_sample(self):
+        coef = pyramid_coefficient(GaussianTestFunction(sigma=1e-100), 2, 0, 0)
+        assert coef == QuadResult(value=0.0, abs_error=math.inf, evaluations=0, converged=False)
+
     @pytest.mark.xfail(strict=True, reason="the Fourier abs_error is an estimate, not a bound")
     @pytest.mark.parametrize("j,nu", FOURIER_MISSES)
     def test_fourier_error_covers_the_pyramid_value(self, j, nu):
@@ -315,6 +319,16 @@ class TestVerifySweep:
         (row,) = verify_sweep("bernstein", [case])
         assert row.status == "error"
         assert f"got {bad}" in row.note
+
+    @pytest.mark.parametrize("sigma", [1e-20, 1e-100])
+    def test_narrow_gaussian_falls_back_to_the_guard(self, sigma):
+        # Too narrow for the pyramid's sample cap: the row falls back to the
+        # Fourier route, whose evaluation guard names the cause.
+        case = {"m": 2, "k": 1, "p": 2.0, "sigma": sigma, "j": 0, "nu": 0}
+        (row,) = verify_sweep("bernstein", [case])
+        assert row.status == "error"
+        assert row.note.startswith("ValueError: |omega|=")
+        assert "exceeds the evaluation guard" in row.note
 
 
 # check, one small case, vacuous_flags, slack, abs_error set, decay fields set

@@ -23,7 +23,7 @@ class TestFilters:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "index,tap"
         assert len(lines) == 3
-        assert float(lines[1].split(",")[1]) == pytest.approx(1 / math.sqrt(2), abs=1e-16)
+        assert float(lines[1].split(",")[1]) == pytest.approx(math.sqrt(0.5), abs=1e-16)
 
     def test_highest_order(self, capsys):
         assert main(["filters", "--m", "20"]) == 0

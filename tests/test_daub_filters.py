@@ -117,7 +117,7 @@ class TestIntegralForm:
 
 class TestConstruction:
     def test_haar_taps(self):
-        assert construct_filter(1).taps == (1.0 / SQRT2, 1.0 / SQRT2)
+        assert construct_filter(1).taps == (math.sqrt(0.5), math.sqrt(0.5))
 
     def test_order_two_closed_forms(self):
         taps = construct_filter(2).taps

@@ -1,7 +1,9 @@
 """Design rules of the library modules.
 
 No module imports another module's private names, the unit roundoff and
-gamma_n are defined in special_math alone, and only norms knows the tail cutoff.
+gamma_n are defined in special_math alone, only norms knows the tail cutoff,
+the (m, k, p) domain is checked in special_math alone, and one spectral_eval
+function runs every truncated product.
 """
 
 import ast
@@ -65,3 +67,27 @@ def test_tail_cutoff_known_to_norms_alone():
             if name == "DEFAULT_OMEGA_MAX":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, "DEFAULT_OMEGA_MAX outside norms: " + ", ".join(offenders)
+
+
+def test_norm_domain_checked_in_special_math_alone():
+    holders = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "p must lie in (1, inf)" in path.read_text()
+    )
+    assert holders == ["special_math.py"]
+
+
+def test_one_truncated_product_in_spectral_eval():
+    path = PACKAGE / "spectral_eval.py"
+    callers = set()
+    for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in (
+                "np.prod",
+                "np.multiply.outer",
+            ):
+                callers.add(func.name)
+    assert callers == {"_truncated_product"}

@@ -192,7 +192,7 @@ class TestBatchIndependence:
         w[:3] = (0.0, 2.0**12 * math.pi, -7.5)
         return w
 
-    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 20])
     def test_magnitude_route_entries_equal_lone_points(self, m):
         # The norm integrand's route: every entry of the batch, bit for bit
         # against a call on it alone.
@@ -200,7 +200,7 @@ class TestBatchIndependence:
         batch = wavelet_hat_abs2(m, w)
         assert [float(v) for v in batch] == [wavelet_hat_abs2(m, float(x)) for x in w]
 
-    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 20])
     @pytest.mark.parametrize("fn", [scaling_hat, wavelet_hat])
     def test_tap_route_entries_equal_lone_points(self, fn, m):
         # The tap route reaches eval_H directly and through every product factor.
