@@ -66,11 +66,17 @@ def restore_shape(values: np.ndarray, shape: tuple[int, ...]) -> float | complex
 
 
 def eval_P(m: int, x: float | np.ndarray) -> float | np.ndarray:
-    """Truncated binomial-series polynomial P_(m-1)(x) = sum_k C(m-1+k, k) x^k, by Horner."""
-    acc = 0.0
-    for coef in reversed(p_coefficients(m)):
-        acc = acc * x + coef
-    return acc
+    """Truncated binomial-series polynomial P_(m-1)(x) = sum_k C(m-1+k, k) x^k, by Horner.
+
+    The accumulator starts at the leading coefficient and each multiply-add
+    runs in place on it; a float x gives a float, an array a new array.
+    """
+    lead, *rest = reversed(p_coefficients(m))
+    acc = np.full(np.shape(x), float(lead))
+    for coef in rest:
+        acc *= x
+        acc += coef
+    return acc if acc.ndim else float(acc)
 
 
 def magnitude_squared_H(m: int, omega: float | np.ndarray) -> float | np.ndarray:
@@ -79,7 +85,10 @@ def magnitude_squared_H(m: int, omega: float | np.ndarray) -> float | np.ndarray
     half = 0.5 * w
     c2 = np.cos(half) ** 2
     s2 = np.sin(half) ** 2
-    return restore_shape(np.clip(c2**m * eval_P(m, s2), 0.0, 1.0), shape)
+    values = c2**m * eval_P(m, s2)
+    np.maximum(values, 0.0, out=values)
+    np.minimum(values, 1.0, out=values)
+    return restore_shape(values, shape)
 
 
 def _sin_odd_power_integral(n: int, x: float) -> float:

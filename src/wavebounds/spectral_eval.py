@@ -16,8 +16,10 @@ O(PRODUCT_TOL):
 The modulus rule is used wherever only |psi_hat| is needed (all norm
 integrands); the complex rule is used by scaling_hat and wavelet_hat
 themselves. Both routes run one truncated product, _truncated_product, on
-their own factors and truncation bound. In an array each entry gets the
-depth its own |w| requires, so no entry's value depends on the others.
+their own factors and truncation bound. psi_hat's band factor H(w/2 + pi)
+shares the product's factor call, so each evaluation calls its factor
+function once. In an array each entry gets the depth its own |w| requires,
+so no entry's value depends on the others.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 PRODUCT_TOL = 1e-12
 MIN_DEPTH = 16
 MAX_DEPTH = 64
+# 2^-l for l = 1..MAX_DEPTH, the argument scale of each product level.
+_LEVEL_SCALES = 2.0 ** -np.arange(1, MAX_DEPTH + 1)
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class DecayFit:
 
 def _guarded_peak(w: np.ndarray) -> float:
     """max |w|, which sets the product depth; raises above the guard or at NaN."""
-    peak = float(np.max(np.abs(w), initial=0.0))
+    peak = float(np.abs(w).max()) if w.size else 0.0
     if not peak <= 2.0**MAX_DEPTH * PRODUCT_TOL:
         raise ValueError(
             f"|omega|={peak:.3e} exceeds the evaluation guard "
@@ -106,9 +110,13 @@ def _phase_rule(m: int) -> tuple[float, float]:
 
 
 def _truncated_product(
-    factor: Callable[[np.ndarray], np.ndarray], x: np.ndarray, theta: float, peak: float
-) -> tuple[np.ndarray, int | np.ndarray]:
-    """prod_(l=1..L) factor(x 2^(-l)) for each entry of x, and its depth L.
+    factor: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    theta: float,
+    peak: float,
+    band: np.ndarray | None,
+) -> tuple[np.ndarray, int | np.ndarray, np.ndarray | None]:
+    """prod_(l=1..L) factor(x 2^(-l)) for each entry of x, its depth L, and factor(band).
 
     L is the fewest factors (at least MIN_DEPTH) that leave every omitted
     argument within theta; peak is max |x|. One entry, or a peak needing only
@@ -116,31 +124,43 @@ def _truncated_product(
     factors past an entry's own depth are exactly 1. Real factors are reduced
     across entries, level by level; complex ones along each entry's own row,
     since numpy rounds a complex product reduced across entries differently.
+    The band argument (w/2 + pi for psi_hat, None for phi_hat) is one more
+    row of the arguments, so the band factor shares the product's factor
+    call; factor is elementwise, so every value rounds as in a call of its own.
     """
     depth = max(MIN_DEPTH, math.ceil(math.log2(max(peak, theta) / theta)))
     if x.size > 1 and depth > MIN_DEPTH:
         ratio = np.maximum(np.abs(x), theta) / theta
         depth = np.maximum(MIN_DEPTH, np.ceil(np.log2(ratio))).astype(int)
     top = depth if isinstance(depth, int) else int(depth.max())
-    args = np.multiply.outer(2.0 ** -np.arange(1, top + 1), x)
-    factors = factor(args.ravel()).reshape(args.shape)
+    args = np.empty((top if band is None else top + 1, x.size))
+    np.multiply.outer(_LEVEL_SCALES[:top], x, out=args[:top])
+    if band is not None:
+        args[top] = band
+    values = factor(args.ravel()).reshape(args.shape)
+    factors = values[:top]
     if not isinstance(depth, int):
         factors = np.where(np.arange(top)[:, None] < depth, factors, 1.0)
     if factors.dtype.kind == "c":
-        return np.prod(np.ascontiguousarray(factors.T), axis=1), depth
-    return np.prod(factors, axis=0), depth
+        product = np.prod(np.ascontiguousarray(factors.T), axis=1)
+    else:
+        product = np.prod(factors, axis=0)
+    return product, depth, None if band is None else values[top]
 
 
-def _phi_product(spec: FilterSpec, w: np.ndarray, peak: float) -> np.ndarray:
-    """phi_hat on a 1-d array whose largest |w| is peak, each entry at its own depth.
+def _phi_product(
+    spec: FilterSpec, w: np.ndarray, peak: float, band: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """phi_hat on a 1-d array whose largest |w| is peak, and H(band) from the same eval_H call.
 
-    An omitted argument within theta keeps K w^2 4^-L / 3 <= PRODUCT_TOL / 2,
-    and the omitted factors are replaced by their phase e^(i mu w 2^-L).
+    Each entry of w is at its own depth. An omitted argument within theta
+    keeps K w^2 4^-L / 3 <= PRODUCT_TOL / 2, and the omitted factors are
+    replaced by their phase e^(i mu w 2^-L).
     """
     mu, k = _phase_rule(spec.m)
     theta = math.sqrt(1.5 * PRODUCT_TOL / k)
-    product, depth = _truncated_product(partial(eval_H, spec), w, theta, peak)
-    return _INV_SQRT_2PI * product * np.exp(1j * mu * np.ldexp(w, -depth))
+    product, depth, band_h = _truncated_product(partial(eval_H, spec), w, theta, peak, band)
+    return _INV_SQRT_2PI * product * np.exp(1j * mu * np.ldexp(w, -depth)), band_h
 
 
 def scaling_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
@@ -150,18 +170,17 @@ def scaling_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
     """
     w, shape = flatten_frequencies(omega)
     peak = _guarded_peak(w)
-    return restore_shape(_phi_product(construct_filter(m), w, peak), shape)
+    phi, _ = _phi_product(construct_filter(m), w, peak, None)
+    return restore_shape(phi, shape)
 
 
 def wavelet_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
     """psi_hat(w) = e^(-i w/2) conj(H(w/2 + pi)) phi_hat(w/2)."""
     w, shape = flatten_frequencies(omega)
     peak = _guarded_peak(w)
-    spec = construct_filter(m)
     half = 0.5 * w
-    mod = np.exp(-1j * half)
-    psi = mod * np.conj(eval_H(spec, half + math.pi)) * _phi_product(spec, half, 0.5 * peak)
-    return restore_shape(psi, shape)
+    phi, band = _phi_product(construct_filter(m), half, 0.5 * peak, half + math.pi)
+    return restore_shape(np.exp(-1j * half) * np.conj(band) * phi, shape)
 
 
 def wavelet_hat_abs2(m: int, omega: float | np.ndarray) -> float | np.ndarray:
@@ -171,17 +190,18 @@ def wavelet_hat_abs2(m: int, omega: float | np.ndarray) -> float | np.ndarray:
     (the modulus bound) are independent of the tap-based wavelet_hat, so
     agreement between |wavelet_hat|^2 and this value cross-checks the spectral
     factorization end to end. The two routes share the product loop,
-    _truncated_product. Apart from that cross-check, the loop is checked by
-    the 72-factor reference products in tests/test_spectral_eval.py, the Haar
-    closed form, and the exact-route norms (Plancherel's 1 among them) that
-    the quadrature norms must match. Each entry of an array is bit-identical
-    to a call on that entry alone.
+    _truncated_product, and the band factor |H(w/2 + pi)|^2 rides in the
+    product's magnitude_squared_H call. Apart from that cross-check, the loop
+    is checked by the 72-factor reference products in
+    tests/test_spectral_eval.py, the Haar closed form, and the exact-route
+    norms (Plancherel's 1 among them) that the quadrature norms must match.
+    Each entry of an array is bit-identical to a call on that entry alone.
     """
     w, shape = flatten_frequencies(omega)
     peak = _guarded_peak(w)
-    band = magnitude_squared_H(m, 0.5 * w + math.pi)
-    product, _ = _truncated_product(
-        partial(magnitude_squared_H, m), 0.5 * w, _modulus_theta(m), 0.5 * peak
+    half = 0.5 * w
+    product, _, band = _truncated_product(
+        partial(magnitude_squared_H, m), half, _modulus_theta(m), 0.5 * peak, half + math.pi
     )
     return restore_shape(band * product / (2.0 * math.pi), shape)
 

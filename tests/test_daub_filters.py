@@ -30,6 +30,20 @@ class TestEvalP:
     def test_order_three_half(self):
         assert eval_P(3, 0.5) == pytest.approx(4.0, abs=1e-15)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_float_gives_float_and_array_gives_array(self, m):
+        assert type(eval_P(m, 0.5)) is float
+        values = eval_P(m, np.array([0.0, 0.5, 1.0]))
+        assert isinstance(values, np.ndarray) and values.shape == (3,)
+        assert list(values) == [eval_P(m, 0.0), eval_P(m, 0.5), eval_P(m, 1.0)]
+
+    @pytest.mark.parametrize("m", [1, 3, 12])
+    def test_horner_leaves_the_argument_unmodified(self, m):
+        x = np.linspace(0.0, 1.0, 9)
+        eval_P(m, x)
+        magnitude_squared_H(m, x)
+        assert np.array_equal(x, np.linspace(0.0, 1.0, 9))
+
 
 class TestMagnitudeSquared:
     @pytest.mark.parametrize("m", [1, 2, 5, 10])

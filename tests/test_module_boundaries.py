@@ -3,7 +3,7 @@
 No module imports another module's private names, the unit roundoff and
 gamma_n are defined in special_math alone, only norms knows the tail cutoff,
 the (m, k, p) domain is checked in special_math alone, and one spectral_eval
-function runs every truncated product.
+function runs every truncated product and every factor call.
 """
 
 import ast
@@ -91,3 +91,18 @@ def test_one_truncated_product_in_spectral_eval():
             ):
                 callers.add(func.name)
     assert callers == {"_truncated_product"}
+
+
+def test_factor_functions_called_in_the_truncated_product_alone():
+    # spectral_eval hands eval_H and magnitude_squared_H to _truncated_product,
+    # whose one factor call also evaluates the band factor.
+    path = PACKAGE / "spectral_eval.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    factors = ("eval_H", "magnitude_squared_H")
+    handed = set()
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "_truncated_product":
+            handed.update(id(node) for arg in call.args for node in ast.walk(arg))
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in factors]
+    stray = [f"{node.id} at line {node.lineno}" for node in uses if id(node) not in handed]
+    assert uses and not stray, "factor calls outside _truncated_product: " + ", ".join(stray)

@@ -1,13 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from wavebounds import spectral_eval
 from wavebounds.daub_filters import construct_filter, eval_H, magnitude_squared_H
 from wavebounds.spectral_eval import (
     MAX_DEPTH,
+    MIN_DEPTH,
     PRODUCT_TOL,
     DecayFit,
+    _modulus_theta,
     _phase_rule,
     estimate_decay,
     scaling_hat,
@@ -207,6 +211,98 @@ class TestBatchIndependence:
         w = self.wide_batch(m)
         batch = fn(m, w)
         assert [complex(v) for v in batch] == [fn(m, float(x)) for x in w]
+
+
+def unfused_depth(x: float, theta: float) -> int:
+    return max(MIN_DEPTH, math.ceil(math.log2(max(abs(x), theta) / theta)))
+
+
+def unfused_phi_hat(m: int, x: np.ndarray) -> np.ndarray:
+    """phi_hat at the one point of x: np.prod of its factors at its own depth."""
+    mu, k = _phase_rule(m)
+    depth = unfused_depth(float(x[0]), math.sqrt(1.5 * PRODUCT_TOL / k))
+    factors = eval_H(construct_filter(m), x[0] * 2.0 ** -np.arange(1, depth + 1))
+    return INV_SQRT_2PI * np.prod(factors, keepdims=True) * np.exp(1j * mu * np.ldexp(x, -depth))
+
+
+def unfused_psi_hat(m: int, x: np.ndarray) -> np.ndarray:
+    """psi_hat at the one point of x, with a band eval_H call of its own."""
+    half = 0.5 * x
+    band = eval_H(construct_filter(m), half + math.pi)
+    return np.exp(-1j * half) * np.conj(band) * unfused_phi_hat(m, half)
+
+
+def unfused_psi_hat_abs2(m: int, x: np.ndarray) -> np.ndarray:
+    """|psi_hat|^2 at the one point of x, with a band call of its own."""
+    half = 0.5 * x
+    depth = unfused_depth(float(half[0]), _modulus_theta(m))
+    factors = magnitude_squared_H(m, half[0] * 2.0 ** -np.arange(1, depth + 1))
+    band = magnitude_squared_H(m, half + math.pi)
+    return band * np.prod(factors, keepdims=True) / (2.0 * math.pi)
+
+
+UNFUSED = {
+    scaling_hat: unfused_phi_hat,
+    wavelet_hat: unfused_psi_hat,
+    wavelet_hat_abs2: unfused_psi_hat_abs2,
+}
+
+
+class TestFusedFactorCall:
+    """One factor call per evaluation, bit for bit the separate band and product calls."""
+
+    @pytest.mark.parametrize("m", range(1, 21))
+    @pytest.mark.parametrize("fn", list(UNFUSED), ids=lambda fn: fn.__name__)
+    def test_equals_the_unfused_formula(self, fn, m):
+        w = TestBatchIndependence.wide_batch(m)
+        reference = [UNFUSED[fn](m, w[i : i + 1])[0] for i in range(w.size)]
+        assert list(fn(m, w)) == reference
+        assert [fn(m, float(x)) for x in w] == reference
+
+    @pytest.mark.parametrize(
+        "omega",
+        [3.7, np.array([0.2, -40.0, 4e3, 1e5]), np.linspace(-5e5, 5e5, 12).reshape(3, 4)],
+        ids=["scalar", "1d", "2d"],
+    )
+    @pytest.mark.parametrize(
+        "fn,factor",
+        [
+            (scaling_hat, "eval_H"),
+            (wavelet_hat, "eval_H"),
+            (wavelet_hat_abs2, "magnitude_squared_H"),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_one_factor_call_per_evaluation(self, monkeypatch, fn, factor, omega):
+        counts = {name: int(name == factor) for name in ("eval_H", "magnitude_squared_H")}
+        calls = dict.fromkeys(counts, 0)
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(spectral_eval, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(spectral_eval, name, counted)
+        fn(3, omega)
+        assert calls == counts
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    @pytest.mark.parametrize("fn", list(UNFUSED), ids=lambda fn: fn.__name__)
+    def test_empty_input_keeps_its_shape(self, fn, shape):
+        assert fn(4, np.zeros(shape)).shape == shape
+
+    @pytest.mark.parametrize(
+        "bad,shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "inf"), (2e7, "2.000e+07")]
+    )
+    @pytest.mark.parametrize("fn", list(UNFUSED), ids=lambda fn: fn.__name__)
+    def test_guard_message(self, fn, bad, shown):
+        pattern = rf"^\|omega\|={re.escape(shown)} exceeds the evaluation guard"
+        with pytest.raises(ValueError, match=pattern):
+            fn(2, bad)
+        with pytest.raises(ValueError, match=pattern):
+            fn(2, np.array([1.0, bad, -3.0]))
 
 
 class TestEstimateDecay:
