@@ -398,24 +398,26 @@ def _row(check, m, k, p, value, lower, upper, abs_error, flags=(), **fields) -> 
     """One sweep row, with the status, margin and side flags every check shares.
 
     Every checked value (a norm, a ratio of norms, |<f, psi_(j,nu)>|) is >= 0,
-    so a lower bound <= 0 or an infinite upper bound cannot fail: such a side
-    is flagged 'lower'/'upper' and left unchecked. Each other side (a bound
-    that is not None) checks `value` within tol = abs_error + TOL_PAD
-    (abs_error may be None, counting as 0). The status is 'vacuous' when no
-    side is checked. The margin is the smallest gap to a finite side. The
-    row's flags are the side flags, then the non-side `flags`.
+    so a lower bound <= 0 or an infinite upper bound cannot fail. Nor can a
+    side say anything when abs_error (None counts as 0) is at least the
+    bound's magnitude: the error bar swamps the bound. Such a side is flagged
+    'lower'/'upper' and left unchecked. Each other side (a bound that is not
+    None) checks `value` within tol = abs_error + TOL_PAD. The status is
+    'vacuous' when no side is checked. The margin is the smallest gap to a
+    finite side. The row's flags are the side flags, then the non-side `flags`.
     """
-    tol = (abs_error or 0.0) + TOL_PAD
+    err = abs_error or 0.0
+    tol = err + TOL_PAD
     sides, checks, gaps = [], [], []
     if lower is not None:
-        if lower <= 0:
+        if lower <= err:  # lower <= 0, or swamped by the error bar
             sides.append("lower")
         else:
             checks.append(value >= lower - tol)
         if math.isfinite(lower):
             gaps.append(value - lower)
     if upper is not None:
-        if upper == math.inf:
+        if upper == math.inf or abs(upper) <= err:
             sides.append("upper")
         else:
             checks.append(value <= upper + tol)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,6 +49,13 @@ class FilterSpec:
         if len(self.taps) != 2 * self.m:
             raise ValueError(f"expected {2 * self.m} taps, got {len(self.taps)}")
 
+    @cached_property
+    def _tap_array(self) -> np.ndarray:
+        """The taps as one read-only float array, built on first use."""
+        taps = np.array(self.taps)
+        taps.flags.writeable = False
+        return taps
+
 
 def flatten_frequencies(omega: float | np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """omega as a 1-d float array, plus the shape to hand back to restore_shape.
@@ -68,24 +75,38 @@ def restore_shape(values: np.ndarray, shape: tuple[int, ...]) -> float | complex
 def eval_P(m: int, x: float | np.ndarray) -> float | np.ndarray:
     """Truncated binomial-series polynomial P_(m-1)(x) = sum_k C(m-1+k, k) x^k, by Horner.
 
-    The accumulator starts at the leading coefficient and each multiply-add
-    runs in place on it; a float x gives a float, an array a new array.
+    The accumulator starts at x times the leading coefficient and each
+    multiply-add runs in place on it; a float x gives a float, an array a new
+    array.
     """
     lead, *rest = reversed(p_coefficients(m))
-    acc = np.full(np.shape(x), float(lead))
-    for coef in rest:
-        acc *= x
-        acc += coef
+    if not rest:
+        acc = np.full(np.shape(x), float(lead))
+    else:
+        acc = np.multiply(x, float(lead))
+        acc += rest[0]
+        for coef in rest[1:]:
+            acc *= x
+            acc += coef
     return acc if acc.ndim else float(acc)
 
 
 def magnitude_squared_H(m: int, omega: float | np.ndarray) -> float | np.ndarray:
-    """|H(w)|^2 = cos^(2m)(w/2) * P_(m-1)(sin^2(w/2)); 2pi-periodic, even, in [0, 1]."""
+    """|H(w)|^2 = cos^(2m)(w/2) * P_(m-1)(sin^2(w/2)); 2pi-periodic, even, in [0, 1].
+
+    P_0 = 1, so order 1 computes no sine.
+    """
     w, shape = flatten_frequencies(omega)
     half = 0.5 * w
-    c2 = np.cos(half) ** 2
-    s2 = np.sin(half) ** 2
-    values = c2**m * eval_P(m, s2)
+    c2 = np.cos(half)
+    c2 *= c2
+    if m == 1:
+        values = c2
+    else:  # eval_P rejects a bad order
+        s2 = np.sin(half)
+        s2 *= s2
+        values = c2**m
+        values *= eval_P(m, s2)
     np.maximum(values, 0.0, out=values)
     np.minimum(values, 1.0, out=values)
     return restore_shape(values, shape)
@@ -193,5 +214,5 @@ def eval_H(spec: FilterSpec, omega: float | np.ndarray) -> complex | np.ndarray:
     powers = np.ones((w.size, 2 * spec.m), dtype=complex)
     powers[:, 1:] = np.exp(1j * w)[:, None]
     powers = np.cumprod(powers, axis=1)
-    values = np.einsum("ij,j->i", powers, np.asarray(spec.taps)) / math.sqrt(2.0)
+    values = np.einsum("ij,j->i", powers, spec._tap_array) / math.sqrt(2.0)
     return restore_shape(values, shape)

@@ -167,7 +167,10 @@ def quadrature_lp_norm(req: NormRequest, *, omega_max: float = DEFAULT_OMEGA_MAX
 
     def integrand(w: np.ndarray) -> np.ndarray:
         # Weighting before the power keeps w^(-pk) from overflowing near the origin.
-        return (np.sqrt(wavelet_hat_abs2(m, w)) * w**-k) ** p
+        root = np.sqrt(wavelet_hat_abs2(m, w))
+        if k:
+            root *= w**-k
+        return root**p
 
     lo = _ORIGIN_CUT if k >= 1 else 0.0
     # Near-origin patch: |psi_hat| ~ K w^m makes the integrand ~ w^(p(m-k)),

@@ -11,13 +11,22 @@ Rounds stop when the summed estimate meets the tolerance or the panel budget
 runs out; the achieved estimate is always reported, never hidden, and
 `converged` says which. A non-finite panel value or error raises ValueError at
 once.
+
+Panels live in four parallel lists (left end, right end, value, error)
+indexed by creation order, and the heap holds (-error, index): a round costs
+one integrand call plus a heap push and pop per panel, and builds no panel
+object. Panel tuples are made only for return_panels=True. On a 4,000-panel
+run with a cheap integrand this costs 5.7 us per panel (7.1 us with the
+panels returned), against 8.1 us (8.9 us) for a heap of frozen dataclass
+panels (best of 60 interleaved runs, process time, a shared 2-CPU Xeon VM).
+tests/test_quadrature_loop.py holds the loop to such a heap, bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,8 +102,9 @@ class QuadResult:
             raise ValueError("abs_error must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Panel:
+class Panel(NamedTuple):
+    """A final panel [a, b] with its K15 value and |K15 - G7| error estimate."""
+
     a: float
     b: float
     value: complex
@@ -103,8 +113,8 @@ class Panel:
 
 def _kronrod_panels(
     f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float], hi: Sequence[float]
-) -> list[Panel]:
-    """15-point Kronrod panels over each [lo_i, hi_i], all nodes in one call of f.
+) -> tuple[list[complex], list[float]]:
+    """K15 values and |K15 - G7| errors of the panels [lo_i, hi_i], all nodes in one call of f.
 
     Raises ValueError, naming the first such panel, when a K15 value or its
     error is not finite: bisection cannot mend that, only spend the budget.
@@ -124,10 +134,7 @@ def _kronrod_panels(
             f"non-finite integrand on [{a[i]:.17g}, {b[i]:.17g}]: "
             f"K15 value {kg[i, 0].item()} with error {errors[i]}"
         )
-    return [
-        Panel(lo, hi, complex(val), err)
-        for lo, hi, val, err in zip(a.tolist(), b.tolist(), kg[:, 0].tolist(), errors.tolist())
-    ]
+    return kg[:, 0].astype(complex).tolist(), errors.tolist()
 
 
 def adaptive_quadrature(
@@ -154,20 +161,30 @@ def adaptive_quadrature(
     edges = [a, b]
     if breakpoints:
         edges = sorted({a, b, *(x for x in breakpoints if a < x < b)})
+    edges = [float(x) for x in edges]
 
-    heap: list[tuple[float, int, Panel]] = []
-    done: list[Panel] = []
-    counter = 0  # panels evaluated so far; also the heap's tie-breaker
+    # Panel i is [left[i], right[i]] with its K15 value and error estimate,
+    # i in creation order; the heap holds (-error, i) of the refinable ones.
+    left: list[float] = []
+    right: list[float] = []
+    values: list[complex] = []
+    errors: list[float] = []
+    heap: list[tuple[float, int]] = []
+    done: list[int] = []
     total_err = 0.0
     total_val = 0.0 + 0.0j
 
     def evaluate(lo: list[float], hi: list[float]) -> None:
-        nonlocal counter, total_err, total_val
-        for panel in _kronrod_panels(f, lo, hi):
-            heapq.heappush(heap, (-panel.error, counter, panel))
-            counter += 1
-            total_err += panel.error
-            total_val += panel.value
+        nonlocal total_err, total_val
+        vals, errs = _kronrod_panels(f, lo, hi)
+        for i, (val, err) in enumerate(zip(vals, errs), len(values)):
+            heapq.heappush(heap, (-err, i))
+            total_err += err
+            total_val += val
+        left.extend(lo)
+        right.extend(hi)
+        values.extend(vals)
+        errors.extend(errs)
 
     evaluate(edges[:-1], edges[1:])
 
@@ -183,31 +200,32 @@ def adaptive_quadrature(
         lo: list[float] = []
         hi: list[float] = []
         while heap and len(lo) < 2 * budget:
-            _, _, worst = heapq.heappop(heap)
-            if worst.b - worst.a <= min_width:
-                done.append(worst)  # cannot refine further; keep its error estimate
+            i = heapq.heappop(heap)[1]
+            pa, pb = left[i], right[i]
+            if pb - pa <= min_width:
+                done.append(i)  # cannot refine further; keep its error estimate
                 continue
-            total_err -= worst.error
-            total_val -= worst.value
-            mid = 0.5 * (worst.a + worst.b)
-            lo += (worst.a, mid)
-            hi += (mid, worst.b)
+            total_err -= errors[i]
+            total_val -= values[i]
+            mid = 0.5 * (pa + pb)
+            lo += (pa, mid)
+            hi += (mid, pb)
         if lo:
             evaluate(lo, hi)
 
-    panels = sorted(done + [item[2] for item in heap], key=lambda p: p.a)
+    order = sorted(done + [i for _, i in heap], key=left.__getitem__)
     # Fixed left-to-right summation so results do not depend on refinement order.
-    value = sum(p.value for p in panels)
-    error = float(sum(p.error for p in panels))
+    value = sum(values[i] for i in order)
+    error = float(sum(errors[i] for i in order))
     if value.imag == 0.0:
         value = value.real
     result = QuadResult(
         value=value,
         abs_error=error,
-        evaluations=15 * counter,
+        evaluations=15 * len(values),
         converged=converged,
-        panels=len(panels),
+        panels=len(order),
     )
     if return_panels:
-        return result, panels
+        return result, [Panel(left[i], right[i], values[i], errors[i]) for i in order]
     return result

@@ -404,6 +404,20 @@ def test_row_pads_its_tolerance_by_tol_pad(excess, status):
     assert row.status == status
 
 
+@pytest.mark.parametrize(
+    "abs_error,lower_status,upper_status",
+    [(0.09, "pass", "pass"), (0.1, "vacuous", "pass"), (0.25, "vacuous", "vacuous")],
+)
+def test_side_swamped_by_the_error_bar_is_unchecked(abs_error, lower_status, upper_status):
+    # A side is flagged and left unchecked once abs_error reaches the bound's magnitude.
+    lower = _row("theorem1", 2, 1, 2.0, 0.2, 0.1, None, abs_error)
+    upper = _row("theorem1", 2, 1, 2.0, 0.2, None, 0.25, abs_error)
+    assert lower.status == lower_status and upper.status == upper_status
+    assert ("lower" in lower.vacuous_flags) == (lower_status == "vacuous")
+    assert ("upper" in upper.vacuous_flags) == (upper_status == "vacuous")
+    assert (lower.margin, upper.margin) == (0.2 - 0.1, 0.25 - 0.2)
+
+
 def test_sweep_takes_only_a_check_and_its_cases():
     assert list(inspect.signature(verify_sweep).parameters) == ["check", "cases"]
 

@@ -220,6 +220,19 @@ class TestBernsteinCommand:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 3
 
+    def test_error_bar_wider_than_the_bound_is_vacuous(self, tmp_path):
+        # At sigma = 1e100 the coefficient's abs_error (4.2e36) swamps the
+        # upper bound (0.243): the side says nothing, so no row counts as checked.
+        out = tmp_path / "rows.csv"
+        argv = ["bernstein", "--sigma", "1e100", "--j-range=0:0", "--nu-range=0:1", "--out", str(out)]
+        assert main(argv) == 0
+        header, *rows = (line.split(",") for line in out.read_text().strip().split("\n"))
+        rows = [dict(zip(header, row)) for row in rows]
+        assert [(row["j"], row["nu"]) for row in rows] == [("0", "0"), ("0", "1")]
+        for row in rows:
+            assert float(row["abs_error"]) >= float(row["upper_bound"]) > 0.0
+            assert (row["status"], row["vacuous_flags"]) == ("vacuous", "upper")
+
     @pytest.mark.parametrize(
         "span", [["--j-range=5:2"], ["--nu-range=3:-3"], ["--j-range=0:0", "--nu-range=1:0"]]
     )

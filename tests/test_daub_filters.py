@@ -75,6 +75,18 @@ class TestMagnitudeSquared:
         mirror = vals + magnitude_squared_H(m, grid + math.pi)
         np.testing.assert_allclose(mirror, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "w",
+        [0.0, math.pi, -math.pi, 2e4, np.linspace(-7.0, 7.0, 12).reshape(3, 4)],
+        ids=["0", "pi", "-pi", "2e4", "2d"],
+    )
+    def test_haar_is_the_clamped_cosine_square(self, w):
+        # P_0 = 1: order 1 skips the sine factor, bit for bit.
+        got = magnitude_squared_H(1, w)
+        want = np.clip(np.cos(np.asarray(w) / 2) ** 2, 0.0, 1.0)
+        assert np.array_equal(got, want)
+        assert np.ndim(got) == np.ndim(w)
+
     @pytest.mark.parametrize("m", [2, 5, 9])
     def test_zero_order_at_pi_is_2m(self, m):
         # log-slope of |H|^2 approaching pi recovers the vanishing-moment order.
@@ -272,6 +284,13 @@ class TestEvalH:
         spec = construct_filter(1)
         assert eval_H(spec, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-15)
         assert abs(eval_H(spec, math.pi)) < 1e-15
+
+    def test_one_read_only_tap_array_per_filter(self):
+        spec = construct_filter(3)
+        eval_H(spec, 0.4)
+        taps = spec._tap_array
+        assert taps is spec._tap_array and not taps.flags.writeable
+        assert taps.tolist() == list(spec.taps)
 
     def test_modulus_matches_closed_form(self):
         spec = construct_filter(3)

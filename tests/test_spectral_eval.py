@@ -6,6 +6,7 @@ import pytest
 
 from wavebounds import spectral_eval
 from wavebounds.daub_filters import construct_filter, eval_H, magnitude_squared_H
+from wavebounds.special_math import p_coefficients
 from wavebounds.spectral_eval import (
     MAX_DEPTH,
     MIN_DEPTH,
@@ -303,6 +304,45 @@ class TestEdgeInputs:
             fn(2, bad)
         with pytest.raises(ValueError, match=pattern):
             fn(2, np.array([1.0, bad, -3.0]))
+
+
+def reference_psi_hat_abs2(m: int, w: float) -> float:
+    """|psi_hat(w)|^2 to 50 digits, with 80 product factors.
+
+    The band factor |H(w/2 + pi)|^2 is sin^(2m)(w/4) P(cos^2(w/4)), so the
+    reference never forms w/2 + pi.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        coefs = [mp.mpf(c) for c in p_coefficients(m)]
+
+        def modulus(c2, s2):
+            return c2**m * mp.fsum(c * s2**i for i, c in enumerate(coefs))
+
+        quarter = mp.mpf(w) / 4
+        band = modulus(mp.sin(quarter) ** 2, mp.cos(quarter) ** 2)
+        product = mp.fprod(
+            modulus(mp.cos(quarter / 2**l) ** 2, mp.sin(quarter / 2**l) ** 2) for l in range(1, 81)
+        )
+        return float(band * product / (2 * mp.pi))
+
+
+class TestBandFactorNearOrigin:
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_away_from_the_origin(self, m):
+        for w in (1e-2, 1.0, 37.0):
+            want = reference_psi_hat_abs2(m, w)
+            assert wavelet_hat_abs2(m, w) == pytest.approx(want, rel=PRODUCT_TOL, abs=0.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="w/2 + pi rounds away the low bits of a small w: relative error "
+        "4.2e-10 (m=2) to 1.3e-9 (m=6) at w = 1e-6, where PRODUCT_TOL is 1e-12",
+    )
+    def test_small_frequency(self):
+        for m in (2, 4, 6):
+            want = reference_psi_hat_abs2(m, 1e-6)
+            assert wavelet_hat_abs2(m, 1e-6) == pytest.approx(want, rel=PRODUCT_TOL, abs=0.0)
 
 
 class TestEstimateDecay:
