@@ -12,31 +12,36 @@ weighted_lp_norm takes one of two routes, chosen by p alone:
 The quadrature route computes, with the tail cutoff Omega (its omega_max,
 DEFAULT_OMEGA_MAX unless given),
 
-    (2 * integral_[w0, Omega] w^(-pk) |psi_hat|^p dw  +  origin term  +  tail)^(1/p)
+    (2 * integral_[0, Omega] w^(-pk) |psi_hat|^p dw  +  tail)^(1/p)
 
-using evenness. The truncated tail carries an envelope estimate
-2 C~^p Omega^(1 - p(k + alpha)) / (p(k + alpha) - 1) from the fitted decay
+using evenness, from the origin for every k: the Gauss-Kronrod nodes never
+touch w = 0, where the integrand behaves like w^(p(m-k)). The truncated tail
+carries an envelope estimate
+2 Omega (C~ Omega^-(k + alpha))^p / (p(k + alpha) - 1) from the fitted decay
 |psi_hat| <= C~ w^(-alpha), which is a fit, not a proven bound (ROADMAP item
 5). The value uses that estimate scaled by the measured envelope-to-integrand
 ratio over the top octave [Omega/2, Omega] (the shape of |psi_hat| is close to
 self-similar across octaves, so the top octave calibrates the
 oscillation-averaged tail far more sharply than the raw ceiling), while the
-reported abs_error keeps the full uncalibrated interval. It also counts the
-product truncation of |psi_hat|^2 (relative PRODUCT_TOL), which moves the
-integral by at most a relative p/2 * PRODUCT_TOL.
+reported abs_error keeps the full uncalibrated interval.
+The error budget adds the quadrature estimate, that interval and the product
+truncation of |psi_hat|^2 (relative PRODUCT_TOL), which moves the integral by
+at most a relative p/2 * PRODUCT_TOL.
 
-The quadrature's absolute tolerance is max(1e-13, QUAD_SHARE * (tail_bound / 4
-+ origin term)). The tail error is at least tail_bound / 2, so once the
-quadrature meets that tolerance its part 2 * quad_err of the error sum is at
-most QUAD_SHARE times the origin and tail part, which more panels cannot
-reduce. abs_error stays an upper bound as far as the panel estimate is one:
-the sum still counts that estimate in full, and stopping earlier only makes it
-larger. Everything here is deterministic for a fixed request.
+The quadrature stops at the absolute tolerance QUAD_SHARE * tail_bound / 4 or
+the relative tolerance 1e-9, whichever it meets first. The tail error is at
+least tail_bound / 2, so at the absolute tolerance the quadrature's part
+2 * quad_err of the error sum is at most QUAD_SHARE times the tail part, which
+more panels cannot reduce. abs_error stays an upper bound as far as the panel
+estimate is one: the sum still counts that estimate in full, and stopping
+earlier only makes it larger. An integral outside the positive normal doubles
+raises ValueError. Everything here is deterministic for a fixed request.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,10 +58,8 @@ DEFAULT_OMEGA_MAX = 2.0**12 * math.pi
 # so |psi_hat(w)| <= (4 / sqrt(2 pi)) / |w|: an exact envelope with exponent 1.
 _HAAR_ENVELOPE = (4.0 / math.sqrt(2.0 * math.pi), 1.0)
 
-_ORIGIN_CUT = 1e-6
-
-# The quadrature stops once its error is this share of the tail and origin
-# error, which more panels cannot reduce.
+# The quadrature stops once its error is this share of the tail error, which
+# more panels cannot reduce.
 QUAD_SHARE = 0.1
 
 # The Lp indices weighted_lp_norm computes by the exact route.
@@ -146,13 +149,11 @@ def _exact_lp_norm(req: NormRequest) -> QuadResult:
 
 
 def quadrature_lp_norm(req: NormRequest, *, omega_max: float = DEFAULT_OMEGA_MAX) -> QuadResult:
-    """||(i w)^(-k) psi_hat||_p by quadrature up to omega_max, for any p; not cached.
+    """||(i w)^(-k) psi_hat||_p by quadrature over [0, omega_max], for any p; not cached.
 
-    The error combines the quadrature estimate, the near-origin power-law
-    patch (k >= 1), and the full width of the analytic tail interval, and
-    bounds their effect through the final 1/p power. The origin and tail
-    terms come first, so the quadrature stops once its own estimate is a
-    QUAD_SHARE of theirs (module docstring).
+    The error combines the quadrature estimate, the full width of the
+    analytic tail interval and the product truncation, and bounds their
+    effect through the final 1/p power (module docstring).
     """
     if omega_max <= 2.0 * math.pi:
         raise ValueError(f"omega_max must exceed 2*pi, got {omega_max}")
@@ -172,44 +173,37 @@ def quadrature_lp_norm(req: NormRequest, *, omega_max: float = DEFAULT_OMEGA_MAX
             root *= w**-k
         return root**p
 
-    lo = _ORIGIN_CUT if k >= 1 else 0.0
-    # Near-origin patch: |psi_hat| ~ K w^m makes the integrand ~ w^(p(m-k)),
-    # integrated over [0, w0] by a one-term power law and counted fully as error.
-    origin_term = 0.0
-    if k >= 1:
-        origin_term = float(integrand(np.array([lo]))[0]) * lo / (p * (m - k) + 1.0)
+    def envelope_tail(w: float) -> float:
+        # 2 * integral_[w, inf) of the envelope to the p; C~^p alone could overflow.
+        return 2.0 * w * (c_tilde * w ** -(k + alpha)) ** p / (beta - 1.0)
 
     # Envelope tail estimate; its error is at least tail_bound / 2 whatever rho is.
-    tail_bound = 2.0 * c_tilde**p * omega_max ** (1.0 - beta) / (beta - 1.0)
+    tail_bound = envelope_tail(omega_max)
     quad, panels = adaptive_quadrature(
         integrand,
-        lo,
+        0.0,
         omega_max,
         rel_tol=1e-9,
-        abs_tol=max(1e-13, QUAD_SHARE * (tail_bound / 4.0 + origin_term)),
+        abs_tol=QUAD_SHARE * tail_bound / 4.0,
         max_panels=60_000,
         breakpoints=_dyadic_breakpoints(omega_max),
         return_panels=True,
     )
 
     # Top-octave calibration of the tail estimate.
-    env_top = (
-        c_tilde**p
-        * ((omega_max / 2.0) ** (1.0 - beta) - omega_max ** (1.0 - beta))
-        / (beta - 1.0)
-    )
+    env_top = (envelope_tail(omega_max / 2.0) - tail_bound) / 2.0
     num_top = sum(pnl.value.real for pnl in panels if pnl.a >= omega_max / 2.0 - 1e-9)
     rho = min(max(num_top / env_top, 0.0), 1.0) if env_top > 0 else 1.0
     tail_est = rho * tail_bound
     tail_err = max(tail_est, tail_bound - tail_est)
 
-    total = 2.0 * (quad.value + origin_term) + tail_est
+    total = 2.0 * quad.value + tail_est
     # The product truncation moves |psi_hat|^p, and so the product part
-    # 2 * (quad + origin) of the integral, by at most p/2 * PRODUCT_TOL relative.
-    truncation = p * PRODUCT_TOL * (quad.value + origin_term)
-    err_sum = 2.0 * (quad.abs_error + origin_term) + tail_err + truncation
-    if not (math.isfinite(total) and math.isfinite(err_sum)):
-        raise ValueError(f"the ({m}, {k}, {p}) norm integral is not finite: {total} +/- {err_sum}")
+    # 2 * quad of the integral, by at most p/2 * PRODUCT_TOL relative.
+    truncation = p * PRODUCT_TOL * quad.value
+    err_sum = 2.0 * quad.abs_error + tail_err + truncation
+    if not (sys.float_info.min <= total < math.inf and math.isfinite(err_sum)):
+        raise ValueError(f"the ({m}, {k}, {p}) norm integral {total} +/- {err_sum} is out of range")
     return QuadResult(
         value=total ** (1.0 / p),
         abs_error=_root_error(total, err_sum, p),

@@ -49,6 +49,23 @@ def test_norm_order_above_limit_is_one_line_error(capsys):
     assert captured.err.count("\n") == 1
 
 
+class TestLargeP:
+    # At large p the tail power C~^p overflowed, and an integral below the
+    # double range printed 0.
+    def test_tail_power_does_not_overflow(self, capsys):
+        assert main(["norm", "--m", "3", "--k", "0", "--p", "300", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 0 < float(payload["value"]) < math.inf
+        assert 0 < float(payload["abs_error"]) < 1e-12 * float(payload["value"])
+
+    def test_underflowing_integral_is_one_line_error(self, capsys):
+        assert main(["norm", "--m", "1", "--k", "0", "--p", "700"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wavebounds: error: ") and "(1, 0, 700.0)" in captured.err
+        assert captured.err.count("\n") == 1
+
+
 class TestPointEvaluations:
     def test_order_above_limit_is_one_line_error(self, capsys):
         assert main(["eval", "--m", "40", "--omega", "1.0"]) == 2

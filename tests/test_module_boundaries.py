@@ -3,7 +3,8 @@
 No module imports another module's private names, the unit roundoff and
 gamma_n are defined in special_math alone, only norms knows the tail cutoff,
 the (m, k, p) domain is checked in special_math alone, and one spectral_eval
-function runs every truncated product and every factor call.
+function runs every truncated product and every factor call; norms hands
+its quadrature integrand to adaptive_quadrature and never calls it itself.
 """
 
 import ast
@@ -106,3 +107,19 @@ def test_factor_functions_called_in_the_truncated_product_alone():
     uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in factors]
     stray = [f"{node.id} at line {node.lineno}" for node in uses if id(node) not in handed]
     assert uses and not stray, "factor calls outside _truncated_product: " + ", ".join(stray)
+
+
+def test_norm_integrand_called_by_the_quadrature_alone():
+    path = PACKAGE / "norms.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    handed = set()
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "adaptive_quadrature":
+            handed.update(id(arg) for arg in call.args)
+    uses = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "integrand" and isinstance(node.ctx, ast.Load)
+    ]
+    stray = [f"line {node.lineno}" for node in uses if id(node) not in handed]
+    assert uses and not stray, "integrand used outside adaptive_quadrature: " + ", ".join(stray)

@@ -244,7 +244,7 @@ class TestIntegrandOriginBehavior:
 
 
 class TestLargeWeightPowers:
-    """Quadrature norms with p k past ~54, where w^(-pk) alone overflows at the origin cut.
+    """Quadrature norms with p k past ~54, where w^(-pk) alone overflows near the origin.
 
     The brackets use no quadrature: the exact route gives I_2 and I_4, and
     I_p = integral |w|^(-pk) |psi_hat|^p dw satisfies I_3 <= sqrt(I_2 I_4)
@@ -262,14 +262,11 @@ class TestLargeWeightPowers:
         else:
             assert (result.value + result.abs_error) ** p >= ((i2 - e2) / (i4 + e4) ** 0.2) ** 1.25
 
-    def test_non_finite_integral_raises_naming_the_request(self, monkeypatch):
-        # Infinite only at the origin cut, which no quadrature node reaches.
-        def abs2(m, w):
-            return np.where(w == norms._ORIGIN_CUT, math.inf, wavelet_hat_abs2(m, w))
-
-        monkeypatch.setattr(norms, "wavelet_hat_abs2", abs2)
-        with pytest.raises(ValueError, match=r"the \(3, 1, 3\.0\) norm integral is not finite"):
-            quadrature_lp_norm(NormRequest(3, 1, 3.0))
+    def test_non_finite_integral_raises_naming_the_request(self):
+        # |psi_hat|^700 underflows: the true integral, about 0.289^700, lies
+        # below the double range, and the norm must not read 0.
+        with pytest.raises(ValueError, match=r"the \(1, 0, 700\.0\) norm integral"):
+            quadrature_lp_norm(NormRequest(1, 0, 700.0))
 
 
 class TestBestConstant:
@@ -404,6 +401,32 @@ class TestExactRoute:
             if req.p in (2.0, 4.0):
                 ours = quadrature_lp_norm(req)
                 assert abs(ours.value - weighted_lp_norm(req).value) <= ours.abs_error, req
+
+    def test_route_pair_over_the_exact_range(self):
+        # A guard: k at both ends and the middle of every order. (7, 0, 2) and
+        # (10, 0, 2) are the strict xfails below.
+        for m in range(1, 21):
+            for k in sorted({0, 1, m // 2, m - 1, m}):
+                for p in (2.0, 4.0):
+                    if (m, k, p) in ((7, 0, 2.0), (10, 0, 2.0)):
+                        continue
+                    req = NormRequest(m, k, p)
+                    ours, exact = quadrature_lp_norm(req), weighted_lp_norm(req)
+                    assert abs(ours.value - exact.value) <= ours.abs_error + exact.abs_error, req
+
+    @pytest.mark.parametrize("m", [24, 32])
+    def test_quadrature_route_from_the_origin_at_k_equal_m(self, m):
+        # At these orders |psi_hat(w)|^2 ~ K w^(2m) underflows near the
+        # origin, where the integrand |psi_hat| w^-m tends to a nonzero constant.
+        req = NormRequest(m, m, 2.0)
+        exact = weighted_lp_norm(req).value
+        assert abs(quadrature_lp_norm(req).value - exact) <= 1e-12 * exact
+
+    def test_stop_rule_has_no_absolute_floor(self):
+        # The integral of (16, 8, 25) is about 1e-108: an absolute tolerance
+        # floor would stop its quadrature long before relative 1e-9.
+        result = quadrature_lp_norm(NormRequest(16, 8, 25.0))
+        assert result.abs_error < 1e-9 * result.value
 
     @pytest.mark.xfail(
         strict=True,
