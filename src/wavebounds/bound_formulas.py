@@ -87,13 +87,27 @@ def _leading_term(params: BoundParams) -> float:
     return (2.0 * math.pi) ** (1.0 / p - 0.5) * math.pi**-k * _band_weight_factor(p, k)
 
 
+def _power(term: str, base: float, exponent: float) -> float:
+    """base ** exponent; a ValueError naming the bracket term where that overflows a double."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise ValueError(
+            f"the bracket term {term} = {base:.6g}^{exponent:.6g} overflows a double"
+        ) from None
+
+
 def _bracket(params: BoundParams, x: float) -> float:
-    """Shared three-term bracket; x is pi for the upper constant, eps for the lower."""
+    """Shared three-term bracket; x is pi for the upper constant, eps for the lower.
+
+    Only the first term's powers of x and of m C(2m, m) grow with p; the
+    others shrink, and underflow to 0 at worst.
+    """
     m, k, p = params.m, params.k, params.p
     t1 = (
         2.0 ** (1.0 - p * (2 * m + 0.5))
-        * x ** (p * (m - k - 0.5) + 1.0)
-        * factorial_ratio(m) ** (0.5 * p)
+        * _power("x^(p(m-k-1/2)+1)", x, p * (m - k - 0.5) + 1.0)
+        * _power("(m C(2m,m))^(p/2)", factorial_ratio(m), 0.5 * p)
     )
     t2 = (2.0 * math.pi) ** (2.0 - params.c * p * math.log(m))
     t3 = 2.0 ** (1.0 - 0.5 * p) * math.pi ** (1.0 - p * (k + 0.5))
@@ -149,8 +163,9 @@ def bound_F(params: BoundParams) -> float:
         raise ValueError(f"defined only for k = m, got k={params.k}, m={params.m}")
     n = _even_mp(params)
     m, p = params.m, params.p
-    term1 = 2.0 ** (1.0 - 0.5 * p) / (math.pi ** (p * (m + 0.5) - 1.0) * (n - 1))
+    # The sum refuses n past MAX_SINC_POWER before pi's power below can overflow.
     scaled_sum = float(Fraction(sinc_alternating_sum(n), math.factorial(n - 1)))
+    term1 = 2.0 ** (1.0 - 0.5 * p) / (math.pi ** (p * (m + 0.5) - 1.0) * (n - 1))
     term2 = 2.0 ** (1.0 - p * (2 * m - 1)) * scaled_sum / math.pi ** (0.5 * p - 1.0)
     return (term1 + term2) ** (1.0 / p)
 

@@ -72,6 +72,12 @@ def restore_shape(values: np.ndarray, shape: tuple[int, ...]) -> float | complex
     return values.reshape(shape) if shape else values.item()
 
 
+@lru_cache(maxsize=None)
+def _horner_coefficients(m: int) -> tuple[float, ...]:
+    """P_(m-1)'s coefficients as correctly rounded floats, leading first."""
+    return tuple(float(c) for c in reversed(p_coefficients(m)))
+
+
 def eval_P(m: int, x: float | np.ndarray) -> float | np.ndarray:
     """Truncated binomial-series polynomial P_(m-1)(x) = sum_k C(m-1+k, k) x^k, by Horner.
 
@@ -79,11 +85,11 @@ def eval_P(m: int, x: float | np.ndarray) -> float | np.ndarray:
     multiply-add runs in place on it; a float x gives a float, an array a new
     array.
     """
-    lead, *rest = reversed(p_coefficients(m))
+    lead, *rest = _horner_coefficients(m)
     if not rest:
-        acc = np.full(np.shape(x), float(lead))
+        acc = np.full(np.shape(x), lead)
     else:
-        acc = np.multiply(x, float(lead))
+        acc = np.multiply(x, lead)
         acc += rest[0]
         for coef in rest[1:]:
             acc *= x
@@ -211,8 +217,9 @@ def eval_H(spec: FilterSpec, omega: float | np.ndarray) -> complex | np.ndarray:
     exactly as the same point alone (a matrix product would not).
     """
     w, shape = flatten_frequencies(omega)
-    powers = np.ones((w.size, 2 * spec.m), dtype=complex)
+    powers = np.empty((w.size, 2 * spec.m), dtype=complex)
+    powers[:, 0] = 1.0
     powers[:, 1:] = np.exp(1j * w)[:, None]
-    powers = np.cumprod(powers, axis=1)
+    np.multiply.accumulate(powers, axis=1, out=powers)
     values = np.einsum("ij,j->i", powers, spec._tap_array) / math.sqrt(2.0)
     return restore_shape(values, shape)

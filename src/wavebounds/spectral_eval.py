@@ -82,7 +82,12 @@ class DecayFit:
 
 def _guarded_peak(w: np.ndarray) -> float:
     """max |w|, which sets the product depth; raises above the guard or at NaN."""
-    peak = float(np.abs(w).max()) if w.size else 0.0
+    if w.size == 1:
+        peak = abs(float(w[0]))
+    elif w.size:
+        peak = float(np.abs(w).max())
+    else:
+        peak = 0.0
     if not peak <= 2.0**MAX_DEPTH * PRODUCT_TOL:
         raise ValueError(
             f"|omega|={peak:.3e} exceeds the evaluation guard "

@@ -66,6 +66,28 @@ class TestLargeP:
         assert captured.err.count("\n") == 1
 
 
+class TestLargePBounds:
+    # The bracket's powers of pi and of m C(2m, m) grow with p past the double range.
+    @pytest.mark.parametrize(
+        "m,k,p,exponent",
+        [(10, 1, 300, "2551"), (2, 0, 700, "1051"), (20, 3, 60, "991"), (4, 4, 400, "1401")],
+    )
+    def test_overflowing_bracket_term_is_one_line_error(self, capsys, m, k, p, exponent):
+        assert main(["bounds", "--m", str(m), "--k", str(k), "--p", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wavebounds: error: the bracket term x^(p(m-k-1/2)+1)")
+        assert f"^{exponent} " in captured.err and captured.err.count("\n") == 1
+
+    def test_k_equal_m_past_the_sinc_sum_prints_no_F_or_G(self, capsys):
+        # m p = 600 lies past the exact sinc sum, which F needs; F's power of
+        # pi would overflow too, so the sum's limit must act first.
+        assert main(["bounds", "--m", "2", "--k", "2", "--p", "300", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["F"] == payload["G"] == ""
+        assert float(payload["D"]) > 0
+
+
 class TestPointEvaluations:
     def test_order_above_limit_is_one_line_error(self, capsys):
         assert main(["eval", "--m", "40", "--omega", "1.0"]) == 2

@@ -5,8 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from wavebounds import norms
 from wavebounds.daub_filters import construct_filter, magnitude_squared_H
-from wavebounds.norms import NormRequest, weighted_lp_norm
+from wavebounds.norms import NormRequest, quadrature_lp_norm, weighted_lp_norm
 from wavebounds.spectral_eval import wavelet_hat, wavelet_hat_abs2
 
 
@@ -39,3 +40,15 @@ def test_parallel_mixed_workload():
     with ThreadPoolExecutor(max_workers=6) as pool:
         parallel = list(pool.map(job, range(21)))
     assert parallel == serial
+
+
+def test_parallel_quadrature_norms_match_serial(monkeypatch):
+    # Norms of one order share panels through the |psi_hat|^2 memo, which
+    # threads fill and read at once.
+    requests = [NormRequest(m, k, p) for m in (2, 3) for k in (0, 1) for p in (1.5, 3.0)]
+    monkeypatch.setattr(norms, "_ABS2_MEMO", norms._Abs2Memo(norms._MEMO_NODES, norms._MEMO_VALUES))
+    serial = [quadrature_lp_norm(req) for req in requests]
+    monkeypatch.setattr(norms, "_ABS2_MEMO", norms._Abs2Memo(norms._MEMO_NODES, norms._MEMO_VALUES))
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        parallel = list(pool.map(quadrature_lp_norm, requests * 2))
+    assert parallel == serial * 2

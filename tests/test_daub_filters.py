@@ -15,7 +15,7 @@ from wavebounds.daub_filters import (
     magnitude_squared_H,
     magnitude_squared_H_integral,
 )
-from wavebounds.special_math import MAX_ORDER
+from wavebounds.special_math import MAX_ORDER, p_coefficients
 
 SQRT2 = math.sqrt(2.0)
 
@@ -36,6 +36,21 @@ class TestEvalP:
         values = eval_P(m, np.array([0.0, 0.5, 1.0]))
         assert isinstance(values, np.ndarray) and values.shape == (3,)
         assert list(values) == [eval_P(m, 0.0), eval_P(m, 0.5), eval_P(m, 1.0)]
+
+    def test_matches_integer_coefficient_horner(self):
+        # eval_P's float coefficients against Horner on the exact integers,
+        # each converted as it is added: the same bits at every order.
+        x = np.concatenate([np.linspace(0.0, 1.0, 65), [1e-300, 2.0**-30, 1.0 - 2.0**-40]])
+        for m in range(1, MAX_ORDER + 1):
+            lead, *rest = reversed(p_coefficients(m))
+            ref = np.multiply(x, float(lead)) if rest else np.full(x.shape, float(lead))
+            if rest:
+                ref += rest[0]
+                for coef in rest[1:]:
+                    ref *= x
+                    ref += coef
+            assert eval_P(m, x).tobytes() == ref.tobytes(), f"m={m}"
+            assert [eval_P(m, float(v)) for v in x] == ref.tolist(), f"m={m}"
 
     @pytest.mark.parametrize("m", [1, 3, 12])
     def test_horner_leaves_the_argument_unmodified(self, m):

@@ -4,7 +4,8 @@ No module imports another module's private names, the unit roundoff and
 gamma_n are defined in special_math alone, only norms knows the tail cutoff,
 the (m, k, p) domain is checked in special_math alone, and one spectral_eval
 function runs every truncated product and every factor call; norms hands
-its quadrature integrand to adaptive_quadrature and never calls it itself.
+its quadrature integrand to adaptive_quadrature and never calls it itself,
+and evaluates |psi_hat|^2 only through its memo.
 """
 
 import ast
@@ -123,3 +124,21 @@ def test_norm_integrand_called_by_the_quadrature_alone():
     ]
     stray = [f"line {node.lineno}" for node in uses if id(node) not in handed]
     assert uses and not stray, "integrand used outside adaptive_quadrature: " + ", ".join(stray)
+
+
+def test_norms_evaluates_abs2_only_through_its_memo():
+    tree = ast.parse((PACKAGE / "norms.py").read_text())
+    memo = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "_Abs2Memo"
+    )
+    inside = {id(node) for node in ast.walk(memo)}
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "wavelet_hat_abs2"
+    ]
+    assert calls, "norms.py no longer calls wavelet_hat_abs2"
+    outside = [node.lineno for node in calls if id(node) not in inside]
+    assert not outside, f"norms.py calls wavelet_hat_abs2 outside _Abs2Memo at lines {outside}"

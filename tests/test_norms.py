@@ -147,6 +147,83 @@ class TestEvaluationBudget:
         assert sum(result.evaluations for result in results.values()) <= 170_000
 
 
+def _quadrature_requests() -> list[NormRequest]:
+    """The 42 default norms that take the quadrature route, in a fixed order."""
+    requests = [req for req in _default_norm_requests() if req.p not in norms.EXACT_P]
+    return sorted(requests, key=lambda req: (req.m, req.k, req.p))
+
+
+def _fresh_memo(monkeypatch, nodes=norms._MEMO_NODES, values=norms._MEMO_VALUES):
+    memo = norms._Abs2Memo(nodes, values)
+    monkeypatch.setattr(norms, "_ABS2_MEMO", memo)
+    return memo
+
+
+class TestAbs2Memo:
+    """The quadrature route's |psi_hat|^2 memo returns what fresh calls return."""
+
+    def test_warm_equals_cold_in_any_order(self, monkeypatch):
+        requests = _quadrature_requests()
+        narrow = NormRequest(3, 1, 1.5)
+        cold = {}
+        for req in requests:
+            _fresh_memo(monkeypatch)
+            cold[req] = quadrature_lp_norm(req)
+        _fresh_memo(monkeypatch)
+        cold_narrow = quadrature_lp_norm(narrow, omega_max=2.0**11 * math.pi)
+        for order in (requests, requests[::-1]):
+            _fresh_memo(monkeypatch)
+            assert [quadrature_lp_norm(req) for req in order] == [cold[req] for req in order]
+            # A shorter cutoff shares the lower panels of the default lattice.
+            assert quadrature_lp_norm(narrow, omega_max=2.0**11 * math.pi) == cold_narrow
+
+    def test_each_panel_evaluated_once_per_order(self, monkeypatch):
+        _fresh_memo(monkeypatch)
+        points = []
+        calls = []
+
+        def counted_abs2(m, w):
+            points.append(w.size)
+            return wavelet_hat_abs2(m, w)
+
+        def counting_quadrature(f, *args, **kwargs):
+            def counted(w):
+                calls.append(w.size)
+                return f(w)
+
+            return adaptive_quadrature(counted, *args, **kwargs)
+
+        monkeypatch.setattr(norms, "wavelet_hat_abs2", counted_abs2)
+        monkeypatch.setattr(norms, "adaptive_quadrature", counting_quadrature)
+        results = [quadrature_lp_norm(req) for req in _quadrature_requests()]
+        assert len(results) == 42
+        assert sum(result.evaluations for result in results) == sum(calls) == 168_510
+        assert len(calls) == 710
+        # 11,234 panels, but only 7,228 distinct (order, panel) pairs.
+        assert sum(points) <= 108_420
+
+    def test_rows_sharing_a_middle_node_stay_apart(self, monkeypatch):
+        memo = _fresh_memo(monkeypatch)
+        row = np.linspace(1.0, 3.0, 15)
+        other = row.copy()
+        other[0] = 0.5
+        memo.for_order(2)(row)
+        assert memo.for_order(2)(other).tobytes() == wavelet_hat_abs2(2, other).tobytes()
+        abs2 = memo.for_order(2)
+        for w in (row, other):
+            assert abs2(w).tobytes() == wavelet_hat_abs2(2, w).tobytes()
+
+    def test_stays_within_its_caps(self, monkeypatch):
+        requests = [NormRequest(2, 0, 1.5), NormRequest(2, 1, 3.0), NormRequest(3, 0, 3.0)]
+        _fresh_memo(monkeypatch)
+        expected = [quadrature_lp_norm(req) for req in requests]
+        memo = _fresh_memo(monkeypatch, nodes=64, values=100)
+        assert [quadrature_lp_norm(req) for req in requests * 2] == expected * 2
+        assert 0 < memo._node_count <= 64
+        # Value row 0 is never used.
+        assert 0 < memo._value_count - 1 <= 100
+
+
 class TestBatchedQuadrature:
     def test_integrand_calls_are_batched(self, monkeypatch):
         calls = []
