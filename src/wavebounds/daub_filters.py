@@ -1,7 +1,8 @@
 """Daubechies low-pass filters: trigonometric magnitude forms and tap construction.
 
 The magnitude-squared response cos^(2m)(w/2) * P_(m-1)(sin^2(w/2)) is exact and
-needs no taps. Tap coefficients follow the spectral factorization of
+needs no taps; it is formed from t = cos(w/2) as t^(2m) P_(m-1)(1 - t^2), so no
+order computes a sine. Tap coefficients follow the spectral factorization of
 Daubechies, Ten Lectures on Wavelets (1992), section 6.1: with
 y = sin^2(w/2) = (2 - z - 1/z)/4 and z = e^(iw), each of the m-1 roots of
 P_(m-1)(y) is one reciprocal pair of z-roots, the in-disk one is kept, and
@@ -100,22 +101,36 @@ def eval_P(m: int, x: float | np.ndarray) -> float | np.ndarray:
 def magnitude_squared_H(m: int, omega: float | np.ndarray) -> float | np.ndarray:
     """|H(w)|^2 = cos^(2m)(w/2) * P_(m-1)(sin^2(w/2)); 2pi-periodic, even, in [0, 1].
 
-    P_0 = 1, so order 1 computes no sine.
+    Computed by magnitude_squared_rows from the cosine alone: no order
+    computes a sine.
     """
     w, shape = flatten_frequencies(omega)
-    half = 0.5 * w
-    c2 = np.cos(half)
+    return restore_shape(magnitude_squared_rows(m, w, band=0), shape)
+
+
+def magnitude_squared_rows(m: int, x: np.ndarray, band: int) -> np.ndarray:
+    """|H(x)|^2 on the 1-d array x, except |H(x + pi)|^2 on its last band entries.
+
+    One trigonometric call per entry and one eval_P for all of them: with
+    t = cos(x/2), |H(x)|^2 = t^(2m) P_(m-1)(1 - t^2), and t = sin(x/2) in the
+    same formula gives |H(x + pi)|^2, so the band entries never round x + pi.
+    t^2 keeps its relative accuracy at the zero of either form; P_(m-1) has
+    positive coefficients, so it needs 1 - t^2 only to absolute accuracy.
+    |t| <= 1 keeps every value >= 0, and the clamp keeps it <= 1.
+    """
+    c2 = 0.5 * x  # becomes t, then t^2, in place
+    head = c2[: c2.size - band]
+    np.cos(head, out=head)
+    if band:
+        np.sin(c2[-band:], out=c2[-band:])
     c2 *= c2
     if m == 1:
         values = c2
     else:  # eval_P rejects a bad order
-        s2 = np.sin(half)
-        s2 *= s2
         values = c2**m
-        values *= eval_P(m, s2)
-    np.maximum(values, 0.0, out=values)
+        values *= eval_P(m, 1.0 - c2)
     np.minimum(values, 1.0, out=values)
-    return restore_shape(values, shape)
+    return values
 
 
 def _sin_odd_power_integral(n: int, x: float) -> float:

@@ -21,12 +21,12 @@ shares the product's factor call, so each evaluation calls its factor
 function once. In an array each entry gets the depth its own |w| requires,
 so no entry's value depends on the others.
 
-The relative O(PRODUCT_TOL) covers the truncation, not the rounding of the
-band argument: w/2 + pi drops the low bits of a small w, and the band
-factor, of order w^(2m) near the origin in |psi_hat|^2, inherits a relative
-error that grows like m/|w|. Against mpmath, wavelet_hat_abs2 is off by
-4.2e-10 (m = 2) to 1.3e-9 (m = 6) at w = 1e-6 and 1.9e-11 to 5.7e-11 at
-w = 1e-4. The tap route rounds the same argument, and its tap sum near the
+The relative O(PRODUCT_TOL) covers the truncation. The magnitude route also
+keeps the band factor's relative accuracy near the origin: it takes
+|H(w/2 + pi)|^2 as sin^(2m)(w/4) P_(m-1)(cos^2(w/4)) and never forms
+w/2 + pi, which would drop the low bits of a small w. Against mpmath,
+wavelet_hat_abs2 for m = 2..8 is within 1.8e-15 relative for w from 1e-6
+to 5000. The tap route still rounds w/2 + pi, and its tap sum near the
 band factor's order-m zero also cancels to an absolute error of about 1e-16,
 so |wavelet_hat|^2 there is accurate in absolute, not relative, terms.
 """
@@ -45,7 +45,7 @@ from .daub_filters import (
     construct_filter,
     eval_H,
     flatten_frequencies,
-    magnitude_squared_H,
+    magnitude_squared_rows,
     restore_shape,
 )
 from .special_math import cm_constant
@@ -138,9 +138,11 @@ def _truncated_product(
     factors past an entry's own depth are exactly 1. Real factors are reduced
     across entries, level by level; complex ones along each entry's own row,
     since numpy rounds a complex product reduced across entries differently.
-    The band argument (w/2 + pi for psi_hat, None for phi_hat) is one more
-    row of the arguments, so the band factor shares the product's factor
-    call; factor is elementwise, so every value rounds as in a call of its own.
+    The band argument (None for phi_hat) is one more row of the arguments,
+    so the band factor shares the product's factor call: wavelet_hat's row is
+    w/2 + pi, and wavelet_hat_abs2's is w/2, which its factor shifts by pi
+    itself. factor is elementwise, so every value rounds as in a call of its
+    own.
     """
     depth = max(MIN_DEPTH, math.ceil(math.log2(max(peak, theta) / theta)))
     if x.size > 1 and depth > MIN_DEPTH:
@@ -198,24 +200,29 @@ def wavelet_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
 
 
 def wavelet_hat_abs2(m: int, omega: float | np.ndarray) -> float | np.ndarray:
-    """|psi_hat(w)|^2 computed entirely from magnitude_squared_H.
+    """|psi_hat(w)|^2 computed entirely from the magnitude form of |H|^2.
 
     Its factors (|H|^2 from P, not H from the taps) and its truncation rule
     (the modulus bound) are independent of the tap-based wavelet_hat, so
     agreement between |wavelet_hat|^2 and this value cross-checks the spectral
     factorization end to end. The two routes share the product loop,
-    _truncated_product, and the band factor |H(w/2 + pi)|^2 rides in the
-    product's magnitude_squared_H call. Apart from that cross-check, the loop
-    is checked by the 72-factor reference products in
-    tests/test_spectral_eval.py, the Haar closed form, and the exact-route
-    norms (Plancherel's 1 among them) that the quadrature norms must match.
+    _truncated_product, and the band factor |H(w/2 + pi)|^2, taken from
+    sin(w/4), rides in the product's one magnitude_squared_rows call. Apart
+    from that cross-check, the loop is checked by the 72-factor reference
+    products in tests/test_spectral_eval.py, the Haar closed form, and the
+    exact-route norms (Plancherel's 1 among them) that the quadrature norms
+    must match.
     Each entry of an array is bit-identical to a call on that entry alone.
     """
     w, shape = flatten_frequencies(omega)
     peak = _guarded_peak(w)
     half = 0.5 * w
     product, _, band = _truncated_product(
-        partial(magnitude_squared_H, m), half, _modulus_theta(m), 0.5 * peak, half + math.pi
+        partial(magnitude_squared_rows, m, band=half.size),
+        half,
+        _modulus_theta(m),
+        0.5 * peak,
+        half,
     )
     return restore_shape(band * product / (2.0 * math.pi), shape)
 

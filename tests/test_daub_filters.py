@@ -14,6 +14,7 @@ from wavebounds.daub_filters import (
     eval_P,
     magnitude_squared_H,
     magnitude_squared_H_integral,
+    magnitude_squared_rows,
 )
 from wavebounds.special_math import MAX_ORDER, p_coefficients
 
@@ -96,11 +97,22 @@ class TestMagnitudeSquared:
         ids=["0", "pi", "-pi", "2e4", "2d"],
     )
     def test_haar_is_the_clamped_cosine_square(self, w):
-        # P_0 = 1: order 1 skips the sine factor, bit for bit.
+        # P_0 = 1: order 1 is the clamped square of the cosine, bit for bit.
         got = magnitude_squared_H(1, w)
         want = np.clip(np.cos(np.asarray(w) / 2) ** 2, 0.0, 1.0)
         assert np.array_equal(got, want)
         assert np.ndim(got) == np.ndim(w)
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 20])
+    def test_rows_shift_their_band_entries_by_pi(self, m):
+        # The head entries are magnitude_squared_H bit for bit; the band
+        # entries are |H(x + pi)|^2, taken from sin(x/2) without forming x + pi.
+        x = np.linspace(-7.0, 7.0, 29)
+        rows = magnitude_squared_rows(m, np.concatenate([x, x]), band=x.size)
+        assert np.array_equal(rows[: x.size], magnitude_squared_H(m, x))
+        shifted = magnitude_squared_H(m, x + math.pi)
+        np.testing.assert_allclose(rows[x.size :], shifted, rtol=0, atol=1e-14)
+        assert np.all(rows >= 0.0) and np.all(rows <= 1.0)
 
     @pytest.mark.parametrize("m", [2, 5, 9])
     def test_zero_order_at_pi_is_2m(self, m):

@@ -96,11 +96,11 @@ def test_one_truncated_product_in_spectral_eval():
 
 
 def test_factor_functions_called_in_the_truncated_product_alone():
-    # spectral_eval hands eval_H and magnitude_squared_H to _truncated_product,
+    # spectral_eval hands eval_H and magnitude_squared_rows to _truncated_product,
     # whose one factor call also evaluates the band factor.
     path = PACKAGE / "spectral_eval.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    factors = ("eval_H", "magnitude_squared_H")
+    factors = ("eval_H", "magnitude_squared_rows")
     handed = set()
     for call in ast.walk(tree):
         if isinstance(call, ast.Call) and ast.unparse(call.func) == "_truncated_product":

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavebounds import spectral_eval
-from wavebounds.daub_filters import construct_filter, eval_H, magnitude_squared_H
+from wavebounds.daub_filters import construct_filter, eval_H, eval_P, magnitude_squared_H
 from wavebounds.special_math import p_coefficients
 from wavebounds.spectral_eval import (
     MAX_DEPTH,
@@ -39,9 +39,15 @@ def deep_psi_hat(m: int, w: float) -> complex:
     return np.exp(-0.5j * w) * band * deep_phi_hat(m, 0.5 * w)
 
 
+def band_abs2(m: int, w: float | np.ndarray) -> float | np.ndarray:
+    """|H(w/2 + pi)|^2 as sin^(2m)(w/4) P_(m-1)(cos^2(w/4)), clamped to 1; never forms w/2 + pi."""
+    s2 = np.sin(0.25 * np.asarray(w)) ** 2
+    return np.minimum(s2**m * eval_P(m, 1.0 - s2), 1.0)
+
+
 def deep_psi_hat_abs2(m: int, w: float) -> float:
     factors = magnitude_squared_H(m, w * 2.0 ** -np.arange(2, REFERENCE_DEPTH + 2))
-    band = magnitude_squared_H(m, 0.5 * w + math.pi)
+    band = band_abs2(m, w)
     return float(band * np.prod(factors)) / (2.0 * math.pi)
 
 
@@ -238,8 +244,7 @@ def unfused_psi_hat_abs2(m: int, x: np.ndarray) -> np.ndarray:
     half = 0.5 * x
     depth = unfused_depth(float(half[0]), _modulus_theta(m))
     factors = magnitude_squared_H(m, half[0] * 2.0 ** -np.arange(1, depth + 1))
-    band = magnitude_squared_H(m, half + math.pi)
-    return band * np.prod(factors, keepdims=True) / (2.0 * math.pi)
+    return band_abs2(m, x) * np.prod(factors, keepdims=True) / (2.0 * math.pi)
 
 
 UNFUSED = {
@@ -270,22 +275,40 @@ class TestFusedFactorCall:
         [
             (scaling_hat, "eval_H"),
             (wavelet_hat, "eval_H"),
-            (wavelet_hat_abs2, "magnitude_squared_H"),
+            (wavelet_hat_abs2, "magnitude_squared_rows"),
         ],
         ids=lambda v: getattr(v, "__name__", v),
     )
     def test_one_factor_call_per_evaluation(self, monkeypatch, fn, factor, omega):
-        counts = {name: int(name == factor) for name in ("eval_H", "magnitude_squared_H")}
+        counts = {name: int(name == factor) for name in ("eval_H", "magnitude_squared_rows")}
         calls = dict.fromkeys(counts, 0)
         for name in calls:
 
-            def counted(*args, _name=name, _original=getattr(spectral_eval, name)):
+            def counted(*args, _name=name, _original=getattr(spectral_eval, name), **kwargs):
                 calls[_name] += 1
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(spectral_eval, name, counted)
         fn(3, omega)
         assert calls == counts
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 20])
+    def test_one_trigonometric_element_per_factor(self, monkeypatch, m):
+        # Each factor of the magnitude route takes sin^2 as 1 - cos^2, and the
+        # band factor takes sin(w/4): one cosine or sine per element of the
+        # (depth + 1, n) argument array. Taking both would count twice that.
+        w = TestBatchIndependence.wide_batch(m)
+        elements = []
+        for name in ("cos", "sin"):
+
+            def counted(x, *args, _original=getattr(np, name), **kwargs):
+                elements.append(np.size(x))
+                return _original(x, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        wavelet_hat_abs2(m, w)
+        depth = unfused_depth(0.5 * float(np.abs(w).max()), _modulus_theta(m))
+        assert 0 < sum(elements) <= (depth + 1) * w.size
 
 
 class TestEdgeInputs:
@@ -328,17 +351,12 @@ def reference_psi_hat_abs2(m: int, w: float) -> float:
 
 
 class TestBandFactorNearOrigin:
-    @pytest.mark.parametrize("m", [2, 4, 6])
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
     def test_away_from_the_origin(self, m):
-        for w in (1e-2, 1.0, 37.0):
+        for w in (1e-2, 1.0, 37.0, 5000.0, 12868.0):
             want = reference_psi_hat_abs2(m, w)
             assert wavelet_hat_abs2(m, w) == pytest.approx(want, rel=PRODUCT_TOL, abs=0.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="w/2 + pi rounds away the low bits of a small w: relative error "
-        "4.2e-10 (m=2) to 1.3e-9 (m=6) at w = 1e-6, where PRODUCT_TOL is 1e-12",
-    )
     def test_small_frequency(self):
         for m in (2, 4, 6):
             want = reference_psi_hat_abs2(m, 1e-6)
