@@ -69,17 +69,14 @@ class BoundSet:
 
 
 def _band_weight_factor(p: float, k: int) -> float:
-    """((1 - 2^(1-pk)) / (pk - 1))^(1/p) with the log-2 limit at pk = 1.
+    """((1 - 2^(1-pk)) / (pk - 1))^(1/p), the closed form of pi^pk * integral_pi^(2pi) w^(-pk) dw.
 
-    This is the closed form of pi^pk * integral_pi^(2pi) w^(-pk) dw, whose
-    antiderivative expression has a removable singularity at pk = 1.
+    expm1 keeps the numerator accurate to the last bit as pk nears 1, where
+    the quotient has a removable singularity; pk = 1 itself cannot occur, as
+    p > 1 and k is an integer.
     """
     pk = p * k
-    if abs(pk - 1.0) < 1e-9:
-        ratio = math.log(2.0)
-    else:
-        ratio = (1.0 - 2.0 ** (1.0 - pk)) / (pk - 1.0)
-    return ratio ** (1.0 / p)
+    return (-math.expm1((1.0 - pk) * math.log(2.0)) / (pk - 1.0)) ** (1.0 / p)
 
 
 def _leading_term(params: BoundParams) -> float:

@@ -38,14 +38,12 @@ earlier only makes it larger. An integral outside the positive normal doubles
 raises ValueError. Everything here is deterministic for a fixed request.
 
 The quadrature integrand reads |psi_hat|^2 through a memo (_Abs2Memo), since
-k and p only reweight it and every run bisects the same dyadic lattice. Its
-key is a panel's middle node, and a stored row counts as found only when all
-15 of its nodes equal the requested row's, byte for byte; so the memo returns
-the very values a fresh call would, and a norm is the same whether the memo is
-cold or warm. Each distinct panel is evaluated once per order and process:
-the 42 default quadrature norms send 108,420 points to wavelet_hat_abs2, not
-the 168,510 they integrate. The memo holds at most 4,096 panels and 16,383
-(order, panel) value rows, 2.5 MB; the default sweeps fill 1.4 MB of it.
+k and p only reweight it and every run bisects the same dyadic lattice. Per
+order it maps a panel's 15 nodes to their 15 values, both as bytes, so it
+returns the very values a fresh call would, and a norm is the same whether
+the memo is cold or warm. The 42 default quadrature norms send 108,330 points
+to wavelet_hat_abs2, not the 168,510 they integrate, and store 7,222 rows
+(2.5 MB) under the memo's cap of 8,192.
 """
 
 from __future__ import annotations
@@ -137,15 +135,12 @@ def _root_error(total: float, err_sum: float, p: float) -> float:
     return err_sum ** (1.0 / p)
 
 
-# A row of the |psi_hat|^2 memo is the 15 nodes of one Gauss-Kronrod panel;
-# _KEY is its middle node, the panel's midpoint.
+# A row of the |psi_hat|^2 memo is the 15 nodes of one Gauss-Kronrod panel,
+# viewed as one 120-byte item so that tolist gives one bytes object per row.
 _ROW = 15
-_KEY = 7
-# The module memo's caps: node rows, and value rows over all orders together.
-_MEMO_NODES = 1 << 12
-_MEMO_VALUES = (1 << 14) - 1
-# Rows the memo holds before it sorts them into its index and tables.
-_PENDING_ROWS = 256
+_ROW_BYTES = np.dtype(f"V{8 * _ROW}")
+# The module memo's cap on stored rows, over all orders together.
+_MEMO_ROWS = 1 << 13
 
 
 class _Abs2Memo:
@@ -153,151 +148,59 @@ class _Abs2Memo:
 
     The quadrature integrand receives its nodes in rows of 15, one row per
     panel, and every norm bisects the same dyadic lattice whatever its order,
-    so norms share most of their panels. The memo keeps each distinct node
-    row once, in a float64 block, with an index of the rows' middle nodes in
-    sorted order; the values of each order on a row, in a second block; and
-    per order, a table from node row to value row.
+    so norms share most of their panels. Per order, the memo keeps a dict
+    from a row's 15 nodes, as bytes, to its 15 values, as bytes.
 
-    A call looks up all of its rows at once: it finds each row's middle node
-    in the index and compares the node row stored there with its own, byte
-    for byte. Only a row equal in all 15 nodes is found, so the values stored
-    for it are what wavelet_hat_abs2 gave on exactly these nodes; since each
-    entry of its array is bit-identical to a call on that entry alone, they
-    are what a fresh call returns. The rows that miss go to wavelet_hat_abs2
-    in one call. Of two node rows that share a middle node, only the first
-    stored can be found; the other is evaluated afresh.
+    A call looks up all of its rows and sends only the rows that miss to
+    wavelet_hat_abs2, in one call. A row is found only when all 15 nodes are
+    byte-equal, so the values stored for it are what wavelet_hat_abs2 gave on
+    exactly these nodes; since each entry of its array is bit-identical to a
+    call on that entry alone, they are what a fresh call returns.
 
-    A call only writes the rows it evaluated, and their values, to the end
-    of the blocks. Once 256 rows wait, and whenever a run begins
-    (for_order), they are stored in one step: a node row equal to a stored
-    one is dropped, the new ones enter the index, and each order's table
-    points at the values. A run never asks for one of its own panels twice,
-    so nothing is lost by the wait; and a run of an order with no values
-    stored looks nothing up.
-
-    A node row takes 120 bytes plus 16 of index, a value row 120 bytes, and
-    each order's table 8 bytes per node row the memo can hold. The caps are
-    fixed when the memo is made: the module's memo holds 4,096 node rows and
-    16,383 value rows, 2.5 MB with the index, plus 32 KB per order. Memory is
-    taken only as rows are written: the default sweeps store 2,343 node rows
-    and 7,228 value rows, 1.4 MB in all. A call whose rows do not fit stores
-    none of them, and the memo still serves the rows it holds. One lock
-    guards the memo; no thread holds it while wavelet_hat_abs2 runs.
+    A row takes about 346 bytes: two 120-byte bytes objects and a dict entry.
+    The module's memo holds at most 8,192 rows, about 2.8 MB. A call whose
+    new rows do not fit stores none of them, and the memo still serves the
+    rows it holds. One lock guards the memo; no thread holds it while
+    wavelet_hat_abs2 runs.
     """
 
-    def __init__(self, nodes: int, values: int) -> None:
-        # Node row `nodes` is never stored (its NaNs never reach a store, as
-        # wavelet_hat_abs2 refuses them): it stands for "not stored", and
-        # every table maps it to value row 0, which is never stored either.
-        self._nodes = np.empty((nodes + 1, _ROW))
-        self._nodes[nodes] = math.nan
-        self._values = np.empty((values + 1, _ROW))
-        # Each node row as one 120-byte item, so that == compares whole rows' bytes.
-        self._node_rows = self._nodes.view(f"V{8 * _ROW}").ravel()
-        self._node_count = 0
-        self._value_count = 1
-        # The middle nodes of the stored node rows, sorted, and their node
-        # rows; +inf ends it, at the row never stored.
-        self._index = (np.array([math.inf]), np.array([nodes]))
-        # Per order with values stored: the value row of each node row, 0
-        # where none is stored.
-        self._tables: dict[int, np.ndarray] = {}
-        # The rows written but not yet stored, as [order, row count] in call
-        # order. Their nodes follow the stored node rows, and their values
-        # are the last value rows.
-        self._pending: list[list] = []
-        self._pending_count = 0
+    def __init__(self, rows: int) -> None:
+        self._cap = rows
+        self._stored: dict[int, dict[bytes, bytes]] = {}
         self._lock = threading.Lock()
 
+    def __len__(self) -> int:
+        """The rows stored, over all orders."""
+        return sum(map(len, self._stored.values()))
+
     def for_order(self, m: int) -> Callable[[np.ndarray], np.ndarray]:
-        """w -> wavelet_hat_abs2(m, w), bit for bit, for 1-d float arrays w of whole node rows."""
-        with self._lock:
-            self._store()
-            return partial(self._abs2, m, self._tables.get(m))
+        """w -> wavelet_hat_abs2(m, w), bit for bit, for 1-d float arrays w of whole node rows.
 
-    def _abs2(self, m: int, table: np.ndarray | None, w: np.ndarray) -> np.ndarray:
-        rows = w.reshape(-1, _ROW)
-        hits = 0
-        if table is not None:
-            with self._lock:
-                keys, ids = self._index
-                found = ids.take(keys.searchsorted(w[_KEY::_ROW]), mode="clip")
-                same = self._node_rows.take(found) == w.view(self._node_rows.dtype)
-                slot = np.where(same, table.take(found), 0)
-                hits = np.count_nonzero(slot)
-                if hits:
-                    # Rows that miss read value row 0 here, and are overwritten below.
-                    values = self._values.take(slot, axis=0)
-                    if hits == len(slot):
-                        return values.ravel()
-                    miss = slot == 0
-                    rows = rows[miss]
-        fresh = wavelet_hat_abs2(m, rows.ravel())
+        The array returned may be read-only.
+        """
         with self._lock:
-            self._write(m, rows, fresh.reshape(rows.shape))
-        if not hits:
+            return partial(self._abs2, m, self._stored.setdefault(m, {}))
+
+    def _abs2(self, m: int, stored: dict[bytes, bytes], w: np.ndarray) -> np.ndarray:
+        keys = w.view(_ROW_BYTES).tolist()
+        with self._lock:
+            found = list(map(stored.get, keys))
+        miss = [i for i, values in enumerate(found) if values is None]
+        if not miss:
+            return np.frombuffer(b"".join(found))
+        fresh = wavelet_hat_abs2(m, w.reshape(-1, _ROW)[miss].ravel())
+        rows = fresh.view(_ROW_BYTES).tolist()
+        with self._lock:
+            if len(self) + len(miss) <= self._cap:
+                stored.update(zip(map(keys.__getitem__, miss), rows))
+        if len(miss) == len(keys):
             return fresh
-        values[miss] = fresh.reshape(rows.shape)
-        return values.ravel()
-
-    def _write(self, m: int, rows: np.ndarray, values: np.ndarray) -> None:
-        """Write rows and their values to the end of the blocks, if they fit.
-
-        The caller holds the lock.
-        """
-        count = len(rows)
-        start = self._node_count + self._pending_count
-        if start + count >= len(self._nodes) or self._value_count + count > len(self._values):
-            return
-        self._nodes[start : start + count] = rows
-        self._values[self._value_count : self._value_count + count] = values
-        self._value_count += count
-        self._pending_count += count
-        if self._pending and self._pending[-1][0] == m:
-            self._pending[-1][1] += count
-        else:
-            self._pending.append([m, count])
-        if self._pending_count >= _PENDING_ROWS:
-            self._store()
-
-    def _store(self) -> None:
-        """Store the written rows: keep each new node row once, index it, and fill the tables.
-
-        The new node rows move down to follow the stored ones. The caller
-        holds the lock.
-        """
-        if not self._pending:
-            return
-        first, count = self._node_count, self._pending_count
-        rows = self._nodes[first : first + count]
-        keys, ids = self._index
-        found = ids.take(keys.searchsorted(rows[:, _KEY]), mode="clip")
-        new = self._node_rows.take(found) != self._node_rows[first : first + count]
-        node = np.where(new, 0, found)
-        added = np.count_nonzero(new)
-        node[new] = np.arange(first, first + added)
-        self._nodes[first : first + added] = rows[new]
-        self._node_count += added
-        value_rows = np.arange(self._value_count - count, self._value_count)
-        at = 0
-        for m, n in self._pending:
-            if m not in self._tables:
-                self._tables[m] = np.zeros(len(self._nodes), dtype=np.intp)
-            self._tables[m][node[at : at + n]] = value_rows[at : at + n]
-            at += n
-        self._pending.clear()
-        self._pending_count = 0
-        if added:
-            # One complex sort orders the keys and carries each one's node row,
-            # the first stored first among equal keys.
-            index = np.empty(len(keys) + added, dtype=complex)
-            index.real = np.concatenate((keys, self._nodes[first : first + added, _KEY]))
-            index.imag = np.concatenate((ids, np.arange(first, first + added)))
-            index.sort()
-            self._index = index.real.copy(), index.imag.astype(np.intp)
+        for i, values in zip(miss, rows):
+            found[i] = values
+        return np.frombuffer(b"".join(found))
 
 
-_ABS2_MEMO = _Abs2Memo(_MEMO_NODES, _MEMO_VALUES)
+_ABS2_MEMO = _Abs2Memo(_MEMO_ROWS)
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ import pytest
 
 from wavebounds.bound_formulas import (
     BoundParams,
+    _band_weight_factor,
     _leading_term,
     bound_A,
     bound_B,
@@ -164,11 +165,18 @@ class TestUpperLowerPair:
         assert values[-1] < limit
 
     def test_leading_term_continuous_at_pk_one(self):
-        # k, p with pk straddling 1: the antiderivative form has a removable
-        # singularity handled by a log-2 limit branch.
+        # k, p with pk near 1: the antiderivative form has a removable
+        # singularity there, which expm1 resolves without a branch.
         near = _leading_term(BoundParams(m=2, k=1, p=1.0 + 1e-10, c=1.0))
         limit = _leading_term(BoundParams(m=2, k=1, p=1.0 + 1e-13, c=1.0))
         assert near == pytest.approx(limit, rel=1e-6)
+
+    @pytest.mark.parametrize("pk", [1.0 + 1e-10, 1.0 + 1e-8, 1.5, 3.0])
+    def test_band_weight_factor_against_high_precision_oracle(self, pk):
+        # The cancellation in 1 - 2^(1-pk) near pk = 1 costs no digits.
+        p = mp.mpf(pk)
+        exact = ((1 - mp.mpf(2) ** (1 - p)) / (p - 1)) ** (1 / p)
+        assert _band_weight_factor(pk, 1) == pytest.approx(float(exact), rel=4e-16)
 
 
 class TestUnweightedPair:

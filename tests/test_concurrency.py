@@ -46,9 +46,13 @@ def test_parallel_quadrature_norms_match_serial(monkeypatch):
     # Norms of one order share panels through the |psi_hat|^2 memo, which
     # threads fill and read at once.
     requests = [NormRequest(m, k, p) for m in (2, 3) for k in (0, 1) for p in (1.5, 3.0)]
-    monkeypatch.setattr(norms, "_ABS2_MEMO", norms._Abs2Memo(norms._MEMO_NODES, norms._MEMO_VALUES))
+    monkeypatch.setattr(norms, "_ABS2_MEMO", norms._Abs2Memo(norms._MEMO_ROWS))
     serial = [quadrature_lp_norm(req) for req in requests]
-    monkeypatch.setattr(norms, "_ABS2_MEMO", norms._Abs2Memo(norms._MEMO_NODES, norms._MEMO_VALUES))
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = list(pool.map(quadrature_lp_norm, requests * 2))
-    assert parallel == serial * 2
+    # A full-size memo, and one whose cap the threads reach.
+    for rows in (norms._MEMO_ROWS, 100):
+        memo = norms._Abs2Memo(rows)
+        monkeypatch.setattr(norms, "_ABS2_MEMO", memo)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(quadrature_lp_norm, requests * 2))
+        assert parallel == serial * 2
+        assert 0 < len(memo) <= rows

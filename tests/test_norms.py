@@ -153,8 +153,8 @@ def _quadrature_requests() -> list[NormRequest]:
     return sorted(requests, key=lambda req: (req.m, req.k, req.p))
 
 
-def _fresh_memo(monkeypatch, nodes=norms._MEMO_NODES, values=norms._MEMO_VALUES):
-    memo = norms._Abs2Memo(nodes, values)
+def _fresh_memo(monkeypatch, rows=norms._MEMO_ROWS):
+    memo = norms._Abs2Memo(rows)
     monkeypatch.setattr(norms, "_ABS2_MEMO", memo)
     return memo
 
@@ -178,7 +178,7 @@ class TestAbs2Memo:
             assert quadrature_lp_norm(narrow, omega_max=2.0**11 * math.pi) == cold_narrow
 
     def test_each_panel_evaluated_once_per_order(self, monkeypatch):
-        _fresh_memo(monkeypatch)
+        memo = _fresh_memo(monkeypatch)
         points = []
         calls = []
 
@@ -199,8 +199,11 @@ class TestAbs2Memo:
         assert len(results) == 42
         assert sum(result.evaluations for result in results) == sum(calls) == 168_510
         assert len(calls) == 710
-        # 11,234 panels, but only 7,228 distinct (order, panel) pairs.
+        # 11,234 panels, but only 7,222 distinct (order, panel) pairs.
         assert sum(points) <= 108_420
+        # The default sweeps fit under the cap: every row evaluated was stored.
+        assert 15 * len(memo) == sum(points)
+        assert len(memo) <= norms._MEMO_ROWS
 
     def test_rows_sharing_a_middle_node_stay_apart(self, monkeypatch):
         memo = _fresh_memo(monkeypatch)
@@ -217,11 +220,9 @@ class TestAbs2Memo:
         requests = [NormRequest(2, 0, 1.5), NormRequest(2, 1, 3.0), NormRequest(3, 0, 3.0)]
         _fresh_memo(monkeypatch)
         expected = [quadrature_lp_norm(req) for req in requests]
-        memo = _fresh_memo(monkeypatch, nodes=64, values=100)
+        memo = _fresh_memo(monkeypatch, rows=100)
         assert [quadrature_lp_norm(req) for req in requests * 2] == expected * 2
-        assert 0 < memo._node_count <= 64
-        # Value row 0 is never used.
-        assert 0 < memo._value_count - 1 <= 100
+        assert 0 < len(memo) <= 100
 
 
 class TestBatchedQuadrature:
