@@ -11,9 +11,11 @@ has two routes. `wavelet_coefficient` integrates f_hat against psi_hat on the
 Fourier side (Parseval route), through the tap route of spectral_eval.
 `pyramid_coefficient`, which the sweep uses, runs Mallat's pyramid from
 fine-level scaling coefficients built out of the exact moments of phi; it
-needs no quadrature. The test family is Gaussian, known in closed form on
-both sides. Every sweep records one row per case and never aborts on a
-failing case; failures are data.
+needs no quadrature. The moments come from an integer recursion over one
+common denominator, and each row's Taylor sums from one table of Hermite
+values. The test family is Gaussian, known in closed form on both sides.
+Every sweep records one row per case and never aborts on a failing case;
+failures are data.
 """
 
 from __future__ import annotations
@@ -167,6 +169,36 @@ _MAX_SAMPLES = 2**20
 
 
 @lru_cache(maxsize=None)
+def _moment_integers(m: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(N, P, D): the moments of phi as M_q = P_q / (N^q D_q), q <= _TAYLOR_ORDER, in integers.
+
+    The float taps are n_l / 2^e for integers n_l and one e, so the taps
+    scaled to sum 1 are a_l = n_l / N with N = sum n_l, and their moments are
+    sum_l a_l (-l)^n = G_n / N with G_n = sum_l n_l (-l)^n. Put
+    D_q = prod_(i<=q) (2^i - 1); then phi_moments' recursion reads
+    P_0 = 1, P_q = sum_(r<q) C(q, r) P_r G_(q-r) N^(q-r-1) D_(q-1) / D_r,
+    where D_(q-1) / D_r is an integer.
+    """
+    ratios = [t.as_integer_ratio() for t in construct_filter(m).taps]
+    scale = max(den for _, den in ratios)
+    taps = [num * (scale // den) for num, den in ratios]
+    total = sum(taps)
+    g = [sum(t * (-ell) ** n for ell, t in enumerate(taps)) for n in range(_TAYLOR_ORDER + 1)]
+    d = [1]
+    for i in range(1, _TAYLOR_ORDER + 1):
+        d.append(d[-1] * (2**i - 1))
+    p = [1]
+    for q in range(1, _TAYLOR_ORDER + 1):
+        p.append(
+            sum(
+                math.comb(q, r) * p[r] * g[q - r] * total ** (q - r - 1) * (d[q - 1] // d[r])
+                for r in range(q)
+            )
+        )
+    return total, tuple(p), tuple(d)
+
+
+@lru_cache(maxsize=None)
 def phi_moments(m: int) -> tuple[Fraction, ...]:
     """M_q = integral x^q phi(x) dx for q <= _TAYLOR_ORDER, exact on the float taps.
 
@@ -174,33 +206,32 @@ def phi_moments(m: int) -> tuple[Fraction, ...]:
     supported on [-(2m-1), 0], with a_l = h(l) / sum h (the taps scaled to sum
     1, so that M_0 = 1 holds exactly). Integrating x^q against both sides gives
     (2^q - 1) M_q = sum_(r<q) C(q, r) M_r sum_l a_l (-l)^(q-r)
-    (Sweldens & Piessens, SIAM J. Numer. Anal. 31, 1994), solved in rationals.
+    (Sweldens & Piessens, SIAM J. Numer. Anal. 31, 1994), solved over a common
+    denominator in integers (_moment_integers).
     """
-    taps = [Fraction(t) for t in construct_filter(m).taps]
-    a = [t / sum(taps) for t in taps]
-    filter_moments = [
-        sum(al * (-ell) ** n for ell, al in enumerate(a)) for n in range(_TAYLOR_ORDER + 1)
-    ]
-    moments = [Fraction(1)]
-    for q in range(1, _TAYLOR_ORDER + 1):
-        acc = sum(math.comb(q, r) * moments[r] * filter_moments[q - r] for r in range(q))
-        moments.append(acc / (2**q - 1))
-    return tuple(moments)
+    total, p, d = _moment_integers(m)
+    return tuple(Fraction(p[q], total**q * d[q]) for q in range(_TAYLOR_ORDER + 1))
 
 
 @lru_cache(maxsize=None)
 def _central_moments(m: int) -> np.ndarray:
     """integral (t - t_c)^q phi(t) dt / q!, t_c = -(2m-1)/2 the centre of supp phi.
 
-    Shifted from phi_moments in rationals and rounded once.
+    With s = -t_c and M_r = P_r / (N^r D_r) (_moment_integers), the q-th is
+    sum_(r<=q) C(q, r) P_r N^(q-r) (D_q / D_r) (2m-1)^(q-r) 2^r over
+    N^q D_q 2^q q!, both integers, and is rounded once by their true division.
     """
-    raw = phi_moments(m)
-    shift = Fraction(2 * m - 1, 2)  # -t_c
+    total, p, d = _moment_integers(m)
+    width = 2 * m - 1
     central = [
-        sum(math.comb(q, r) * raw[r] * shift ** (q - r) for r in range(q + 1)) / math.factorial(q)
+        sum(
+            math.comb(q, r) * p[r] * (total * width) ** (q - r) * (d[q] // d[r]) * 2**r
+            for r in range(q + 1)
+        )
+        / (total**q * d[q] * 2**q * math.factorial(q))
         for q in range(_TAYLOR_ORDER + 1)
     ]
-    return _frozen(np.array([float(c) for c in central]))
+    return _frozen(np.array(central))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -209,16 +240,20 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cascade(m: int, levels: int) -> tuple[int, np.ndarray, np.ndarray, float]:
-    """(start, g, g_abs, rel_error): d_(j,nu) = sum_n g[n] s_(j+levels, start + 2^levels nu + n).
+def _cascade(m: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """(offsets, g, g_abs, g_l1, rel_error) of the levels-level cascade.
 
+    d_(j,nu) = sum_n g[n] s_(j+levels, start + 2^levels nu + n), and
+    offsets[n] = start + n + t_c, t_c = -(2m-1)/2, puts the centre of the
+    support of phi_(j+levels, start + n) at offsets[n] 2^-(j+levels) for
+    nu = 0; nu moves it by nu 2^levels, exactly in floats.
     From d_(j,n) = sum_l (-1)^l h_l s_(j+1, 2n+l+1) and
     s_(j,n) = sum_l h_l s_(j+1, 2n-l): each level upsamples the coefficient
     vector and convolves it with the reversed taps. g_abs is the same cascade
-    on |h|, which bounds |g|. |g - exact| <= rel_error g_abs: each level's
-    convolution rounds (gamma_2m), and the float taps sum to sqrt 2 (1 + delta)
-    where phi_moments' normalized taps sum to sqrt 2 exactly, which scales g
-    by (1 + delta)^levels.
+    on |h|, which bounds |g|, and g_l1 its sum. |g - exact| <= rel_error g_abs:
+    each level's convolution rounds (gamma_2m), and the float taps sum to
+    sqrt 2 (1 + delta) where phi_moments' normalized taps sum to sqrt 2
+    exactly, which scales g by (1 + delta)^levels.
     """
     taps = construct_filter(m).taps
     h = np.asarray(taps)
@@ -229,10 +264,12 @@ def _cascade(m: int, levels: int) -> tuple[int, np.ndarray, np.ndarray, float]:
         g = np.convolve(_upsampled(g), h[::-1])
         g_abs = np.convolve(_upsampled(g_abs), np.abs(h[::-1]))
         start = 2 * start - (2 * m - 1)
+    offsets = np.arange(g.size, dtype=float) + (start - 0.5 * (2 * m - 1))
     total = sum(Fraction(t) for t in taps)
     delta = float(abs(total * total - 2)) / (float(total) + math.sqrt(2.0)) / math.sqrt(2.0)
     drift = math.expm1(levels * math.log1p(delta))
-    return start, _frozen(g), _frozen(g_abs), gamma_n(2 * m * levels) + drift
+    rel_error = gamma_n(2 * m * levels) + drift
+    return _frozen(offsets), _frozen(g), _frozen(g_abs), float(g_abs.sum()), rel_error
 
 
 def _upsampled(c: np.ndarray) -> np.ndarray:
@@ -240,6 +277,14 @@ def _upsampled(c: np.ndarray) -> np.ndarray:
     out = np.zeros(2 * c.size - 1)
     out[::2] = c
     return out
+
+
+@lru_cache(maxsize=None)
+def _taylor_constants(m: int) -> tuple[float, float]:
+    """(sum |h|, the per-sample factor 1.0865 sqrt(2m-1) / sqrt((Q+1)!)) of _fine_levels."""
+    taps_l1 = math.fsum(abs(t) for t in construct_filter(m).taps)
+    per_sample = _CRAMER * math.sqrt(2 * m - 1) / math.sqrt(math.factorial(_TAYLOR_ORDER + 1))
+    return taps_l1, per_sample
 
 
 def _fine_levels(f: GaussianTestFunction, m: int, j: int) -> tuple[int, float]:
@@ -255,8 +300,7 @@ def _fine_levels(f: GaussianTestFunction, m: int, j: int) -> tuple[int, float]:
     """
     order = _TAYLOR_ORDER + 1
     amplitude = abs(f.amplitude)
-    taps_l1 = math.fsum(abs(t) for t in construct_filter(m).taps)
-    per_sample = _CRAMER * math.sqrt(2 * m - 1) / math.sqrt(math.factorial(order))
+    taps_l1, per_sample = _taylor_constants(m)
     levels = 1
     while True:
         fine = j + levels
@@ -270,6 +314,13 @@ def _fine_levels(f: GaussianTestFunction, m: int, j: int) -> tuple[int, float]:
         levels += 1
 
 
+# The Taylor sum's powers q, the Cramer factors sqrt(q!) and, per q, the
+# multipliers q [[1], [-1]] of He_(q-1) in both rows' Hermite recurrence.
+_POWERS = _frozen(np.arange(_TAYLOR_ORDER + 1))
+_ROOT_FACTORIALS = _frozen(np.sqrt([math.factorial(q) for q in range(_TAYLOR_ORDER + 1)]))
+_HERMITE_STEPS = _frozen(_POWERS[:, None, None] * np.array([[1.0], [-1.0]]))
+
+
 def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> QuadResult:
     """<f, psi_(j,nu)> by Mallat's pyramid from moment-built fine-level samples.
 
@@ -278,8 +329,11 @@ def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> Qua
     sum 2^(-J/2) sum_(q<=Q) f^(q)(x_n) 2^(-Jq) Mc_q / q! about the centre
     x_n = (n + t_c) 2^-J of phi_(J,n)'s support, with the central moments Mc_q
     of phi and f^(q) = A (-1)^q sigma^-q He_q(u) e^(-u^2/2), u = (x - center)
-    / sigma, by the Hermite recurrence. The coefficient is the dot product of
-    the cascaded filter (_cascade) with those samples: no quadrature.
+    / sigma. One (Q+1, 2, n) table holds He_0..He_Q of both rows, the signed
+    sum and its all-positive bound, by the Hermite recurrence; scaled by the
+    coefficient column, it is summed over its leading axis, which adds the
+    terms in q order. The coefficient is the dot product of the cascaded
+    filter (_cascade) with those samples: no quadrature.
 
     The abs_error is a bound: the Taylor remainder (_fine_levels), plus the
     rounding of the samples and of the cascade, each a relative error times
@@ -298,24 +352,26 @@ def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> Qua
     levels, remainder = _fine_levels(f, m, j)
     if math.isinf(remainder):
         return QuadResult(value=0.0, abs_error=math.inf, evaluations=0, converged=False)
-    start, g, g_abs, cascade_error = _cascade(m, levels)
-    g_l1 = float(g_abs.sum())
+    offsets, g, g_abs, g_l1, cascade_error = _cascade(m, levels)
     fine = j + levels
-    n = np.arange(g.size, dtype=float) + (start + nu * 2.0**levels)
-    u = ((n - 0.5 * (2 * m - 1)) * 2.0**-fine - f.center) / f.sigma
+    u = ((offsets + nu * 2.0**levels) * 2.0**-fine - f.center) / f.sigma
     kept = np.abs(u) < _U_CUT
-    u, g, g_abs = u[kept], g[kept], g_abs[kept]
+    count = int(np.count_nonzero(kept))
+    if count < u.size:
+        u, g, g_abs = u[kept], g[kept], g_abs[kept]
     # c_q = (-1)^q Mc_q / (q! (sigma 2^J)^q). Row 0 sums c_q He_q(u); row 1 sums
     # |c_q| He+_q(|u|), where He+_(q+1) = |u| He+_q + q He+_(q-1) bounds |He_q|.
-    coeffs = _central_moments(m) * (-1.0 / (f.sigma * 2.0**fine)) ** np.arange(_TAYLOR_ORDER + 1)
-    both = np.stack([coeffs, np.abs(coeffs)])[:, :, None]
-    signs = np.array([[1.0], [-1.0]])
-    arg = np.stack([u, np.abs(u)])
-    prev, he = np.ones_like(arg), arg
-    poly = both[:, 0] + both[:, 1] * arg
+    coeffs = _central_moments(m) * (-1.0 / (f.sigma * 2.0**fine)) ** _POWERS
+    table = np.empty((_TAYLOR_ORDER + 1, 2, count))
+    table[0] = 1.0
+    table[1, 0] = u
+    np.abs(u, out=table[1, 1])
+    arg = table[1]
     for q in range(1, _TAYLOR_ORDER):
-        prev, he = he, arg * he - q * signs * prev
-        poly += both[:, q + 1] * he
+        np.multiply(arg, table[q], out=table[q + 1])
+        table[q + 1] -= _HERMITE_STEPS[q] * table[q - 1]
+    table *= np.stack([coeffs, np.abs(coeffs)], axis=1)[:, :, None]
+    poly = np.add.reduce(table, axis=0)
     weight = 2.0 ** (-0.5 * fine) * np.exp(-0.5 * u * u)
     samples = f.amplitude * weight * poly[0]
     products = g * samples
@@ -330,13 +386,12 @@ def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> Qua
     rounding = gamma_n(2) * np.abs(products).sum()
     rounding += cascade_error * np.dot(g_abs, np.abs(samples)) + np.dot(g_abs, sample_error)
     # Past _U_CUT, |f^(q)| <= A sigma^-q 1.0865 sqrt(q!) e^(-u^2/4) by Cramer's inequality.
-    factorials = np.sqrt([math.factorial(q) for q in range(_TAYLOR_ORDER + 1)])
-    dropped = _CRAMER * math.exp(-0.25 * _U_CUT**2) * float(np.dot(np.abs(coeffs), factorials))
+    dropped = _CRAMER * math.exp(-0.25 * _U_CUT**2) * float(np.dot(np.abs(coeffs), _ROOT_FACTORIALS))
     floor = g_l1 * (abs(f.amplitude) * 2.0 ** (-0.5 * fine) * dropped + 4 * 2.0**-1074)
     return QuadResult(
         value=value,
         abs_error=remainder + 2.0 * float(rounding) + floor,
-        evaluations=int(kept.sum()),
+        evaluations=count,
         converged=remainder <= max(_REMAINDER_TARGET * abs(f.amplitude), _COEFFICIENT_ABS_TOL),
     )
 

@@ -47,7 +47,8 @@ class VerificationRow:
             raise ValueError(f"unknown status {self.status!r}")
 
 
-CSV_COLUMNS = ["schema_version", *(f.name for f in fields(VerificationRow))]
+_ROW_FIELDS = tuple(f.name for f in fields(VerificationRow))
+CSV_COLUMNS = ["schema_version", *_ROW_FIELDS]
 
 
 def fmt17(x: float | int | None) -> str:
@@ -70,10 +71,13 @@ def _cell(value) -> str:
     return fmt17(value)
 
 
+def _row_cells(row: VerificationRow) -> list[str]:
+    """The row's report cells in CSV_COLUMNS order."""
+    return [SCHEMA_VERSION, *(_cell(getattr(row, name)) for name in _ROW_FIELDS)]
+
+
 def _row_record(row: VerificationRow) -> dict[str, str]:
-    return {"schema_version": SCHEMA_VERSION} | {
-        f.name: _cell(getattr(row, f.name)) for f in fields(row)
-    }
+    return dict(zip(CSV_COLUMNS, _row_cells(row)))
 
 
 def summarize(rows: list[VerificationRow]) -> dict[str, int]:
@@ -91,10 +95,9 @@ def exit_code(rows: list[VerificationRow]) -> int:
 
 def rows_to_csv_bytes(rows: list[VerificationRow]) -> bytes:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(_row_record(row))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(map(_row_cells, rows))
     return buf.getvalue().encode("utf-8")
 
 
