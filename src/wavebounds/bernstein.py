@@ -21,10 +21,12 @@ failures are data.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import lru_cache, update_wrapper
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -239,7 +241,39 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@lru_cache(maxsize=None)
+class _SampleBoundedCache:
+    """A function's results by argument, least recently used evicted while the
+    results' second arrays hold more than _MAX_SAMPLES samples together: about
+    24 MiB for _cascade's three arrays. No thread holds the lock while a result
+    is built.
+    """
+
+    def __init__(self, build: Callable[..., tuple]) -> None:
+        update_wrapper(self, build)
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, *key) -> tuple:
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key]
+        entry = self.__wrapped__(*key)
+        with self._lock:
+            self._entries[key] = entry
+            while sum(cached[1].size for cached in self._entries.values()) > _MAX_SAMPLES:
+                self._entries.popitem(last=False)
+        return entry
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+@_SampleBoundedCache
 def _cascade(m: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """(offsets, g, g_abs, g_l1, rel_error) of the levels-level cascade.
 
@@ -314,11 +348,13 @@ def _fine_levels(f: GaussianTestFunction, m: int, j: int) -> tuple[int, float]:
         levels += 1
 
 
-# The Taylor sum's powers q, the Cramer factors sqrt(q!) and, per q, the
-# multipliers q [[1], [-1]] of He_(q-1) in both rows' Hermite recurrence.
+# The Taylor sum's powers q, the Cramer factors sqrt(q!), per q the multipliers
+# q [[1], [-1]] of He_(q-1) in both rows' Hermite recurrence, and the Cramer
+# factor _CRAMER e^(-_U_CUT^2 / 4) of a dropped sample.
 _POWERS = _frozen(np.arange(_TAYLOR_ORDER + 1))
 _ROOT_FACTORIALS = _frozen(np.sqrt([math.factorial(q) for q in range(_TAYLOR_ORDER + 1)]))
-_HERMITE_STEPS = _frozen(_POWERS[:, None, None] * np.array([[1.0], [-1.0]]))
+_HERMITE_STEPS = tuple(_frozen(_POWERS[:, None, None] * np.array([[1.0], [-1.0]])))
+_DROPPED_FACTOR = _CRAMER * math.exp(-0.25 * _U_CUT**2)
 
 
 def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> QuadResult:
@@ -330,9 +366,10 @@ def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> Qua
     x_n = (n + t_c) 2^-J of phi_(J,n)'s support, with the central moments Mc_q
     of phi and f^(q) = A (-1)^q sigma^-q He_q(u) e^(-u^2/2), u = (x - center)
     / sigma. One (Q+1, 2, n) table holds He_0..He_Q of both rows, the signed
-    sum and its all-positive bound, by the Hermite recurrence; scaled by the
-    coefficient column, it is summed over its leading axis, which adds the
-    terms in q order. The coefficient is the dot product of the cascaded
+    sum and its all-positive bound, by the Hermite recurrence, written in
+    place through one (2, n) scratch buffer; scaled by the coefficient
+    column, it is summed over its leading axis, which adds the terms in q
+    order. The coefficient is the dot product of the cascaded
     filter (_cascade) with those samples: no quadrature.
 
     The abs_error is a bound: the Taylor remainder (_fine_levels), plus the
@@ -361,16 +398,21 @@ def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> Qua
         u, g, g_abs = u[kept], g[kept], g_abs[kept]
     # c_q = (-1)^q Mc_q / (q! (sigma 2^J)^q). Row 0 sums c_q He_q(u); row 1 sums
     # |c_q| He+_q(|u|), where He+_(q+1) = |u| He+_q + q He+_(q-1) bounds |He_q|.
-    coeffs = _central_moments(m) * (-1.0 / (f.sigma * 2.0**fine)) ** _POWERS
+    # scale[0] holds c_q and scale[1] |c_q|, each contiguous for the dot below.
+    scale = np.empty((2, _TAYLOR_ORDER + 1))
+    coeffs, abs_coeffs = scale
+    np.multiply(_central_moments(m), (-1.0 / (f.sigma * 2.0**fine)) ** _POWERS, out=coeffs)
+    np.abs(coeffs, out=abs_coeffs)
     table = np.empty((_TAYLOR_ORDER + 1, 2, count))
     table[0] = 1.0
     table[1, 0] = u
     np.abs(u, out=table[1, 1])
-    arg = table[1]
+    he, scratch = list(table), np.empty((2, count))
     for q in range(1, _TAYLOR_ORDER):
-        np.multiply(arg, table[q], out=table[q + 1])
-        table[q + 1] -= _HERMITE_STEPS[q] * table[q - 1]
-    table *= np.stack([coeffs, np.abs(coeffs)], axis=1)[:, :, None]
+        np.multiply(he[1], he[q], out=he[q + 1])
+        np.multiply(_HERMITE_STEPS[q], he[q - 1], out=scratch)
+        np.subtract(he[q + 1], scratch, out=he[q + 1])
+    table *= scale.T[:, :, None]
     poly = np.add.reduce(table, axis=0)
     weight = 2.0 ** (-0.5 * fine) * np.exp(-0.5 * u * u)
     samples = f.amplitude * weight * poly[0]
@@ -386,7 +428,7 @@ def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> Qua
     rounding = gamma_n(2) * np.abs(products).sum()
     rounding += cascade_error * np.dot(g_abs, np.abs(samples)) + np.dot(g_abs, sample_error)
     # Past _U_CUT, |f^(q)| <= A sigma^-q 1.0865 sqrt(q!) e^(-u^2/4) by Cramer's inequality.
-    dropped = _CRAMER * math.exp(-0.25 * _U_CUT**2) * float(np.dot(np.abs(coeffs), _ROOT_FACTORIALS))
+    dropped = _DROPPED_FACTOR * float(np.dot(abs_coeffs, _ROOT_FACTORIALS))
     floor = g_l1 * (abs(f.amplitude) * 2.0 ** (-0.5 * fine) * dropped + 4 * 2.0**-1074)
     return QuadResult(
         value=value,

@@ -11,6 +11,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import get_type_hints
 
 SCHEMA_VERSION = "v1"
 
@@ -62,22 +64,20 @@ def fmt17(x: float | int | None) -> str:
     return format(float(x), ".17g")
 
 
-def _cell(value) -> str:
-    """A report cell: a string as it is, the flag tuple joined by ';', a number by fmt17."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, tuple):
-        return ";".join(value)
-    return fmt17(value)
+# Each column's cell formatter, picked once from its field's type: a string
+# as it is, the flag tuple joined by ';', a number by fmt17.
+_FORMATTERS = tuple(
+    {str: str, tuple[str, ...]: ";".join}.get(hint, fmt17)
+    for hint in map(get_type_hints(VerificationRow).get, _ROW_FIELDS)
+)
+_ROW_VALUES = attrgetter(*_ROW_FIELDS)
 
 
 def _row_cells(row: VerificationRow) -> list[str]:
     """The row's report cells in CSV_COLUMNS order."""
-    return [SCHEMA_VERSION, *(_cell(getattr(row, name)) for name in _ROW_FIELDS)]
-
-
-def _row_record(row: VerificationRow) -> dict[str, str]:
-    return dict(zip(CSV_COLUMNS, _row_cells(row)))
+    cells = [fmt(value) for fmt, value in zip(_FORMATTERS, _ROW_VALUES(row))]
+    cells.insert(0, SCHEMA_VERSION)
+    return cells
 
 
 def summarize(rows: list[VerificationRow]) -> dict[str, int]:
@@ -105,6 +105,6 @@ def rows_to_json_bytes(rows: list[VerificationRow]) -> bytes:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "summary": summarize(rows),
-        "rows": [_row_record(row) for row in rows],
+        "rows": [dict(zip(CSV_COLUMNS, _row_cells(row))) for row in rows],
     }
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")

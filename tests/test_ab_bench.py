@@ -1,4 +1,4 @@
-"""tools/ab_bench.py: the gain rule and the refusal of roots with unequal path lengths."""
+"""tools/ab_bench.py: the gain rule, and the refusal of roots with unequal path lengths or benchmarks."""
 
 import importlib.util
 from pathlib import Path
@@ -32,11 +32,33 @@ def test_gain_needs_a_gap_wider_than_the_parent_spread():
     assert not ab_bench.gain_holds(parent, change, "lower")
 
 
+def _make_root(root: Path) -> Path:
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text("")
+    (root / "BENCHMARK.json").write_text("{}")
+    return root
+
+
 def test_roots_of_unequal_path_length_are_refused(tmp_path):
-    roots = [tmp_path / "par", tmp_path / "chg", tmp_path / "change"]
-    for root in roots:
-        (root / "bench").mkdir(parents=True)
-        (root / "bench" / "run.py").write_text("")
+    roots = [_make_root(tmp_path / name) for name in ("par", "chg", "change")]
     ab_bench.check_roots(roots[0], roots[1])
     with pytest.raises(SystemExit, match="differ in length"):
         ab_bench.check_roots(roots[0], roots[2])
+
+
+def test_roots_with_different_benchmark_code_are_refused(tmp_path):
+    parent, change = _make_root(tmp_path / "par"), _make_root(tmp_path / "chg")
+    # Run records and bytecode caches may differ.
+    (parent / "bench" / "out").mkdir()
+    (parent / "bench" / "out" / "run.json").write_text("{}")
+    (change / "bench" / "__pycache__").mkdir()
+    (change / "bench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"x")
+    ab_bench.check_roots(parent, change)
+
+    (change / "bench" / "workloads.py").write_text("")
+    with pytest.raises(SystemExit, match="differs in bench/workloads.py"):
+        ab_bench.check_roots(parent, change)
+    (parent / "bench" / "workloads.py").write_text("")
+    (change / "BENCHMARK.json").write_text('{"run_seconds": 8}')
+    with pytest.raises(SystemExit, match="differs in BENCHMARK.json"):
+        ab_bench.check_roots(parent, change)

@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from wavebounds import bernstein
 from wavebounds.bernstein import (
+    _MAX_SAMPLES,
     TOL_PAD,
     GaussianTestFunction,
     _row,
@@ -211,6 +214,34 @@ class TestPyramidCoefficient:
     def test_bound_past_the_float_range_builds_no_sample(self):
         coef = pyramid_coefficient(GaussianTestFunction(sigma=1e-100), 2, 0, 0)
         assert coef == QuadResult(value=0.0, abs_error=math.inf, evaluations=0, converged=False)
+
+    def test_cascade_cache_is_bounded_by_samples(self):
+        # At sigma = 0.3, j = -6..6 reaches 12 cascades per order, 957,734
+        # samples at m = 20; an unbounded cache keeps three orders' worth, about
+        # 76 MiB traced. Each sample keeps three floats, and the cache holds at
+        # most _MAX_SAMPLES samples. Rebuilt cascades give the same rows.
+        def grid(m):
+            return [{"m": m, "k": 1, "p": 2.0, "sigma": 0.3, "j": j, "nu": 0} for j in range(-6, 7)]
+
+        first = rows_to_csv_bytes(verify_sweep("bernstein", grid(20)))
+        tracemalloc.start()
+        try:
+            bernstein._cascade.cache_clear()
+            for m in (20, 19, 18, 20):
+                rows = verify_sweep("bernstein", grid(m))
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rows_to_csv_bytes(rows) == first
+        assert len(bernstein._cascade) < 3 * 12
+        assert traced <= 3 * 8 * _MAX_SAMPLES + 2**20, traced
+
+    def test_default_grid_never_evicts_a_cascade(self):
+        bernstein._cascade.cache_clear()
+        verify_sweep("bernstein")
+        f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
+        levels = {bernstein._fine_levels(f, 2, j)[0] for j in range(-3, 7)}
+        assert len(bernstein._cascade) == len(levels)
 
     @pytest.mark.xfail(strict=True, reason="the Fourier abs_error is an estimate, not a bound")
     @pytest.mark.parametrize("j,nu", FOURIER_MISSES)

@@ -1,11 +1,13 @@
 """Evaluation operations are pure; concurrent use must match serial results."""
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from wavebounds import norms
+from wavebounds import bernstein, norms
+from wavebounds.bernstein import GaussianTestFunction, pyramid_coefficient
 from wavebounds.daub_filters import construct_filter, magnitude_squared_H
 from wavebounds.norms import NormRequest, quadrature_lp_norm, weighted_lp_norm
 from wavebounds.spectral_eval import wavelet_hat, wavelet_hat_abs2
@@ -56,3 +58,24 @@ def test_parallel_quadrature_norms_match_serial(monkeypatch):
             parallel = list(pool.map(quadrature_lp_norm, requests * 2))
         assert parallel == serial * 2
         assert 0 < len(memo) <= rows
+
+
+def test_parallel_pyramid_rows_match_serial_while_cascades_are_evicted(monkeypatch):
+    # A cap of 2,000 samples holds only a few cascades, so threads evict
+    # entries while others look them up.
+    monkeypatch.setattr(bernstein, "_MAX_SAMPLES", 2_000)
+    f = GaussianTestFunction(sigma=1.0, center=0.3)
+    cases = [(m, j, nu) for m in (2, 3, 4) for j in range(-3, 7) for nu in (-1, 0, 1)]
+    bernstein._cascade.cache_clear()
+    serial = [pyramid_coefficient(f, *case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(lambda case: pyramid_coefficient(f, *case), cases * 4))
+    finally:
+        sys.setswitchinterval(interval)
+        cached = sum(entry[1].size for entry in bernstein._cascade._entries.values())
+        bernstein._cascade.cache_clear()
+    assert parallel == serial * 4
+    assert 0 < cached <= 2_000

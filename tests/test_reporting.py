@@ -1,9 +1,11 @@
-"""Report rows through csv.writer against the earlier csv.DictWriter rendering.
+"""Report rows through csv.writer and per-column formatters against the earlier rendering.
 
-`reference_csv_bytes` keeps the earlier serializer, one dict per row written
-by `csv.DictWriter` from `dataclasses.fields(row)`, as the oracle: the
-columns are resolved once and the cells written in CSV_COLUMNS order, so the
-bytes are equal.
+`reference_csv_bytes` keeps the earlier serializer as the oracle: one dict
+per row written by `csv.DictWriter` from `dataclasses.fields(row)`, each cell
+formatted by `reference_cell`'s `isinstance` dispatch on the value. The
+library resolves the columns once, picks each column's formatter once from
+the field's type and writes the cells in CSV_COLUMNS order, so the bytes are
+equal.
 """
 
 import csv
@@ -16,15 +18,24 @@ from wavebounds.reporting import (
     CSV_COLUMNS,
     SCHEMA_VERSION,
     VerificationRow,
-    _cell,
+    fmt17,
     rows_to_csv_bytes,
     rows_to_json_bytes,
 )
 
 
+def reference_cell(value) -> str:
+    """A report cell: a string as it is, the flag tuple joined by ';', a number by fmt17."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ";".join(value)
+    return fmt17(value)
+
+
 def reference_record(row: VerificationRow) -> dict[str, str]:
     return {"schema_version": SCHEMA_VERSION} | {
-        f.name: _cell(getattr(row, f.name)) for f in fields(row)
+        f.name: reference_cell(getattr(row, f.name)) for f in fields(row)
     }
 
 
@@ -49,6 +60,10 @@ ROWS = [
     VerificationRow(check="corollary1", status="error", note="ValueError: p, q and \"r\" are bad\nagain"),
     VerificationRow(check="corollary3", status="pass", m=20, k=20, p=3.0, value=1e300,
                     lower_bound=0, upper_bound=12345678901234567890),
+    # nan, -inf in margin, ints in float columns and empty flags.
+    VerificationRow(check="bernstein", status="fail", m=2, k=1, p=2, j=0, nu=0, value=math.nan,
+                    abs_error=math.nan, upper_bound=1, margin=-math.inf, vacuous_flags=(),
+                    slack=1, decay_c=-0.0, decay_c_tilde=math.inf),
 ]
 
 
@@ -62,3 +77,5 @@ def test_json_rows_match_the_earlier_records():
     payload = json.loads(rows_to_json_bytes(ROWS))
     assert payload["rows"] == [reference_record(row) for row in ROWS]
     assert payload["rows"][0]["lower_bound"] == "-inf" and payload["rows"][0]["margin"] == ""
+    last = payload["rows"][-1]
+    assert (last["value"], last["margin"], last["p"], last["vacuous_flags"]) == ("nan", "-inf", "2", "")

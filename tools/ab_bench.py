@@ -14,8 +14,10 @@ at least nine tenths of the pairs and the medians differ, in the metric's
 better direction, by more than the parent's interquartile range.
 
 The two roots must have absolute paths of equal length, because `wall_rel`
-moves with the length of the name of the directory the sources sit in. The
-tool itself writes nothing; each run writes its record to its own
+moves with the length of the name of the directory the sources sit in, and
+the same BENCHMARK.json and bench/ files (bench/out/ aside), because a gain
+is measured with identical benchmark code on both sides. The tool itself
+writes nothing; each run writes its record to its own
 bench/out/, as bench/run.py always does.
 """
 
@@ -54,6 +56,19 @@ def gain_holds(parent: list[float], change: list[float], better: str) -> bool:
     return wins(parent, change, better) >= GAIN_SHARE * len(parent) and gap > hi - lo
 
 
+def benchmark_files(root: Path) -> dict[str, bytes]:
+    """BENCHMARK.json and the files under bench/, by path relative to root.
+
+    bench/out/, where runs write their records, and bytecode caches are left out.
+    """
+    files = {"BENCHMARK.json": (root / "BENCHMARK.json").read_bytes()}
+    for path in sorted((root / "bench").rglob("*")):
+        rel = path.relative_to(root)
+        if path.is_file() and rel.parts[1] != "out" and "__pycache__" not in rel.parts:
+            files[rel.as_posix()] = path.read_bytes()
+    return files
+
+
 def check_roots(parent: Path, change: Path) -> None:
     for root in (parent, change):
         if not (root / "bench" / "run.py").is_file():
@@ -62,6 +77,13 @@ def check_roots(parent: Path, change: Path) -> None:
         raise SystemExit(
             f"the roots' paths differ in length ({len(str(parent))} and {len(str(change))} "
             "characters), and wall_rel moves with the directory name; use equally long paths"
+        )
+    ours, theirs = benchmark_files(parent), benchmark_files(change)
+    differ = sorted(name for name in ours.keys() | theirs.keys() if ours.get(name) != theirs.get(name))
+    if differ:
+        raise SystemExit(
+            f"the roots' benchmark code differs in {', '.join(differ)}; both sides must run "
+            "the same benchmark"
         )
 
 
