@@ -3,15 +3,16 @@
 Verifies, case by case, that wavelet coefficients of admissible test functions
 obey the a-priori bound
 
-    |<f, psi_(j,nu)>| <= C_(k,p) * 2^(-j(k + 1/p - 1/2)) * ||psi_hat||_p
-                         * ||(i w)^k f_hat||_p'
+    |<f, psi_(j,nu)>| <= C_(k,p') * 2^(-j(k + 1/p - 1/2)) * ||psi_hat||_p'
+                         * ||(i w)^k f_hat||_p,    p' = p / (p - 1),
 
-and drives the sandwich sweeps for the closed-form constants. A coefficient
-has two routes. `wavelet_coefficient` integrates f_hat against psi_hat on the
-Fourier side (Parseval route), through the tap route of spectral_eval.
-`pyramid_coefficient`, which the sweep uses, runs Mallat's pyramid from
-fine-level scaling coefficients built out of the exact moments of phi; it
-needs no quadrature. The moments come from an integer recursion over one
+for f in the class A_k^p of the paper's abstract, normalized so that
+||(i w)^k f_hat||_p = 1, and drives the sandwich sweeps for the closed-form
+constants. A coefficient has two routes. `wavelet_coefficient` integrates
+f_hat against psi_hat on the Fourier side (Parseval route), through the tap
+route of spectral_eval. `pyramid_coefficient`, which the sweep uses, runs
+Mallat's pyramid from fine-level scaling coefficients built out of the exact
+moments of phi; it needs no quadrature. The moments come from an integer recursion over one
 common denominator, and each row's Taylor sums from one table of Hermite
 values. The test family is Gaussian, known in closed form on both sides.
 Every sweep records one row per case and never aborts on a failing case;
@@ -42,10 +43,10 @@ from .bound_formulas import (
     require_k_below_m,
 )
 from .daub_filters import construct_filter
-from .norms import NormRequest, best_constant_Ckp, default_decay, weighted_lp_norm
+from .norms import EXACT_P, NormRequest, best_constant_Ckp, default_decay, weighted_lp_norm
 from .quadrature import QuadResult, adaptive_quadrature
 from .reporting import VerificationRow
-from .special_math import gamma_n
+from .special_math import check_norm_domain, gamma_n
 from .spectral_eval import wavelet_hat
 
 J_RANGE = (-6, 10)
@@ -438,16 +439,29 @@ def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> Qua
     )
 
 
-def bernstein_rhs(m: int, k: int, p: float, j: int, f: GaussianTestFunction) -> QuadResult:
-    """Right-hand side C_(k,p) 2^(-j(k+1/p-1/2)) ||psi_hat||_p ||(i w)^k f_hat||_p'.
+def _conjugate_exponent(p: float) -> float:
+    """p' = p/(p-1), taken as an EXACT_P index when it is within 2 ulp of one.
 
+    The rounded quotient can miss the index it stands for (4/3 gives
+    4.000000000000001), which would send the norm to the quadrature route.
+    """
+    q = p / (p - 1.0)
+    return next((e for e in EXACT_P if abs(q - e) <= 2.0 * math.ulp(e)), q)
+
+
+def bernstein_rhs(m: int, k: int, p: float, j: int, f: GaussianTestFunction) -> QuadResult:
+    """Right-hand side ||w^-k psi_hat||_p' 2^(-j(k+1/p-1/2)) ||(i w)^k f_hat||_p, p' = p/(p-1).
+
+    Hoelder's pairing: f is measured in L^p, the class index of A_k^p, and
+    the wavelet in L^p'. ||w^-k psi_hat||_p' is C_(k,p') ||psi_hat||_p', and
+    w = 2^j u gives ||w^-k psi_hat_(j,nu)||_p' = 2^(-j(k + 1/p - 1/2))
+    ||w^-k psi_hat||_p', whose exponent k + 1/2 - 1/p' is k + 1/p - 1/2.
     The abs_error is the norm's relative error carried to the product.
     """
     require_k_below_m(m, k)
-    q = p / (p - 1.0)
-    # C_(k,p) ||psi_hat||_p is ||w^-k psi_hat||_p by the definition of C_(k,p).
-    num = weighted_lp_norm(NormRequest(m, k, p))
-    value = num.value * 2.0 ** (-j * (k + 1.0 / p - 0.5)) * f.weighted_transform_norm(k, q)
+    check_norm_domain(m, k, p)
+    num = weighted_lp_norm(NormRequest(m, k, _conjugate_exponent(p)))
+    value = num.value * 2.0 ** (-j * (k + 1.0 / p - 0.5)) * f.weighted_transform_norm(k, p)
     rel = num.abs_error / num.value
     return QuadResult(value=value, abs_error=value * rel, evaluations=num.evaluations)
 
@@ -608,8 +622,7 @@ def _run_corollary3(case: Mapping) -> VerificationRow:
 def _run_bernstein(case: Mapping) -> VerificationRow:
     m, k, p = case["m"], case["k"], case["p"]
     j, nu = case["j"], case["nu"]
-    q = p / (p - 1.0)
-    f = GaussianTestFunction.normalized(case["sigma"], case.get("center", 0.0), k, q)
+    f = GaussianTestFunction.normalized(case["sigma"], case.get("center", 0.0), k, p)
     coef = pyramid_coefficient(f, m, j, nu)
     if not coef.converged:  # too narrow for the pyramid's cap; quadrature still resolves it
         coef = wavelet_coefficient(f, m, j, nu)

@@ -240,7 +240,7 @@ def _cmd_bernstein(args) -> int:
     construct_filter(args.m)
     NormRequest(args.m, args.k, args.p)
     require_k_below_m(args.m, args.k)
-    GaussianTestFunction.normalized(args.sigma, 0.0, args.k, args.p / (args.p - 1.0))
+    GaussianTestFunction.normalized(args.sigma, 0.0, args.k, args.p)
     for flag, (lo, hi), (first, last) in (
         ("--j-range", args.j_range, J_RANGE),
         ("--nu-range", args.nu_range, (-NU_LIMIT, NU_LIMIT)),

@@ -43,7 +43,9 @@ order it maps a panel's 15 nodes to their 15 values, both as bytes, so it
 returns the very values a fresh call would, and a norm is the same whether
 the memo is cold or warm. The 42 default quadrature norms send 108,330 points
 to wavelet_hat_abs2, not the 168,510 they integrate, and store 7,222 rows
-(2.5 MB) under the memo's cap of 8,192.
+(2.5 MB) under the memo's cap of 8,192. The calls they take depend on the
+order the norms run in: 511 in the benchmark's seed-1 verify_suite order,
+555 when the six checks run their default grids in turn.
 """
 
 from __future__ import annotations

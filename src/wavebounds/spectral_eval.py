@@ -29,6 +29,13 @@ wavelet_hat_abs2 for m = 2..8 is within 1.8e-15 relative for w from 1e-6
 to 5000. The tap route still rounds w/2 + pi, and its tap sum near the
 band factor's order-m zero also cancels to an absolute error of about 1e-16,
 so |wavelet_hat|^2 there is accurate in absolute, not relative, terms.
+
+Order 1, the Haar wavelet, runs no product on the magnitude route: with
+|H(x)|^2 = cos^2(x/2), Viete's product gives |psi_hat(w)|^2 =
+sin^2(w/4) (sin(w/4) / (w/4))^2 / (2 pi) exactly, from one sine per point.
+Against mpmath it is within 7.0e-16 relative for w from 1e-6 to 12868,
+where the 32-factor product it replaces was off by up to 6.3e-14. The tap
+route at order 1 stays a product, so the two routes still cross-check.
 """
 
 from __future__ import annotations
@@ -199,23 +206,42 @@ def wavelet_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
     return restore_shape(np.exp(-1j * half) * np.conj(band) * phi, shape)
 
 
+def _haar_abs2(w: np.ndarray) -> np.ndarray:
+    """|psi_hat(w)|^2 of order 1: sin^2(w/4) (sin(w/4) / (w/4))^2 / (2 pi), 0 at w = 0.
+
+    Viete's product of |H(x)|^2 = cos^2(x/2) in closed form, from one sine
+    per entry.
+    """
+    quarter = 0.25 * w
+    s = np.sin(quarter)
+    ratio = np.divide(s, quarter, out=np.ones_like(s), where=quarter != 0.0)
+    ratio *= s
+    ratio *= ratio
+    return ratio / (2.0 * math.pi)
+
+
 def wavelet_hat_abs2(m: int, omega: float | np.ndarray) -> float | np.ndarray:
     """|psi_hat(w)|^2 computed entirely from the magnitude form of |H|^2.
 
-    Its factors (|H|^2 from P, not H from the taps) and its truncation rule
-    (the modulus bound) are independent of the tap-based wavelet_hat, so
-    agreement between |wavelet_hat|^2 and this value cross-checks the spectral
-    factorization end to end. The two routes share the product loop,
-    _truncated_product, and the band factor |H(w/2 + pi)|^2, taken from
-    sin(w/4), rides in the product's one magnitude_squared_rows call. Apart
-    from that cross-check, the loop is checked by the 72-factor reference
-    products in tests/test_spectral_eval.py, the Haar closed form, and the
-    exact-route norms (Plancherel's 1 among them) that the quadrature norms
-    must match.
+    Order 1 takes the closed form of _haar_abs2, one sine per point and no
+    product, within 7.0e-16 relative of mpmath (module docstring). For every
+    other order, its factors (|H|^2 from P, not H from the taps) and its
+    truncation rule (the modulus bound) are independent of the tap-based
+    wavelet_hat, so agreement between |wavelet_hat|^2 and this value
+    cross-checks the spectral factorization end to end; at order 1 the
+    cross-check is the tap product against the closed form. The two routes
+    share the product loop, _truncated_product, and the band factor
+    |H(w/2 + pi)|^2, taken from sin(w/4), rides in the product's one
+    magnitude_squared_rows call. Apart from that cross-check, the loop is
+    checked by the 72-factor reference products in
+    tests/test_spectral_eval.py and the exact-route norms (Plancherel's 1
+    among them) that the quadrature norms must match.
     Each entry of an array is bit-identical to a call on that entry alone.
     """
     w, shape = flatten_frequencies(omega)
     peak = _guarded_peak(w)
+    if m == 1:
+        return restore_shape(_haar_abs2(w), shape)
     half = 0.5 * w
     product, _, band = _truncated_product(
         partial(magnitude_squared_rows, m, band=half.size),

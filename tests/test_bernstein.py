@@ -282,6 +282,44 @@ class TestBernsteinRhs:
         )
         assert bernstein_rhs(2, k, p, j, f).value == pytest.approx(float(pieces), rel=1e-13)
 
+    @staticmethod
+    def dilated_weighted_norm(m: int, k: int, q: float, j: int) -> float:
+        """||w^-k psi_hat_(j,nu)||_q by scipy, integrated in w itself.
+
+        |psi_hat_(j,nu)(w)|^2 = 2^-j |psi_hat(2^-j w)|^2. The 2,048 panels of
+        width 2^j 2 pi up to 2^j DEFAULT_OMEGA_MAX end on the zeros of
+        psi_hat, and scipy's quad integrates their sum as one function of the
+        panel coordinate. At m = 4 the tail beyond is negligible.
+        """
+        scale = 2.0**j
+        width = 2.0 * math.pi * scale
+        starts = width * np.arange(round(DEFAULT_OMEGA_MAX / (2.0 * math.pi)))
+
+        def summed(t: float) -> float:
+            w = starts + t * width
+            modulus = (wavelet_hat_abs2(m, w / scale) / scale) ** (0.5 * q)
+            return width * float(np.sum(w ** (-k * q) * modulus))
+
+        integral, _ = quad(summed, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+        return (2.0 * integral) ** (1.0 / q)
+
+    @pytest.mark.parametrize("j", [-6, 0, 5])
+    @pytest.mark.parametrize("p", [4.0 / 3.0, 3.0, 4.0])
+    def test_hoelder_pairing_off_p_2(self, p, j):
+        # f in L^p, psi_(j,nu) in L^p': the right-hand side is the dilated
+        # wavelet's weighted p'-norm times ||(i w)^k f_hat||_p, which is 1.
+        m, k = 4, 1
+        f = GaussianTestFunction.normalized(1.0, 0.0, k, p)
+        assert f.weighted_transform_norm(k, p) == pytest.approx(1.0, rel=1e-14)
+        want = self.dilated_weighted_norm(m, k, p / (p - 1.0), j)
+        rhs = bernstein_rhs(m, k, p, j, f)
+        assert abs(rhs.value - want) <= rhs.abs_error + 1e-10 * want
+
+    def test_conjugate_of_an_exact_index_takes_the_exact_route(self):
+        # 4/3 / (4/3 - 1) rounds to 4.000000000000001; the norm must still be exact.
+        f = GaussianTestFunction.normalized(1.0, 0.0, 1, 4.0 / 3.0)
+        assert bernstein_rhs(4, 1, 4.0 / 3.0, 0, f).evaluations == 0
+
     def test_finite_positive(self):
         f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
         rhs = bernstein_rhs(2, 1, 2.0, 0, f)

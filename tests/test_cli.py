@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -258,6 +259,17 @@ class TestBernsteinCommand:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 3
+
+    def test_off_p_2_row_uses_hoelders_pairing(self, tmp_path):
+        # f is normalized in L^4 and the wavelet measured in L^(4/3). With
+        # the exponent of the other pairing this row failed: 12.74 against 3.02.
+        out = tmp_path / "bern.csv"
+        argv = ["--m", "2", "--k", "1", "--p", "4", "--sigma", "20"]
+        assert main(["bernstein", *argv, "--j-range=-6:-6", "--nu-range=0:0", "--out", str(out)]) == 0
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        want = weighted_lp_norm(NormRequest(2, 1, 4.0 / 3.0)).value * 2.0 ** (6 * 0.75)
+        assert row["status"] == "pass"
+        assert float(row["upper_bound"]) == pytest.approx(want, rel=1e-14)
 
     def test_error_bar_wider_than_the_bound_is_vacuous(self, tmp_path):
         # At sigma = 1e100 the coefficient's abs_error (4.2e36) swamps the

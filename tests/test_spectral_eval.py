@@ -6,6 +6,7 @@ import pytest
 
 from wavebounds import spectral_eval
 from wavebounds.daub_filters import construct_filter, eval_H, eval_P, magnitude_squared_H
+from wavebounds.norms import DEFAULT_OMEGA_MAX
 from wavebounds.special_math import p_coefficients
 from wavebounds.spectral_eval import (
     MAX_DEPTH,
@@ -137,14 +138,24 @@ class TestWaveletHat:
         assert slope == pytest.approx(m, abs=0.05)
 
 
+_LINEAR_GRID = np.linspace(-30.0, 30.0, 121)
+_LOG_GRID = np.geomspace(1e-3, DEFAULT_OMEGA_MAX, 241)
+
+
 class TestDualPath:
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
-    def test_tap_route_matches_magnitude_route(self, m):
+    # Order 1's magnitude route is a closed form, not a product, so its tap
+    # product is also checked over the whole default integration range.
+    @pytest.mark.parametrize(
+        "m,grid",
+        [(m, _LINEAR_GRID) for m in (1, 2, 3, 5, 8)]
+        + [(1, np.concatenate([-_LOG_GRID[::-1], _LOG_GRID]))],
+        ids=["1", "2", "3", "5", "8", "1-log"],
+    )
+    def test_tap_route_matches_magnitude_route(self, m, grid):
         # Relative agreement within 2*product_tol wherever the value is
         # resolvable. Near the zeros of psi_hat the tap route is limited by
         # cancellation in eval_H: first order that is a sqrt(value)-scaled
         # absolute error, bottoming out at the squared noise floor ~1e-33.
-        grid = np.linspace(-30.0, 30.0, 121)
         taps_sq = np.abs(wavelet_hat(m, grid)) ** 2
         closed = wavelet_hat_abs2(m, grid)
         allowed = 2.0 * PRODUCT_TOL * closed + 1e-14 * np.sqrt(closed) + 1e-26
@@ -239,8 +250,18 @@ def unfused_psi_hat(m: int, x: np.ndarray) -> np.ndarray:
     return np.exp(-1j * half) * np.conj(band) * unfused_phi_hat(m, half)
 
 
+def haar_psi_hat_abs2(x: np.ndarray) -> np.ndarray:
+    """Order 1's |psi_hat|^2 at the one point of x: sin^4(w/4) / ((w/4)^2 2 pi), 0 at w = 0."""
+    quarter = 0.25 * x
+    s = np.sin(quarter)
+    sinc = s / quarter if quarter[0] else np.ones(1)
+    return (s * sinc) ** 2 / (2.0 * math.pi)
+
+
 def unfused_psi_hat_abs2(m: int, x: np.ndarray) -> np.ndarray:
-    """|psi_hat|^2 at the one point of x, with a band call of its own."""
+    """|psi_hat|^2 at the one point of x, with a band call of its own; order 1 in closed form."""
+    if m == 1:
+        return haar_psi_hat_abs2(x)
     half = 0.5 * x
     depth = unfused_depth(float(half[0]), _modulus_theta(m))
     factors = magnitude_squared_H(m, half[0] * 2.0 ** -np.arange(1, depth + 1))
@@ -348,6 +369,40 @@ def reference_psi_hat_abs2(m: int, w: float) -> float:
             modulus(mp.cos(quarter / 2**l) ** 2, mp.sin(quarter / 2**l) ** 2) for l in range(1, 81)
         )
         return float(band * product / (2 * mp.pi))
+
+
+class TestHaarClosedForm:
+    def test_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        grid = np.geomspace(1e-6, 12868.0, 401)
+        values = wavelet_hat_abs2(1, grid)
+        with mp.workdps(50):
+            for w, value in zip(grid, values):
+                quarter = mp.mpf(float(w)) / 4
+                want = mp.sin(quarter) ** 4 / (quarter**2 * 2 * mp.pi)
+                assert abs(value - want) <= 2e-15 * want, w
+
+    @pytest.mark.parametrize("w", [0.0, -0.0])
+    def test_zero_at_the_origin(self, w):
+        value = wavelet_hat_abs2(1, w)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert wavelet_hat_abs2(1, np.array([w, 3.0]))[0] == 0.0
+
+    def test_no_product(self, monkeypatch):
+        # One sine per point and no |H|^2 factor call.
+        def refused(*args, **kwargs):
+            raise AssertionError("order 1 called magnitude_squared_rows")
+
+        monkeypatch.setattr(spectral_eval, "magnitude_squared_rows", refused)
+        elements = []
+
+        def counted(x, *args, _original=np.sin, **kwargs):
+            elements.append(np.size(x))
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", counted)
+        wavelet_hat_abs2(1, np.linspace(-100.0, 100.0, 37))
+        assert elements == [37]
 
 
 class TestBandFactorNearOrigin:
