@@ -21,6 +21,7 @@ failures are data.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -39,6 +40,7 @@ from .bound_formulas import (
     bound_E,
     bound_F,
     bound_G,
+    mp_is_even,
     ratio_bounds,
     require_k_below_m,
 )
@@ -46,7 +48,7 @@ from .daub_filters import construct_filter
 from .norms import EXACT_P, NormRequest, best_constant_Ckp, default_decay, weighted_lp_norm
 from .quadrature import QuadResult, adaptive_quadrature
 from .reporting import VerificationRow
-from .special_math import check_norm_domain, gamma_n
+from .special_math import MAX_ORDER, check_norm_domain, gamma_n
 from .spectral_eval import wavelet_hat
 
 J_RANGE = (-6, 10)
@@ -92,23 +94,26 @@ class GaussianTestFunction:
 
     def weighted_transform_norm(self, k: int, q: float) -> float:
         """Closed form ||(i w)^k f_hat||_q from the Gaussian moment integral."""
-        b = 0.5 * q * self.sigma**2
-        a = k * q
-        integral = math.gamma(0.5 * (a + 1.0)) * b ** (-0.5 * (a + 1.0))
-        return self.amplitude * self.sigma * integral ** (1.0 / q)
+        return self.amplitude * self.sigma * _moment_root(self.sigma, k, q)
 
     @classmethod
     def normalized(cls, sigma: float, center: float, k: int, q: float) -> "GaussianTestFunction":
-        base = cls(sigma=sigma, center=center)
         try:
-            amplitude = 1.0 / base.weighted_transform_norm(k, q)
+            amplitude = 1.0 / (sigma * _moment_root(sigma, k, q))
         except (OverflowError, ZeroDivisionError):
             amplitude = math.inf
-        if not 0.0 < amplitude < math.inf:
+        # A sigma that is not positive and finite is named by __post_init__.
+        if 0 < sigma < math.inf and not 0.0 < amplitude < math.inf:
             raise ValueError(
                 f"sigma={sigma} puts ||(i w)^{k} f_hat||_{q:g} outside the floating-point range"
             )
         return cls(sigma=sigma, center=center, amplitude=amplitude)
+
+
+def _moment_root(sigma: float, k: int, q: float) -> float:
+    """(integral |w|^(kq) e^(-q (sigma w)^2 / 2) dw)^(1/q), by the Gaussian moment integral."""
+    a = k * q + 1.0
+    return (math.gamma(0.5 * a) * (0.5 * q * sigma**2) ** (-0.5 * a)) ** (1.0 / q)
 
 
 def _check_scale_and_shift(j: int, nu: int) -> None:
@@ -474,34 +479,63 @@ ASYMPTOTIC_SLACK = 0.5
 TOL_PAD = 1e-9
 
 
-def theorem1_grid() -> list[dict]:
+def _grid(ms, ks, ps, hypothesis: str, holds: Callable[[int, int, float], bool]) -> list[dict]:
+    """The cases {m, k, p} with holds(m, k, p), in the order of the deduplicated, sorted axes.
+
+    A ValueError names a value outside check_norm_domain, or the hypothesis
+    when no case satisfies it. The grids' default ks hold every k of the
+    library's orders, and each hypothesis keeps its own.
+    """
     cases = []
-    for m in range(2, 7):
-        for k in range(1, m):
-            for p in (1.5, 2.0, 3.0):
-                if p * k > 1.0:
-                    cases.append({"m": m, "k": k, "p": p})
+    for m, k, p in itertools.product(*(sorted(set(axis)) for axis in (ms, ks, ps))):
+        check_norm_domain(m, k, p)
+        if holds(m, k, p):
+            cases.append({"m": m, "k": k, "p": p})
+    if not cases:
+        raise ValueError(f"no case of these m, k and p satisfies {hypothesis}")
     return cases
 
 
-def theorem2_grid() -> list[dict]:
+def theorem1_grid(ms=range(2, 7), ks=range(MAX_ORDER + 1), ps=(1.5, 2.0, 3.0)) -> list[dict]:
+    """The cases of Theorem 1 and Corollary 2: 1 <= k < m and p k > 1."""
+    return _grid(ms, ks, ps, "1 <= k < m and p k > 1", lambda m, k, p: 1 <= k < m and p * k > 1.0)
+
+
+def theorem2_grid(ms=range(1, 6), ks=range(MAX_ORDER + 1), ps=(2.0, 4.0)) -> list[dict]:
+    """The cases of Theorem 2 and Corollary 3: k = m and m p even, as F and G test it."""
+    return _grid(
+        ms, ks, ps, "k = m and m p an even integer", lambda m, k, p: k == m and mp_is_even(m, p)
+    )
+
+
+def corollary1_grid(ms=range(1, 7), ks=range(MAX_ORDER + 1), ps=(1.5, 2.0, 3.0)) -> list[dict]:
+    """The cases of Corollary 1: k = 0."""
+    return _grid(ms, ks, ps, "k = 0", lambda m, k, p: k == 0)
+
+
+def bernstein_grid(m=2, k=1, p=2.0, sigma=1.0, j_range=(-3, 6), nu_range=(-8, 8)) -> list[dict]:
+    """The cases at one (m, k, p, sigma): each j, then each nu, of the inclusive ranges.
+
+    A ValueError names what no row could use: an order without filter taps, a
+    value outside check_norm_domain, k >= m, a sigma that puts the weighted
+    norm past the double range, or a range that is empty or passes its limit.
+    """
+    construct_filter(m)
+    check_norm_domain(m, k, p)
+    require_k_below_m(m, k)
+    GaussianTestFunction.normalized(sigma, 0.0, k, p)
+    for name, (lo, hi), (first, last) in (
+        ("j_range", j_range, J_RANGE),
+        ("nu_range", nu_range, (-NU_LIMIT, NU_LIMIT)),
+    ):
+        if lo > hi:
+            raise ValueError(f"{name} {lo}:{hi} is empty: its start exceeds its end")
+        if lo < first or hi > last:
+            raise ValueError(f"{name} {lo}:{hi} reaches outside its limit {first}:{last}")
     return [
-        {"m": m, "k": m, "p": p}
-        for m in range(1, 6)
-        for p in (2.0, 4.0)
-        if round(m * p) % 2 == 0
-    ]
-
-
-def corollary1_grid() -> list[dict]:
-    return [{"m": m, "k": 0, "p": p} for m in range(1, 7) for p in (1.5, 2.0, 3.0)]
-
-
-def bernstein_grid() -> list[dict]:
-    return [
-        {"m": 2, "k": 1, "p": 2.0, "sigma": 1.0, "j": j, "nu": nu}
-        for j in range(-3, 7)
-        for nu in range(-8, 9)
+        {"m": m, "k": k, "p": p, "sigma": sigma, "j": j, "nu": nu}
+        for j in range(j_range[0], j_range[1] + 1)
+        for nu in range(nu_range[0], nu_range[1] + 1)
     ]
 
 
@@ -631,7 +665,7 @@ def _run_bernstein(case: Mapping) -> VerificationRow:
     return _row("bernstein", m, k, p, abs(coef.value), None, rhs.value, abs_error, j=j, nu=nu)
 
 
-# Each check's row runner and the default grid it sweeps.
+# Each check's row runner and its grid function, whose defaults give the default grid.
 CHECKS = {
     "theorem1": (_run_theorem1, theorem1_grid),
     "theorem2": (_run_theorem2, theorem2_grid),

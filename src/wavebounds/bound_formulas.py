@@ -144,14 +144,18 @@ def bound_E(params: BoundParams) -> float:
     return bound_B(replace(params, k=0, eps=math.pi))
 
 
+def mp_is_even(m: int, p: float) -> bool:
+    """Whether m*p is an even integer within 1e-9: the hypothesis of F and G."""
+    n = m * p
+    return abs(n - round(n)) <= 1e-9 and round(n) % 2 == 0
+
+
 def _even_mp(params: BoundParams) -> int:
+    """m*p, even and at least 2, since BoundParams holds m >= 1 and p > 1."""
     n = params.m * params.p
-    n_int = round(n)
-    if abs(n - n_int) > 1e-9 or n_int % 2 != 0:
+    if not mp_is_even(params.m, params.p):
         raise ValueError(f"requires m*p to be an even integer, got {n}")
-    if n_int <= 1:
-        raise ValueError(f"requires m*p > 1, got {n}")
-    return n_int
+    return round(n)
 
 
 def bound_F(params: BoundParams) -> float:

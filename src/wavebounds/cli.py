@@ -12,15 +12,8 @@ import math
 import sys
 from pathlib import Path
 
-from .bernstein import (
-    CHECKS,
-    J_RANGE,
-    NU_LIMIT,
-    GaussianTestFunction,
-    bound_params,
-    verify_sweep,
-)
-from .bound_formulas import BoundParams, compute_bound_set, require_k_below_m
+from .bernstein import CHECKS, bernstein_grid, bound_params, verify_sweep
+from .bound_formulas import BoundParams, compute_bound_set
 from .daub_filters import FilterConstructionError, construct_filter
 from .norms import NormRequest, default_decay, weighted_lp_norm
 from .reporting import exit_code, fmt17, rows_to_csv_bytes, rows_to_json_bytes, summarize
@@ -73,23 +66,23 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
 
+    # A sweep flag left out (None) leaves its axis to the grid function's default.
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     p_verify.add_argument("check", choices=[check for check in CHECKS if check != "bernstein"])
-    p_verify.add_argument("--m-list", type=int, nargs="+", default=None)
-    p_verify.add_argument("--k-list", type=int, nargs="+", default=None)
-    p_verify.add_argument("--p-list", type=float, nargs="+", default=None)
-    p_verify.add_argument("--out", type=Path, default=None)
-    p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_verify.add_argument("--m-list", dest="ms", metavar="M", type=int, nargs="+")
+    p_verify.add_argument("--k-list", dest="ks", metavar="K", type=int, nargs="+")
+    p_verify.add_argument("--p-list", dest="ps", metavar="P", type=float, nargs="+")
 
     p_bern = sub.add_parser("bernstein", help="verify the coefficient-decay inequality")
-    p_bern.add_argument("--m", type=int, default=2)
-    p_bern.add_argument("--k", type=int, default=1)
-    p_bern.add_argument("--p", type=float, default=2.0)
-    p_bern.add_argument("--sigma", type=float, default=1.0)
-    p_bern.add_argument("--j-range", type=_parse_int_span, default=(-3, 6))
-    p_bern.add_argument("--nu-range", type=_parse_int_span, default=(-8, 8))
-    p_bern.add_argument("--out", type=Path, default=None)
-    p_bern.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_bern.add_argument("--m", type=int)
+    p_bern.add_argument("--k", type=int)
+    p_bern.add_argument("--p", type=float)
+    p_bern.add_argument("--sigma", type=float)
+    p_bern.add_argument("--j-range", type=_parse_int_span)
+    p_bern.add_argument("--nu-range", type=_parse_int_span)
+    for sweep in (p_verify, p_bern):
+        sweep.add_argument("--out", type=Path, default=None)
+        sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -180,26 +173,12 @@ def _cmd_bounds(args) -> int:
     return _print_record(record, args)
 
 
-def _restrict_grid(cases: list[dict], args) -> list[dict]:
-    def keep(case: dict) -> bool:
-        if args.m_list is not None and case.get("m") not in args.m_list:
-            return False
-        if args.k_list is not None and case.get("k") not in args.k_list:
-            return False
-        if args.p_list is not None and case.get("p") not in args.p_list:
-            return False
-        return True
-
-    return [case for case in cases if keep(case)]
-
-
-def _report_sweep(check: str, cases: list[dict], args) -> int:
-    """Run one sweep, write its report to --out or stdout, and return the exit code.
+def _report_sweep(check: str, rows: list, args) -> int:
+    """Write one sweep's report to --out or stdout, and return the exit code.
 
     With --out, a one-line summary goes to stdout: the row statuses, and how
     many rows checked each side (a bound present and not flagged vacuous).
     """
-    rows = verify_sweep(check, cases)
     data = rows_to_csv_bytes(rows) if args.format == "csv" else rows_to_json_bytes(rows)
     if args.out is None:
         sys.stdout.write(data.decode("utf-8"))
@@ -216,45 +195,26 @@ def _report_sweep(check: str, cases: list[dict], args) -> int:
     return exit_code(rows)
 
 
-def _grid_values(cases: list[dict]) -> str:
-    """The m, k and p values a grid holds, as 'm in 2 3, k in 1, p in 1.5 2'."""
-    return ", ".join(
-        f"{key} in " + " ".join(f"{value:g}" for value in sorted({case[key] for case in cases}))
-        for key in ("m", "k", "p")
-    )
+def _grid_axes(args) -> dict:
+    """The sweep axes given on the command line, named as the grid function names them."""
+    report = ("command", "check", "out", "format")
+    return {key: val for key, val in vars(args).items() if val is not None and key not in report}
 
 
 def _cmd_verify(args) -> int:
-    grid = CHECKS[args.check][1]()
-    cases = _restrict_grid(grid, args)
-    if not cases:
-        raise ValueError(
-            f"no {args.check} case matches the filters; its grid has {_grid_values(grid)}"
-        )
-    return _report_sweep(args.check, cases, args)
+    cases = CHECKS[args.check][1](**_grid_axes(args))
+    return _report_sweep(args.check, verify_sweep(args.check, cases), args)
 
 
 def _cmd_bernstein(args) -> int:
-    # Every row shares m, k, p and sigma, and the row limits bound both ranges:
-    # reject a value no row can use here, not once per row.
-    construct_filter(args.m)
-    NormRequest(args.m, args.k, args.p)
-    require_k_below_m(args.m, args.k)
-    GaussianTestFunction.normalized(args.sigma, 0.0, args.k, args.p)
-    for flag, (lo, hi), (first, last) in (
-        ("--j-range", args.j_range, J_RANGE),
-        ("--nu-range", args.nu_range, (-NU_LIMIT, NU_LIMIT)),
-    ):
-        if lo > hi:
-            raise ValueError(f"{flag} {lo}:{hi} is empty: its start exceeds its end")
-        if lo < first or hi > last:
-            raise ValueError(f"{flag} {lo}:{hi} reaches outside its limit {first}:{last}")
-    cases = [
-        {"m": args.m, "k": args.k, "p": args.p, "sigma": args.sigma, "j": j, "nu": nu}
-        for j in range(args.j_range[0], args.j_range[1] + 1)
-        for nu in range(args.nu_range[0], args.nu_range[1] + 1)
-    ]
-    return _report_sweep("bernstein", cases, args)
+    cases = bernstein_grid(**_grid_axes(args))
+    # Both coefficient routes get harder as j falls, so a Gaussian too narrow
+    # for them shows in the first row, at the lowest j: reject it as input.
+    rows = verify_sweep("bernstein", cases[:1])
+    if rows[0].status == "error":
+        sigma, j = cases[0]["sigma"], cases[0]["j"]
+        raise ValueError(f"sigma={sigma:g} fails at the range's lowest j={j}: {rows[0].note}")
+    return _report_sweep("bernstein", rows + verify_sweep("bernstein", cases[1:]), args)
 
 
 _COMMANDS = {

@@ -20,9 +20,9 @@ def gamma_n(n: float | np.ndarray) -> float | np.ndarray:
 
 
 def check_norm_domain(m: int, k: int, p: float) -> None:
-    """Raise ValueError unless the order m >= 1, the weight exponent k >= 0 and 1 < p < inf."""
-    if m < 1:
-        raise ValueError(f"order must be positive, got {m}")
+    """Raise ValueError unless 1 <= m <= MAX_ORDER, the weight exponent k >= 0 and 1 < p < inf."""
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"the order must satisfy 1 <= m <= {MAX_ORDER}, got m={m}")
     if k < 0:
         raise ValueError(f"weight exponent must be nonnegative, got {k}")
     if not (1.0 < p < math.inf):

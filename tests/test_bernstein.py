@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from wavebounds.bernstein import (
     _row,
     bernstein_grid,
     bernstein_rhs,
+    corollary1_grid,
     phi_moments,
     pyramid_coefficient,
     theorem1_grid,
@@ -379,8 +381,58 @@ class TestVerifySweep:
         assert rows_to_json_bytes(rows_a) == rows_to_json_bytes(rows_b)
 
     def test_default_grids_shapes(self):
+        # The default grids are the benchmark's inputs: each grid function,
+        # called with no arguments, returns these cases in this order.
         assert len(theorem1_grid()) == 45
         assert len(theorem2_grid()) == 10
+        assert theorem1_grid() == [
+            {"m": m, "k": k, "p": p}
+            for m in range(2, 7)
+            for k in range(1, m)
+            for p in (1.5, 2.0, 3.0)
+            if p * k > 1.0
+        ]
+        assert theorem2_grid() == [
+            {"m": m, "k": m, "p": p} for m in range(1, 6) for p in (2.0, 4.0)
+        ]
+        assert corollary1_grid() == [
+            {"m": m, "k": 0, "p": p} for m in range(1, 7) for p in (1.5, 2.0, 3.0)
+        ]
+        assert bernstein_grid() == [
+            {"m": 2, "k": 1, "p": 2.0, "sigma": 1.0, "j": j, "nu": nu}
+            for j in range(-3, 7)
+            for nu in range(-8, 9)
+        ]
+
+    def test_grids_build_cases_from_their_axes(self):
+        # Axes off the defaults, with repeats and out of order.
+        assert theorem1_grid(ms=[9, 8, 9], ks=[7, 1], ps=[3.0]) == [
+            {"m": 8, "k": 1, "p": 3.0},
+            {"m": 8, "k": 7, "p": 3.0},
+            {"m": 9, "k": 1, "p": 3.0},
+            {"m": 9, "k": 7, "p": 3.0},
+        ]
+        # m p is 14 at p = 7/6 and 13 at p = 13/12.
+        assert theorem2_grid(ms=[12], ps=[7.0 / 6.0, 13.0 / 12.0]) == [
+            {"m": 12, "k": 12, "p": 7.0 / 6.0}
+        ]
+        assert bernstein_grid(m=4, k=3, p=1.5, sigma=0.5, j_range=(2, 2), nu_range=(0, 1)) == [
+            {"m": 4, "k": 3, "p": 1.5, "sigma": 0.5, "j": 2, "nu": 0},
+            {"m": 4, "k": 3, "p": 1.5, "sigma": 0.5, "j": 2, "nu": 1},
+        ]
+
+    @pytest.mark.parametrize(
+        "grid,axes,message",
+        [
+            (theorem1_grid, {"ps": [1.0]}, "got 1.0"),
+            (theorem2_grid, {"ms": [5], "ps": [1.3]}, "satisfies k = m and m p an even integer"),
+            (corollary1_grid, {"ms": [33]}, "got m=33"),
+            (corollary1_grid, {"ks": [1, 2]}, "satisfies k = 0"),
+        ],
+    )
+    def test_grid_outside_its_hypothesis_or_domain_raises(self, grid, axes, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grid(**axes)
 
     @pytest.mark.parametrize("j,nu,bad", [(11, 0, 11), (0, 65, 65)])
     def test_out_of_range_scale_or_shift_is_error_row(self, j, nu, bad):

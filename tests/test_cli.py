@@ -4,10 +4,11 @@ import math
 
 import pytest
 
+from wavebounds.bernstein import verify_sweep
 from wavebounds.cli import main
 from wavebounds.daub_filters import construct_filter
 from wavebounds.norms import NormRequest, default_decay, weighted_lp_norm
-from wavebounds.reporting import fmt17
+from wavebounds.reporting import fmt17, rows_to_csv_bytes
 from wavebounds.spectral_eval import wavelet_hat_abs2
 
 
@@ -224,26 +225,62 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["summary"]["total"] == 1
 
+    def test_m_list_builds_the_grid(self, tmp_path):
+        # The orders lie off the default grid: the list builds the cases
+        # 1 <= k < m at each p, 21 + 33 + 45 of them.
+        out = tmp_path / "rows.csv"
+        assert main(["verify", "theorem1", "--m-list", "8", "12", "16", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 99
+        assert {row["status"] for row in rows} == {"pass"}
+        assert sorted({int(row["m"]) for row in rows}) == [8, 12, 16]
+
+    def test_lists_are_deduplicated_and_sorted(self, capsys):
+        assert main(["verify", "theorem2", "--m-list", "2", "1", "2"]) == 0
+        repeated = capsys.readouterr().out
+        assert main(["verify", "theorem2", "--m-list", "1", "2"]) == 0
+        assert repeated == capsys.readouterr().out
+
     @pytest.mark.parametrize(
-        "argv,grid",
+        "argv,hypothesis",
         [
-            (["theorem1", "--m-list", "8"], "m in 2 3 4 5 6,"),
-            (["theorem2", "--k-list", "7"], "k in 1 2 3 4 5,"),
-            (["corollary1", "--m-list", "2", "--p-list", "4"], "p in 1.5 2 3"),
+            (["theorem2", "--k-list", "7"], "k = m and m p an even integer"),
+            (["corollary1", "--k-list", "1"], "k = 0"),
+            # m p = 6.5 rounds to an even 6, but F and G need an even integer.
+            (["theorem2", "--m-list", "5", "--p-list", "1.3"], "k = m and m p an even integer"),
+            (["theorem1", "--m-list", "2", "--k-list", "2"], "1 <= k < m and p k > 1"),
         ],
     )
-    def test_filter_selecting_no_case_exits_2(self, tmp_path, capsys, argv, grid):
+    def test_lists_outside_the_hypothesis_exit_2(self, tmp_path, capsys, argv, hypothesis):
         out = tmp_path / "rows.csv"
         assert main(["verify", *argv, "--out", str(out)]) == 2
         assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("wavebounds: error: no ") and captured.err.count("\n") == 1
-        assert grid in captured.err
+        assert captured.err.startswith("wavebounds: error: no case ")
+        assert captured.err.endswith(f"satisfies {hypothesis}\n") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (["--m-list", "0"], "got m=0"),
+            (["--m-list", "33", "--p-list", "2"], "got m=33"),
+            (["--p-list", "1.0"], "got 1.0"),
+            (["--k-list", "-1"], "got -1"),
+        ],
+    )
+    def test_value_outside_the_domain_exits_2(self, tmp_path, capsys, argv, value):
+        out = tmp_path / "rows.csv"
+        assert main(["verify", "theorem1", *argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wavebounds: error: ") and captured.err.count("\n") == 1
+        assert value in captured.err
 
     @pytest.mark.parametrize("check,k", [("theorem2", "2"), ("corollary3", "1")])
     def test_k_list_restricts_checks_that_fix_k(self, check, k, capsys):
-        # These checks set k from m; their grid cases still carry k for --k-list.
+        # These checks take k = m: --k-list picks the orders.
         assert main(["verify", check, "--k-list", k]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 1 + 2
@@ -251,6 +288,22 @@ class TestVerifyCommand:
 
 
 class TestBernsteinCommand:
+    def test_default_flags_write_the_default_grid(self, capsys):
+        assert main(["bernstein"]) == 0
+        assert capsys.readouterr().out.encode() == rows_to_csv_bytes(verify_sweep("bernstein"))
+
+    @pytest.mark.parametrize("sigma,j", [("1e-8", "-3"), ("1e-6", "-3"), ("1e-6", "-1")])
+    def test_gaussian_too_narrow_at_the_lowest_j_exits_2(self, tmp_path, capsys, sigma, j):
+        # The Fourier fallback's |omega| passes the evaluation guard: every
+        # route fails at the range's lowest j, so no report is written.
+        out = tmp_path / "rows.csv"
+        assert main(["bernstein", "--sigma", sigma, f"--j-range={j}:6", "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"wavebounds: error: sigma={float(sigma):g} fails at the range's lowest j={j}: ")
+        assert "exceeds the evaluation guard" in captured.err and captured.err.count("\n") == 1
+
     def test_small_grid_passes(self, tmp_path):
         out = tmp_path / "bern.csv"
         code = main(
@@ -296,7 +349,7 @@ class TestBernsteinCommand:
         assert captured.out == ""
         assert captured.err.startswith("wavebounds: error: ") and captured.err.count("\n") == 1
         flag, value = span[-1].split("=")
-        assert f"{flag} {value} is empty" in captured.err
+        assert f"{flag.lstrip('-').replace('-', '_')} {value} is empty" in captured.err
 
     @pytest.mark.parametrize(
         "span,limit",
@@ -316,7 +369,8 @@ class TestBernsteinCommand:
         assert captured.out == ""
         assert captured.err.startswith("wavebounds: error: ") and captured.err.count("\n") == 1
         flag, value = span.split("=")
-        assert f"{flag} {value}" in captured.err and limit in captured.err
+        name = flag.lstrip("-").replace("-", "_")
+        assert f"{name} {value}" in captured.err and limit in captured.err
 
     @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
     def test_sigma_outside_float_range_exits_2(self, tmp_path, capsys, sigma):

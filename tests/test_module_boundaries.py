@@ -5,7 +5,8 @@ gamma_n are defined in special_math alone, only norms knows the tail cutoff,
 the (m, k, p) domain is checked in special_math alone, and one spectral_eval
 function runs every truncated product and every factor call; norms hands
 its quadrature integrand to adaptive_quadrature and never calls it itself,
-and evaluates |psi_hat|^2 only through its memo.
+and evaluates |psi_hat|^2 only through its memo; the CLI builds no sweep
+case of its own.
 """
 
 import ast
@@ -142,3 +143,20 @@ def test_norms_evaluates_abs2_only_through_its_memo():
     assert calls, "norms.py no longer calls wavelet_hat_abs2"
     outside = [node.lineno for node in calls if id(node) not in inside]
     assert not outside, f"norms.py calls wavelet_hat_abs2 outside _Abs2Memo at lines {outside}"
+
+
+def test_cli_builds_no_sweep_case():
+    # The grid functions in bernstein are the one declaration of a grid: the
+    # CLI hands them its flags and lists no case of its own. A case is a dict
+    # with an "m" key in a list or a comprehension; the one-record outputs of
+    # filters, decay and bounds stand alone.
+    path = PACKAGE / "cli.py"
+    cases = [
+        element.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.List, ast.ListComp, ast.GeneratorExp, ast.SetComp))
+        for element in (node.elts if isinstance(node, ast.List) else [node.elt])
+        if isinstance(element, ast.Dict)
+        and any(isinstance(key, ast.Constant) and key.value == "m" for key in element.keys)
+    ]
+    assert not cases, f"cli.py builds sweep cases at lines {cases}"
