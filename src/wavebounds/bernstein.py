@@ -48,7 +48,7 @@ from .daub_filters import construct_filter
 from .norms import EXACT_P, NormRequest, best_constant_Ckp, default_decay, weighted_lp_norm
 from .quadrature import QuadResult, adaptive_quadrature
 from .reporting import VerificationRow
-from .special_math import MAX_ORDER, check_norm_domain, gamma_n
+from .special_math import MAX_ORDER, MAX_SINC_POWER, check_norm_domain, gamma_n
 from .spectral_eval import wavelet_hat
 
 J_RANGE = (-6, 10)
@@ -502,10 +502,16 @@ def theorem1_grid(ms=range(2, 7), ks=range(MAX_ORDER + 1), ps=(1.5, 2.0, 3.0)) -
 
 
 def theorem2_grid(ms=range(1, 6), ks=range(MAX_ORDER + 1), ps=(2.0, 4.0)) -> list[dict]:
-    """The cases of Theorem 2 and Corollary 3: k = m and m p even, as F and G test it."""
-    return _grid(
+    """Theorem 2's and Corollary 3's cases: k = m and m p even; ValueError past MAX_SINC_POWER."""
+    cases = _grid(
         ms, ks, ps, "k = m and m p an even integer", lambda m, k, p: k == m and mp_is_even(m, p)
     )
+    for m, p in ((case["m"], case["p"]) for case in cases):
+        if round(m * p) > MAX_SINC_POWER:  # past the exact sinc sum behind F
+            raise ValueError(
+                f"m p = {m * p:g} at m={m}, p={p:g} exceeds MAX_SINC_POWER = {MAX_SINC_POWER}"
+            )
+    return cases
 
 
 def corollary1_grid(ms=range(1, 7), ks=range(MAX_ORDER + 1), ps=(1.5, 2.0, 3.0)) -> list[dict]:

@@ -190,7 +190,7 @@ def bound_G(params: BoundParams) -> float:
 
 
 def compute_bound_set(params: BoundParams) -> BoundSet:
-    """Evaluate every constant whose preconditions hold for these parameters."""
+    """Every constant whose hypothesis holds; ValueError where one cannot be evaluated."""
     flags: list[str] = []
     values: dict[str, float | None] = {"A": None, "B": None, "D": None, "E": None, "F": None, "G": None}
     if params.m == 1:
@@ -204,13 +204,10 @@ def compute_bound_set(params: BoundParams) -> BoundSet:
     values["E"] = bound_E(params)
     if values["E"] <= 0:
         flags.append("vacuous_lower_E")
-    if params.k == params.m:
-        try:
-            values["F"] = bound_F(params)
-            values["G"] = bound_G(params)
-            flags.append("asymptotic_lower_G")
-        except ValueError:
-            pass
+    if params.k == params.m and mp_is_even(params.m, params.p):
+        values["F"] = bound_F(params)
+        values["G"] = bound_G(params)
+        flags.append("asymptotic_lower_G")
     return BoundSet(params=params, flags=tuple(flags), **values)
 
 

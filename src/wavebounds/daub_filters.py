@@ -116,7 +116,8 @@ def magnitude_squared_rows(m: int, x: np.ndarray, band: int) -> np.ndarray:
     same formula gives |H(x + pi)|^2, so the band entries never round x + pi.
     t^2 keeps its relative accuracy at the zero of either form; P_(m-1) has
     positive coefficients, so it needs 1 - t^2 only to absolute accuracy.
-    |t| <= 1 keeps every value >= 0, and the clamp keeps it <= 1.
+    |t| <= 1 keeps every value >= 0, and the clamp keeps it <= 1. Order 1
+    runs the same formula with P_0 = 1.
     """
     c2 = 0.5 * x  # becomes t, then t^2, in place
     head = c2[: c2.size - band]
@@ -124,11 +125,8 @@ def magnitude_squared_rows(m: int, x: np.ndarray, band: int) -> np.ndarray:
     if band:
         np.sin(c2[-band:], out=c2[-band:])
     c2 *= c2
-    if m == 1:
-        values = c2
-    else:  # eval_P rejects a bad order
-        values = c2**m
-        values *= eval_P(m, 1.0 - c2)
+    values = c2**m
+    values *= eval_P(m, 1.0 - c2)  # eval_P rejects a bad order
     np.minimum(values, 1.0, out=values)
     return values
 

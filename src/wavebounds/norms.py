@@ -59,7 +59,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .quadrature import QuadResult, adaptive_quadrature
+from .quadrature import NODES_PER_PANEL, QuadResult, adaptive_quadrature
 from .refinable import even_power_integral
 from .special_math import UNIT_ROUNDOFF, check_norm_domain
 from .spectral_eval import PRODUCT_TOL, DecayFit, estimate_decay, wavelet_hat_abs2
@@ -139,8 +139,7 @@ def _root_error(total: float, err_sum: float, p: float) -> float:
 
 # A row of the |psi_hat|^2 memo is the 15 nodes of one Gauss-Kronrod panel,
 # viewed as one 120-byte item so that tolist gives one bytes object per row.
-_ROW = 15
-_ROW_BYTES = np.dtype(f"V{8 * _ROW}")
+_ROW_BYTES = np.dtype(f"V{8 * NODES_PER_PANEL}")
 # The module memo's cap on stored rows, over all orders together.
 _MEMO_ROWS = 1 << 13
 
@@ -190,7 +189,7 @@ class _Abs2Memo:
         miss = [i for i, values in enumerate(found) if values is None]
         if not miss:
             return np.frombuffer(b"".join(found))
-        fresh = wavelet_hat_abs2(m, w.reshape(-1, _ROW)[miss].ravel())
+        fresh = wavelet_hat_abs2(m, w.reshape(-1, NODES_PER_PANEL)[miss].ravel())
         rows = fresh.view(_ROW_BYTES).tolist()
         with self._lock:
             if len(self) + len(miss) <= self._cap:
@@ -272,9 +271,9 @@ def quadrature_lp_norm(req: NormRequest, *, omega_max: float = DEFAULT_OMEGA_MAX
         return_panels=True,
     )
 
-    # Top-octave calibration of the tail estimate.
+    # Top-octave calibration of the tail estimate; omega_max / 2 is a breakpoint.
     env_top = (envelope_tail(omega_max / 2.0) - tail_bound) / 2.0
-    num_top = sum(pnl.value.real for pnl in panels if pnl.a >= omega_max / 2.0 - 1e-9)
+    num_top = sum(pnl.value for pnl in panels if pnl.a >= omega_max / 2.0)
     rho = min(max(num_top / env_top, 0.0), 1.0) if env_top > 0 else 1.0
     tail_est = rho * tail_bound
     tail_err = max(tail_est, tail_bound - tail_est)

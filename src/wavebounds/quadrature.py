@@ -15,11 +15,10 @@ once.
 Panels live in four parallel lists (left end, right end, value, error)
 indexed by creation order, and the heap holds (-error, index): a round costs
 one integrand call plus a heap push and pop per panel, and builds no panel
-object. Panel tuples are made only for return_panels=True. On a 4,000-panel
-run with a cheap integrand this costs 5.7 us per panel (7.1 us with the
-panels returned), against 8.1 us (8.9 us) for a heap of frozen dataclass
-panels (best of 60 interleaved runs, process time, a shared 2-CPU Xeon VM).
-tests/test_quadrature_loop.py holds the loop to such a heap, bit for bit.
+object. Panel tuples are made only for return_panels=True.
+tests/test_quadrature_loop.py holds the loop to a heap of frozen dataclass
+panels, bit for bit. Panel values and results keep the integrand's number
+type: float for a real integrand, complex for a complex one.
 """
 
 from __future__ import annotations
@@ -65,11 +64,12 @@ _WG = np.array(
     ]
 )
 
-# Full node/weight vectors over [-1, 1], ordered left to right.
+# Full node/weight vectors over [-1, 1], ordered left to right; 15 nodes per panel.
 _NODES = np.concatenate([-_XGK[:-1], [0.0], _XGK[:-1][::-1]])
+NODES_PER_PANEL = _NODES.size
 _WEIGHTS_K = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[:-1][::-1]])
-_WEIGHTS_G = np.zeros(15)
-_WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
+_WEIGHTS_G = np.zeros(NODES_PER_PANEL)
+_WEIGHTS_G[1::2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
 
 
 # K15 and G7 weights as the columns of one (15, 2) matrix.
@@ -84,7 +84,7 @@ BATCH_PANELS = 8
 
 @dataclass(frozen=True)
 class QuadResult:
-    """A quadrature value with its absolute-error estimate and evaluation count.
+    """A value in the integrand's number type, its absolute-error estimate and evaluation count.
 
     `converged` is False when the run stopped without meeting its tolerance
     (panel budget spent, or only panels too narrow to bisect left); `panels`
@@ -103,17 +103,17 @@ class QuadResult:
 
 
 class Panel(NamedTuple):
-    """A final panel [a, b] with its K15 value and |K15 - G7| error estimate."""
+    """A final panel [a, b] with its K15 value (integrand's type) and |K15 - G7| error estimate."""
 
     a: float
     b: float
-    value: complex
+    value: float | complex
     error: float
 
 
 def _kronrod_panels(
     f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float], hi: Sequence[float]
-) -> tuple[list[complex], list[float]]:
+) -> tuple[list[float] | list[complex], list[float]]:
     """K15 values and |K15 - G7| errors of the panels [lo_i, hi_i], all nodes in one call of f.
 
     Raises ValueError, naming the first such panel, when a K15 value or its
@@ -134,7 +134,7 @@ def _kronrod_panels(
             f"non-finite integrand on [{a[i]:.17g}, {b[i]:.17g}]: "
             f"K15 value {kg[i, 0].item()} with error {errors[i]}"
         )
-    return kg[:, 0].astype(complex).tolist(), errors.tolist()
+    return kg[:, 0].tolist(), errors.tolist()
 
 
 def adaptive_quadrature(
@@ -148,7 +148,7 @@ def adaptive_quadrature(
     breakpoints: Sequence[float] | None = None,
     return_panels: bool = False,
 ):
-    """Integrate a vectorized (possibly complex) integrand over [a, b].
+    """Integrate a vectorized real or complex integrand over [a, b], in its number type.
 
     `breakpoints` seeds the initial panel lattice. Each round bisects up to
     BATCH_PANELS of the worst panels, until sum(panel errors) <= max(abs_tol,
@@ -167,12 +167,12 @@ def adaptive_quadrature(
     # i in creation order; the heap holds (-error, i) of the refinable ones.
     left: list[float] = []
     right: list[float] = []
-    values: list[complex] = []
+    values: list[float | complex] = []
     errors: list[float] = []
     heap: list[tuple[float, int]] = []
     done: list[int] = []
     total_err = 0.0
-    total_val = 0.0 + 0.0j
+    total_val = 0.0
 
     def evaluate(lo: list[float], hi: list[float]) -> None:
         nonlocal total_err, total_val
@@ -217,12 +217,10 @@ def adaptive_quadrature(
     # Fixed left-to-right summation so results do not depend on refinement order.
     value = sum(values[i] for i in order)
     error = float(sum(errors[i] for i in order))
-    if value.imag == 0.0:
-        value = value.real
     result = QuadResult(
         value=value,
         abs_error=error,
-        evaluations=15 * len(values),
+        evaluations=NODES_PER_PANEL * len(values),
         converged=converged,
         panels=len(order),
     )

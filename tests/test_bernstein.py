@@ -412,6 +412,8 @@ class TestVerifySweep:
             {"m": 9, "k": 1, "p": 3.0},
             {"m": 9, "k": 7, "p": 3.0},
         ]
+        # m p = 128 is the largest the constant F supports.
+        assert theorem2_grid(ms=[16], ps=[8.0]) == [{"m": 16, "k": 16, "p": 8.0}]
         # m p is 14 at p = 7/6 and 13 at p = 13/12.
         assert theorem2_grid(ms=[12], ps=[7.0 / 6.0, 13.0 / 12.0]) == [
             {"m": 12, "k": 12, "p": 7.0 / 6.0}
@@ -428,6 +430,7 @@ class TestVerifySweep:
             (theorem2_grid, {"ms": [5], "ps": [1.3]}, "satisfies k = m and m p an even integer"),
             (corollary1_grid, {"ms": [33]}, "got m=33"),
             (corollary1_grid, {"ks": [1, 2]}, "satisfies k = 0"),
+            (theorem2_grid, {"ms": [16, 20], "ps": [8.0]}, "m p = 160 at m=20, p=8 exceeds"),
         ],
     )
     def test_grid_outside_its_hypothesis_or_domain_raises(self, grid, axes, message):

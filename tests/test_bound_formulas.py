@@ -295,6 +295,11 @@ class TestBoundSet:
         assert bounds.F is not None and bounds.G is not None
         assert "asymptotic_lower_G" in bounds.flags
 
+    def test_even_product_past_the_sinc_sum_raises(self):
+        # m p = 160: inside F's hypothesis, past what the library evaluates.
+        with pytest.raises(ValueError, match="supports n <= 128, got n=160"):
+            compute_bound_set(BoundParams(m=20, k=20, p=8.0, c=1.0))
+
     def test_order_one_flagged(self):
         bounds = compute_bound_set(BoundParams(m=1, k=0, p=2.0, c=1.0))
         assert "log_m_zero" in bounds.flags

@@ -81,10 +81,20 @@ class TestLargePBounds:
         assert captured.err.startswith("wavebounds: error: the bracket term x^(p(m-k-1/2)+1)")
         assert f"^{exponent} " in captured.err and captured.err.count("\n") == 1
 
-    def test_k_equal_m_past_the_sinc_sum_prints_no_F_or_G(self, capsys):
-        # m p = 600 lies past the exact sinc sum, which F needs; F's power of
-        # pi would overflow too, so the sum's limit must act first.
-        assert main(["bounds", "--m", "2", "--k", "2", "--p", "300", "--json"]) == 0
+    @pytest.mark.parametrize("m,p,n", [(20, 8, 160), (2, 300, 600)])
+    def test_k_equal_m_past_the_sinc_sum_exits_2(self, capsys, m, p, n):
+        # An even m p past the exact sinc sum, which F needs; at m p = 600
+        # F's power of pi would overflow too, so the sum's limit must act first.
+        assert main(["bounds", "--m", str(m), "--k", str(m), "--p", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"wavebounds: error: sinc_alternating_sum supports n <= 128, got n={n}\n"
+        )
+
+    def test_k_equal_m_with_odd_mp_prints_no_F_or_G(self, capsys):
+        # m p = 4.5 is outside F's and G's hypothesis, not an error.
+        assert main(["bounds", "--m", "3", "--k", "3", "--p", "1.5", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["F"] == payload["G"] == ""
         assert float(payload["D"]) > 0
@@ -277,6 +287,17 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("wavebounds: error: ") and captured.err.count("\n") == 1
         assert value in captured.err
+
+    @pytest.mark.parametrize("check", ["theorem2", "corollary3"])
+    def test_m_p_past_the_sinc_sum_exits_2(self, tmp_path, capsys, check):
+        out = tmp_path / "rows.csv"
+        argv = ["verify", check, "--m-list", "20", "--p-list", "8", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wavebounds: error: m p = 160 at m=20, p=8 ")
+        assert "MAX_SINC_POWER = 128" in captured.err and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("check,k", [("theorem2", "2"), ("corollary3", "1")])
     def test_k_list_restricts_checks_that_fix_k(self, check, k, capsys):

@@ -103,6 +103,17 @@ class TestMagnitudeSquared:
         assert np.array_equal(got, want)
         assert np.ndim(got) == np.ndim(w)
 
+    @pytest.mark.parametrize("band", [0, 500, 50_502])
+    def test_haar_rows_are_the_clamped_cosine_and_sine_squares(self, band):
+        # Order 1 runs the general formula with P_0 = 1: t^2 times an exact 1.0.
+        special = np.array([0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, 1e-300, 3e4])
+        x = np.concatenate([special, np.linspace(-1e3, 1e3, 101_001), special])
+        rows = magnitude_squared_rows(1, x, band=band)
+        head, tail = x[: x.size - band], x[x.size - band :]
+        want_head = np.minimum(np.cos(0.5 * head) * np.cos(0.5 * head), 1.0)
+        want_band = np.minimum(np.sin(0.5 * tail) * np.sin(0.5 * tail), 1.0)
+        assert rows.tobytes() == np.concatenate([want_head, want_band]).tobytes()
+
     @pytest.mark.parametrize("m", [1, 2, 6, 20])
     def test_rows_shift_their_band_entries_by_pi(self, m):
         # The head entries are magnitude_squared_H bit for bit; the band

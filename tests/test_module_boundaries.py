@@ -6,7 +6,8 @@ the (m, k, p) domain is checked in special_math alone, and one spectral_eval
 function runs every truncated product and every factor call; norms hands
 its quadrature integrand to adaptive_quadrature and never calls it itself,
 and evaluates |psi_hat|^2 only through its memo; the CLI builds no sweep
-case of its own.
+case of its own; norms takes the rule's node count from quadrature, which
+keeps each integrand's number type.
 """
 
 import ast
@@ -160,3 +161,34 @@ def test_cli_builds_no_sweep_case():
         and any(isinstance(key, ast.Constant) and key.value == "m" for key in element.keys)
     ]
     assert not cases, f"cli.py builds sweep cases at lines {cases}"
+
+
+def test_node_count_stated_in_quadrature_alone():
+    # norms reads the Gauss-Kronrod rule's node count for its memo rows and
+    # writes no 15 of its own.
+    tree = ast.parse((PACKAGE / "norms.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "quadrature"
+        for alias in node.names
+    }
+    assert "NODES_PER_PANEL" in imported
+    fifteens = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 15
+    ]
+    assert not fifteens, f"norms.py writes the node count 15 at lines {fifteens}"
+
+
+def test_quadrature_keeps_the_integrand_type():
+    # A real integrand gives float panels and a complex one complex panels:
+    # quadrature.py converts no values with astype.
+    path = PACKAGE / "quadrature.py"
+    casts = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "astype"
+    ]
+    assert not casts, f"quadrature.py calls astype at lines {casts}"

@@ -225,6 +225,28 @@ class TestAbs2Memo:
         assert 0 < len(memo) <= 100
 
 
+class TestTopOctave:
+    def test_no_panel_straddles_half_the_cutoff(self, monkeypatch):
+        # The tail calibration sums the panels with a >= omega_max / 2; that
+        # is the top octave exactly because omega_max / 2 is a breakpoint.
+        runs = []
+
+        def recording(*args, **kwargs):
+            result, panels = adaptive_quadrature(*args, **kwargs)
+            runs.append(panels)
+            return result, panels
+
+        monkeypatch.setattr(norms, "adaptive_quadrature", recording)
+        for req in _quadrature_requests():
+            quadrature_lp_norm(req)
+        assert len(runs) == 42
+        half = DEFAULT_OMEGA_MAX / 2.0
+        straddling = [(pnl.a, pnl.b) for panels in runs for pnl in panels if pnl.a < half < pnl.b]
+        assert not straddling
+        assert all(any(pnl.a == half for pnl in panels) for panels in runs)
+        assert all(type(pnl.value) is float for panels in runs for pnl in panels)
+
+
 class TestBatchedQuadrature:
     def test_integrand_calls_are_batched(self, monkeypatch):
         calls = []

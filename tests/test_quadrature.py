@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from wavebounds.quadrature import (
     BATCH_PANELS,
+    NODES_PER_PANEL,
     QuadResult,
     _NODES,
     _WEIGHTS_G,
@@ -15,6 +16,7 @@ from wavebounds.quadrature import (
 
 
 def test_rule_constants():
+    assert NODES_PER_PANEL == _NODES.size == _WEIGHTS_K.size == _WEIGHTS_G.size == 15
     assert _WEIGHTS_K.sum() == pytest.approx(2.0, abs=1e-14)
     assert _WEIGHTS_G.sum() == pytest.approx(2.0, abs=1e-14)
     np.testing.assert_allclose(_NODES, -_NODES[::-1], atol=1e-16)
@@ -47,6 +49,21 @@ def test_matches_scipy_and_reports_honest_error(f, a, b):
 def test_complex_integrand():
     result = adaptive_quadrature(lambda x: np.exp(1j * x), 0.0, math.pi)
     assert result.value == pytest.approx(2.0j, abs=1e-12)
+
+
+def test_real_integrand_keeps_float_values():
+    f = lambda x: np.sin(50.0 * x)
+    result, panels = adaptive_quadrature(f, 0.0, 2.0, breakpoints=[0.5, 1.0], return_panels=True)
+    assert len(panels) > 3
+    assert type(result.value) is float
+    assert all(type(pnl.value) is float for pnl in panels)
+    assert adaptive_quadrature(f, 0.0, 2.0, breakpoints=[0.5, 1.0]) == result
+
+
+def test_complex_integrand_with_zero_imaginary_part_stays_complex():
+    result, panels = adaptive_quadrature(lambda x: x + 0j, 0.0, 2.0, return_panels=True)
+    assert type(result.value) is complex and result.value == 2.0 + 0j
+    assert all(type(pnl.value) is complex for pnl in panels)
 
 
 def test_breakpoints_split_kinks():
