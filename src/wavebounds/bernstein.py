@@ -6,13 +6,15 @@ obey the a-priori bound
     |<f, psi_(j,nu)>| <= C_(k,p') * 2^(-j(k + 1/p - 1/2)) * ||psi_hat||_p'
                          * ||(i w)^k f_hat||_p,    p' = p / (p - 1),
 
-for f in the class A_k^p of the paper's abstract, normalized so that
-||(i w)^k f_hat||_p = 1, and drives the sandwich sweeps for the closed-form
-constants. A coefficient has two routes. `wavelet_coefficient` integrates
-f_hat against psi_hat on the Fourier side (Parseval route), through the tap
-route of spectral_eval. `pyramid_coefficient`, which the sweep uses, runs
-Mallat's pyramid from fine-level scaling coefficients built out of the exact
-moments of phi; it needs no quadrature. The moments come from an integer recursion over one
+for f in the class A_k^p of the paper's abstract, and drives the sandwich
+sweeps for the closed-form constants. Every test function lies on the unit
+ball of A_k^p, ||(i w)^k f_hat||_p = 1, and bernstein_rhs is the bound for
+any f on that ball: the product without its last factor. A coefficient has
+two routes. `wavelet_coefficient` integrates f_hat against psi_hat on the
+Fourier side (Parseval route), through the tap route of spectral_eval.
+`pyramid_coefficient`, which the sweep uses, runs Mallat's pyramid from
+fine-level scaling coefficients built out of the exact moments of phi; it
+needs no quadrature. The moments come from an integer recursion over one
 common denominator, and each row's Taylor sums from one table of Hermite
 values. The test family is Gaussian, known in closed form on both sides.
 Every sweep records one row per case and never aborts on a failing case;
@@ -25,7 +27,7 @@ import itertools
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, update_wrapper
 from typing import Callable, Mapping, Sequence
@@ -92,10 +94,6 @@ class GaussianTestFunction:
             * np.exp(-1j * w * self.center)
         )
 
-    def weighted_transform_norm(self, k: int, q: float) -> float:
-        """Closed form ||(i w)^k f_hat||_q from the Gaussian moment integral."""
-        return self.amplitude * self.sigma * _moment_root(self.sigma, k, q)
-
     @classmethod
     def normalized(cls, sigma: float, center: float, k: int, q: float) -> "GaussianTestFunction":
         try:
@@ -155,13 +153,7 @@ def wavelet_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> Qua
     )
     # |psi_hat| <= (2 pi)^(-1/2) bounds the discarded Gaussian tails.
     tail = 2.0 ** (-0.5 * j) * f.amplitude * math.erfc(f.sigma * width / math.sqrt(2.0))
-    return QuadResult(
-        value=quad.value,
-        abs_error=quad.abs_error + tail,
-        evaluations=quad.evaluations,
-        converged=quad.converged,
-        panels=quad.panels,
-    )
+    return replace(quad, abs_error=quad.abs_error + tail)
 
 
 # Taylor order of the fine-level scaling coefficients, and the remainder bound,
@@ -180,10 +172,15 @@ _MAX_SAMPLES = 2**20
 def _moment_integers(m: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(N, P, D): the moments of phi as M_q = P_q / (N^q D_q), q <= _TAYLOR_ORDER, in integers.
 
-    The float taps are n_l / 2^e for integers n_l and one e, so the taps
-    scaled to sum 1 are a_l = n_l / N with N = sum n_l, and their moments are
-    sum_l a_l (-l)^n = G_n / N with G_n = sum_l n_l (-l)^n. Put
-    D_q = prod_(i<=q) (2^i - 1); then phi_moments' recursion reads
+    M_q = integral x^q phi(x) dx, exact on the float taps. H(w) = 2^(-1/2)
+    sum_l h(l) e^(ilw) makes phi(x) = 2 sum_l a_l phi(2x + l), supported on
+    [-(2m-1), 0], with a_l = h(l) / sum h (the taps scaled to sum 1, so that
+    M_0 = 1 holds exactly). Integrating x^q against both sides gives
+    (2^q - 1) M_q = sum_(r<q) C(q, r) M_r sum_l a_l (-l)^(q-r)
+    (Sweldens & Piessens, SIAM J. Numer. Anal. 31, 1994). The float taps are
+    n_l / 2^e for integers n_l and one e, so a_l = n_l / N with N = sum n_l,
+    and sum_l a_l (-l)^n = G_n / N with G_n = sum_l n_l (-l)^n. Put
+    D_q = prod_(i<=q) (2^i - 1); then the recursion reads
     P_0 = 1, P_q = sum_(r<q) C(q, r) P_r G_(q-r) N^(q-r-1) D_(q-1) / D_r,
     where D_(q-1) / D_r is an integer.
     """
@@ -204,21 +201,6 @@ def _moment_integers(m: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
             )
         )
     return total, tuple(p), tuple(d)
-
-
-@lru_cache(maxsize=None)
-def phi_moments(m: int) -> tuple[Fraction, ...]:
-    """M_q = integral x^q phi(x) dx for q <= _TAYLOR_ORDER, exact on the float taps.
-
-    H(w) = 2^(-1/2) sum_l h(l) e^(ilw) makes phi(x) = 2 sum_l a_l phi(2x + l),
-    supported on [-(2m-1), 0], with a_l = h(l) / sum h (the taps scaled to sum
-    1, so that M_0 = 1 holds exactly). Integrating x^q against both sides gives
-    (2^q - 1) M_q = sum_(r<q) C(q, r) M_r sum_l a_l (-l)^(q-r)
-    (Sweldens & Piessens, SIAM J. Numer. Anal. 31, 1994), solved over a common
-    denominator in integers (_moment_integers).
-    """
-    total, p, d = _moment_integers(m)
-    return tuple(Fraction(p[q], total**q * d[q]) for q in range(_TAYLOR_ORDER + 1))
 
 
 @lru_cache(maxsize=None)
@@ -292,7 +274,7 @@ def _cascade(m: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
     vector and convolves it with the reversed taps. g_abs is the same cascade
     on |h|, which bounds |g|, and g_l1 its sum. |g - exact| <= rel_error g_abs:
     each level's convolution rounds (gamma_2m), and the float taps sum to
-    sqrt 2 (1 + delta) where phi_moments' normalized taps sum to sqrt 2
+    sqrt 2 (1 + delta) where _moment_integers' normalized taps sum to sqrt 2
     exactly, which scales g by (1 + delta)^levels.
     """
     taps = construct_filter(m).taps
@@ -454,9 +436,11 @@ def _conjugate_exponent(p: float) -> float:
     return next((e for e in EXACT_P if abs(q - e) <= 2.0 * math.ulp(e)), q)
 
 
-def bernstein_rhs(m: int, k: int, p: float, j: int, f: GaussianTestFunction) -> QuadResult:
-    """Right-hand side ||w^-k psi_hat||_p' 2^(-j(k+1/p-1/2)) ||(i w)^k f_hat||_p, p' = p/(p-1).
+def bernstein_rhs(m: int, k: int, p: float, j: int) -> QuadResult:
+    """Right-hand side ||w^-k psi_hat||_p' 2^(-j(k+1/p-1/2)), p' = p/(p-1), for f on the unit ball.
 
+    The bound on |<f, psi_(j,nu)>| for every f in A_k^p with
+    ||(i w)^k f_hat||_p <= 1; for any other f it scales by that norm.
     Hoelder's pairing: f is measured in L^p, the class index of A_k^p, and
     the wavelet in L^p'. ||w^-k psi_hat||_p' is C_(k,p') ||psi_hat||_p', and
     w = 2^j u gives ||w^-k psi_hat_(j,nu)||_p' = 2^(-j(k + 1/p - 1/2))
@@ -466,7 +450,7 @@ def bernstein_rhs(m: int, k: int, p: float, j: int, f: GaussianTestFunction) -> 
     require_k_below_m(m, k)
     check_norm_domain(m, k, p)
     num = weighted_lp_norm(NormRequest(m, k, _conjugate_exponent(p)))
-    value = num.value * 2.0 ** (-j * (k + 1.0 / p - 0.5)) * f.weighted_transform_norm(k, p)
+    value = num.value * 2.0 ** (-j * (k + 1.0 / p - 0.5))
     rel = num.abs_error / num.value
     return QuadResult(value=value, abs_error=value * rel, evaluations=num.evaluations)
 
@@ -526,8 +510,8 @@ def bernstein_grid(m=2, k=1, p=2.0, sigma=1.0, j_range=(-3, 6), nu_range=(-8, 8)
     value outside check_norm_domain, k >= m, a sigma that puts the weighted
     norm past the double range, or a range that is empty or passes its limit.
     """
-    construct_filter(m)
     check_norm_domain(m, k, p)
+    construct_filter(m)
     require_k_below_m(m, k)
     GaussianTestFunction.normalized(sigma, 0.0, k, p)
     for name, (lo, hi), (first, last) in (
@@ -666,7 +650,7 @@ def _run_bernstein(case: Mapping) -> VerificationRow:
     coef = pyramid_coefficient(f, m, j, nu)
     if not coef.converged:  # too narrow for the pyramid's cap; quadrature still resolves it
         coef = wavelet_coefficient(f, m, j, nu)
-    rhs = bernstein_rhs(m, k, p, j, f)
+    rhs = bernstein_rhs(m, k, p, j)
     abs_error = coef.abs_error + rhs.abs_error
     return _row("bernstein", m, k, p, abs(coef.value), None, rhs.value, abs_error, j=j, nu=nu)
 

@@ -208,12 +208,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bernstein(args) -> int:
     cases = bernstein_grid(**_grid_axes(args))
-    # Both coefficient routes get harder as j falls, so a Gaussian too narrow
-    # for them shows in the first row, at the lowest j: reject it as input.
+    # Both coefficient routes get harder as j falls, so input no row can use
+    # (a Gaussian too narrow for them, a p whose conjugate norm is out of
+    # range) shows in the first row, at the lowest j: reject it as input.
     rows = verify_sweep("bernstein", cases[:1])
     if rows[0].status == "error":
         sigma, j = cases[0]["sigma"], cases[0]["j"]
-        raise ValueError(f"sigma={sigma:g} fails at the range's lowest j={j}: {rows[0].note}")
+        raise ValueError(f"the first row (sigma={sigma:g}, j={j}) fails: {rows[0].note}")
     return _report_sweep("bernstein", rows + verify_sweep("bernstein", cases[1:]), args)
 
 

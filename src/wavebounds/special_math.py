@@ -20,7 +20,15 @@ def gamma_n(n: float | np.ndarray) -> float | np.ndarray:
 
 
 def check_norm_domain(m: int, k: int, p: float) -> None:
-    """Raise ValueError unless 1 <= m <= MAX_ORDER, the weight exponent k >= 0 and 1 < p < inf."""
+    """Raise ValueError unless 1 <= m <= MAX_ORDER, the weight exponent k >= 0 and 1 < p < inf.
+
+    m and k must be Python ints: a float such as 2.0 or 1.5 is refused,
+    whatever its value, and so is a numpy integer, whose fixed width wraps
+    in the exact integer arithmetic of the moments and the cascade systems.
+    """
+    for name, value in (("order m", m), ("weight exponent k", k)):
+        if not isinstance(value, int):
+            raise ValueError(f"the {name} must be an integer, got {value!r}")
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"the order must satisfy 1 <= m <= {MAX_ORDER}, got m={m}")
     if k < 0:

@@ -19,7 +19,6 @@ from wavebounds.bernstein import (
     bernstein_grid,
     bernstein_rhs,
     corollary1_grid,
-    phi_moments,
     pyramid_coefficient,
     theorem1_grid,
     theorem2_grid,
@@ -53,9 +52,10 @@ class TestGaussianTestFunction:
 
     @pytest.mark.parametrize("k,q", [(0, 2.0), (1, 2.0), (2, 3.0), (1, 1.5)])
     def test_closed_norm_matches_quadrature(self, k, q):
-        # ||(i w)^k f_hat||_q by quadrature of the even integrand over [0, width],
-        # past which the Gaussian factor is negligible.
-        f = GaussianTestFunction(sigma=0.8, center=2.0)
+        # ||(i w)^k f_hat||_q of the normalized Gaussian by quadrature of the
+        # even integrand over [0, width], past which the Gaussian factor is
+        # negligible: the closed form puts f on the unit sphere.
+        f = GaussianTestFunction.normalized(0.8, 2.0, k, q)
         width = (9.4 + 2.0 * math.sqrt(k * q)) / f.sigma
         peak = f.amplitude * f.sigma
 
@@ -64,11 +64,13 @@ class TestGaussianTestFunction:
 
         half = adaptive_quadrature(integrand, 0.0, width, rel_tol=1e-12, abs_tol=1e-15)
         numeric = (2.0 * half.value) ** (1.0 / q)
-        assert numeric == pytest.approx(f.weighted_transform_norm(k, q), rel=1e-10)
+        assert numeric == pytest.approx(1.0, rel=1e-10)
 
     def test_normalized_lands_on_unit_sphere(self):
+        # integral w^2 A^2 sigma^2 e^(-(sigma w)^2) dw = A^2 sqrt(pi) / (2 sigma).
         f = GaussianTestFunction.normalized(1.3, -0.5, 1, 2.0)
-        assert f.weighted_transform_norm(1, 2.0) == pytest.approx(1.0, abs=1e-12)
+        norm = f.amplitude * math.sqrt(math.sqrt(math.pi) / (2.0 * f.sigma))
+        assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_center_only_rotates_phase(self):
         w = np.array([0.7])
@@ -172,18 +174,24 @@ class TestWaveletCoefficient:
 FOURIER_MISSES = [(-3, 5), (-3, -6)]
 
 
+def phi_moment(m: int, q: int) -> Fraction:
+    """M_q = integral x^q phi(x) dx, as P_q / (N^q D_q) from the integer recursion."""
+    total, p, d = bernstein._moment_integers(m)
+    return Fraction(p[q], total**q * d[q])
+
+
 class TestPyramidCoefficient:
     @pytest.mark.parametrize("q", range(17))
     def test_haar_moments_are_exact(self, q):
         # phi is the indicator of [-1, 0] at m = 1.
-        assert phi_moments(1)[q] == Fraction((-1) ** q, q + 1)
+        assert phi_moment(1, q) == Fraction((-1) ** q, q + 1)
 
     @pytest.mark.parametrize("m", range(1, 21))
     def test_first_moment_is_the_tap_moment(self, m):
         taps = construct_filter(m).taps
         first = -sum(ell * h for ell, h in enumerate(taps)) / math.sqrt(2.0)
-        assert phi_moments(m)[0] == 1
-        assert float(phi_moments(m)[1]) == pytest.approx(first, rel=1e-13)
+        assert phi_moment(m, 0) == 1
+        assert float(phi_moment(m, 1)) == pytest.approx(first, rel=1e-13)
 
     def test_negative_amplitude_negates_value_and_keeps_error(self):
         f = GaussianTestFunction(sigma=0.7, center=0.2)
@@ -255,34 +263,26 @@ class TestPyramidCoefficient:
 
 class TestBernsteinRhs:
     def test_unit_scale_factorization(self):
-        f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
-        rhs = bernstein_rhs(2, 1, 2.0, 0, f).value
-        manual = (
-            best_constant_Ckp(2, 1, 2.0).value
-            * weighted_lp_norm(NormRequest(2, 0, 2.0)).value
-            * f.weighted_transform_norm(1, 2.0)
-        )
+        rhs = bernstein_rhs(2, 1, 2.0, 0).value
+        manual = best_constant_Ckp(2, 1, 2.0).value * weighted_lp_norm(NormRequest(2, 0, 2.0)).value
         assert rhs == pytest.approx(manual, rel=1e-12)
 
     def test_dyadic_scaling_law(self):
-        f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
         k, p = 1, 2.0
-        r0 = bernstein_rhs(2, k, p, 4, f).value
-        r1 = bernstein_rhs(2, k, p, 5, f).value
+        r0 = bernstein_rhs(2, k, p, 4).value
+        r1 = bernstein_rhs(2, k, p, 5).value
         assert r1 / r0 == pytest.approx(2.0 ** -(k + 1.0 / p - 0.5), rel=1e-12)
 
     def test_high_precision_assembly(self):
         # Recompose the product in 50-digit arithmetic from the same factors.
-        f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
         j, k, p = 5, 1, 2.0
         mp.mp.dps = 50
         pieces = (
             mp.mpf(best_constant_Ckp(2, k, p).value)
             * mp.mpf(2) ** (-j * (k + 1 / mp.mpf(p) - mp.mpf(1) / 2))
             * mp.mpf(weighted_lp_norm(NormRequest(2, 0, p)).value)
-            * mp.mpf(f.weighted_transform_norm(1, 2.0))
         )
-        assert bernstein_rhs(2, k, p, j, f).value == pytest.approx(float(pieces), rel=1e-13)
+        assert bernstein_rhs(2, k, p, j).value == pytest.approx(float(pieces), rel=1e-13)
 
     @staticmethod
     def dilated_weighted_norm(m: int, k: int, q: float, j: int) -> float:
@@ -308,30 +308,33 @@ class TestBernsteinRhs:
     @pytest.mark.parametrize("j", [-6, 0, 5])
     @pytest.mark.parametrize("p", [4.0 / 3.0, 3.0, 4.0])
     def test_hoelder_pairing_off_p_2(self, p, j):
-        # f in L^p, psi_(j,nu) in L^p': the right-hand side is the dilated
-        # wavelet's weighted p'-norm times ||(i w)^k f_hat||_p, which is 1.
+        # f in L^p, psi_(j,nu) in L^p': for f on the unit ball of A_k^p the
+        # right-hand side is the dilated wavelet's weighted p'-norm.
         m, k = 4, 1
-        f = GaussianTestFunction.normalized(1.0, 0.0, k, p)
-        assert f.weighted_transform_norm(k, p) == pytest.approx(1.0, rel=1e-14)
         want = self.dilated_weighted_norm(m, k, p / (p - 1.0), j)
-        rhs = bernstein_rhs(m, k, p, j, f)
+        rhs = bernstein_rhs(m, k, p, j)
         assert abs(rhs.value - want) <= rhs.abs_error + 1e-10 * want
 
     def test_conjugate_of_an_exact_index_takes_the_exact_route(self):
         # 4/3 / (4/3 - 1) rounds to 4.000000000000001; the norm must still be exact.
-        f = GaussianTestFunction.normalized(1.0, 0.0, 1, 4.0 / 3.0)
-        assert bernstein_rhs(4, 1, 4.0 / 3.0, 0, f).evaluations == 0
+        assert bernstein_rhs(4, 1, 4.0 / 3.0, 0).evaluations == 0
 
     def test_finite_positive(self):
-        f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
-        rhs = bernstein_rhs(2, 1, 2.0, 0, f)
+        rhs = bernstein_rhs(2, 1, 2.0, 0)
         assert 0.0 < rhs.value < math.inf
         assert 0.0 < rhs.abs_error < rhs.value
 
     def test_weight_exponent_validated(self):
-        f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
         with pytest.raises(ValueError):
-            bernstein_rhs(2, 2, 2.0, 0, f)
+            bernstein_rhs(2, 2, 2.0, 0)
+
+    def test_default_rows_carry_the_right_hand_side(self):
+        # Every default row's test function lies on the unit ball, so its
+        # upper bound is bernstein_rhs itself, bit for bit.
+        rows = verify_sweep("bernstein")
+        assert len(rows) == 170
+        for row in rows:
+            assert row.upper_bound == bernstein_rhs(row.m, row.k, row.p, row.j).value
 
 
 class TestVerifySweep:
@@ -431,11 +434,27 @@ class TestVerifySweep:
             (corollary1_grid, {"ms": [33]}, "got m=33"),
             (corollary1_grid, {"ks": [1, 2]}, "satisfies k = 0"),
             (theorem2_grid, {"ms": [16, 20], "ps": [8.0]}, "m p = 160 at m=20, p=8 exceeds"),
+            (
+                theorem1_grid,
+                {"ms": [3], "ks": [1.5], "ps": [2.0, 3.0]},
+                "k must be an integer, got 1.5",
+            ),
+            (bernstein_grid, {"m": 2.5}, "m must be an integer, got 2.5"),
         ],
     )
     def test_grid_outside_its_hypothesis_or_domain_raises(self, grid, axes, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             grid(**axes)
+
+    @pytest.mark.parametrize("check", ["theorem1", "corollary2"])
+    def test_non_integer_k_is_an_error_row_at_every_p(self, check):
+        # Each p would take its own norm route: the exact one at p = 2 and the
+        # quadrature at p = 3. Neither may see a fractional k.
+        cases = [{"m": 3, "k": 1.5, "p": p} for p in (2.0, 3.0)]
+        rows = verify_sweep(check, cases)
+        assert [row.status for row in rows] == ["error", "error"]
+        note = "ValueError: the weight exponent k must be an integer, got 1.5"
+        assert all(row.note == note for row in rows)
 
     @pytest.mark.parametrize("j,nu,bad", [(11, 0, 11), (0, 65, 65)])
     def test_out_of_range_scale_or_shift_is_error_row(self, j, nu, bad):
@@ -506,7 +525,7 @@ def test_bernstein_row_too_narrow_for_the_pyramid_uses_quadrature():
     assert not pyramid_coefficient(f, 20, -6, 0).converged
     coef = wavelet_coefficient(f, 20, -6, 0)
     assert row.status == "pass"
-    assert row.abs_error == coef.abs_error + bernstein_rhs(20, 1, 2.0, -6, f).abs_error
+    assert row.abs_error == coef.abs_error + bernstein_rhs(20, 1, 2.0, -6).abs_error
 
 
 def test_bernstein_row_reports_the_error_it_is_checked_with():
@@ -515,7 +534,7 @@ def test_bernstein_row_reports_the_error_it_is_checked_with():
     (row,) = verify_sweep("bernstein", [{"m": 2, "k": 1, "p": 2.0, "sigma": 1.0, "j": -3, "nu": 0}])
     f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
     coef = pyramid_coefficient(f, 2, -3, 0)
-    rhs = bernstein_rhs(2, 1, 2.0, -3, f)
+    rhs = bernstein_rhs(2, 1, 2.0, -3)
     assert rhs.abs_error > 0.0
     assert row.abs_error == coef.abs_error + rhs.abs_error
 

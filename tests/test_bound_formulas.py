@@ -118,6 +118,7 @@ class TestValidation:
             {"m": 2, "k": 1, "p": 2.0, "c": 0.0},
             {"m": 2, "k": 1, "p": 2.0, "c": 1.0, "eps": 0.0},
             {"m": 2, "k": 1, "p": 2.0, "c": 1.0, "eps": 3.2},
+            {"m": 3, "k": 1.5, "p": 2.0, "c": 1.0},
         ],
     )
     def test_rejected(self, kwargs):

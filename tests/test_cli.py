@@ -322,8 +322,19 @@ class TestBernsteinCommand:
         assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"wavebounds: error: sigma={float(sigma):g} fails at the range's lowest j={j}: ")
+        assert captured.err.startswith(f"wavebounds: error: the first row (sigma={float(sigma):g}, j={j}) fails: ")
         assert "exceeds the evaluation guard" in captured.err and captured.err.count("\n") == 1
+
+    def test_conjugate_norm_out_of_range_exits_2(self, tmp_path, capsys):
+        # p = 1.001 puts the conjugate index p' near 1001, where the
+        # right-hand side's norm integral underflows: the Gaussian is not the cause.
+        out = tmp_path / "rows.csv"
+        assert main(["bernstein", "--p", "1.001", "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wavebounds: error: the first row (sigma=1, j=-3) fails: ValueError: ")
+        assert "norm integral" in captured.err and captured.err.count("\n") == 1
 
     def test_small_grid_passes(self, tmp_path):
         out = tmp_path / "bern.csv"

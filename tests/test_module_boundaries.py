@@ -7,7 +7,8 @@ function runs every truncated product and every factor call; norms hands
 its quadrature integrand to adaptive_quadrature and never calls it itself,
 and evaluates |psi_hat|^2 only through its memo; the CLI builds no sweep
 case of its own; norms takes the rule's node count from quadrature, which
-keeps each integrand's number type.
+keeps each integrand's number type; and every public top-level name is used
+by other library code or exported.
 """
 
 import ast
@@ -192,3 +193,44 @@ def test_quadrature_keeps_the_integrand_type():
         if isinstance(node, ast.Attribute) and node.attr == "astype"
     ]
     assert not casts, f"quadrature.py calls astype at lines {casts}"
+
+
+def _named(node: ast.AST) -> str | None:
+    """The name a Name, an Attribute or an import alias refers to."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_every_public_definition_is_used_or_exported():
+    # A public top-level function or class is named by other library code (a
+    # name, an attribute or an import outside its own definition) or is
+    # listed in the package's __all__.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    exported = {
+        element.value
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for element in node.value.elts
+    }
+    unused = []
+    for module, tree in trees.items():
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if definition.name.startswith("_") or definition.name in exported:
+                continue
+            inside = {id(node) for node in ast.walk(definition)}
+            uses = [
+                node
+                for other in trees.values()
+                for node in ast.walk(other)
+                if _named(node) == definition.name and id(node) not in inside
+            ]
+            if not uses:
+                unused.append(f"{module}:{definition.lineno} {definition.name}")
+    assert not unused, "public names no library code uses or exports: " + ", ".join(unused)

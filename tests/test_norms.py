@@ -39,6 +39,24 @@ class TestRequestValidation:
     def test_k_equal_m_allowed(self):
         NormRequest(m=2, k=2, p=2.0)
 
+    @pytest.mark.parametrize(
+        "m,k,p,named",
+        [
+            (3, 1.5, 2.0, "k must be an integer, got 1.5"),
+            (3, 1.5, 3.0, "k must be an integer, got 1.5"),
+            (2.0, 1, 3.0, "m must be an integer, got 2.0"),
+        ],
+    )
+    def test_non_integer_order_or_exponent_named(self, m, k, p, named):
+        with pytest.raises(ValueError, match=named):
+            NormRequest(m, k, p)
+
+    def test_numpy_integer_named(self):
+        # np.int64 wraps in _central_moments' integer products and fails in
+        # refinable's math.ldexp: it is refused before any norm route.
+        with pytest.raises(ValueError, match=r"m must be an integer, got (np\.int64\()?3"):
+            NormRequest(np.int64(3), 1, 2.0)
+
     def test_non_integrable_tail_rejected(self, monkeypatch):
         # c = 0.05 gives alpha = 0.05 log 2, so p(k + alpha) <= 1 at (2, 0, 1.5).
         slow = DecayFit(C_tilde=1.0, c=0.05, fit_range=(4.0 * math.pi, 3000.0), residual=0.0)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from wavebounds.special_math import (
     MAX_ORDER,
+    check_norm_domain,
     cm_constant,
     factorial_ratio,
     p_coefficients,
@@ -122,3 +123,22 @@ def test_p_coefficients_solve_the_bezout_identity(m):
     for i, coef in enumerate(p_flipped):
         lhs[m + i] += coef
     assert lhs == [1] + [0] * (2 * m - 1)
+
+
+@pytest.mark.parametrize(
+    "m,k,named",
+    [
+        (40.0, 1, "the order m must be an integer, got 40.0"),
+        (2, -1.0, "the weight exponent k must be an integer, got -1.0"),
+    ],
+)
+def test_norm_domain_refuses_a_non_integer_type_first(m, k, named):
+    with pytest.raises(ValueError, match=named):
+        check_norm_domain(m, k, 2.0)
+
+
+def test_norm_domain_range_messages_keep_their_text():
+    with pytest.raises(ValueError, match=f"the order must satisfy 1 <= m <= {MAX_ORDER}, got m=0"):
+        check_norm_domain(0, 1, 2.0)
+    with pytest.raises(ValueError, match="weight exponent must be nonnegative, got -1"):
+        check_norm_domain(2, -1, 2.0)
