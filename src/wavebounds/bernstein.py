@@ -28,9 +28,8 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache, update_wrapper
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,9 +167,8 @@ _U_CUT = 37.0
 _MAX_SAMPLES = 2**20
 
 
-@lru_cache(maxsize=None)
-def _moment_integers(m: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(N, P, D): the moments of phi as M_q = P_q / (N^q D_q), q <= _TAYLOR_ORDER, in integers.
+def _moment_integers(m: int) -> tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]:
+    """(n, 2^e, P, D): the taps n_l / 2^e, the moments M_q = P_q / (N^q D_q) of phi, in integers.
 
     M_q = integral x^q phi(x) dx, exact on the float taps. H(w) = 2^(-1/2)
     sum_l h(l) e^(ilw) makes phi(x) = 2 sum_l a_l phi(2x + l), supported on
@@ -189,9 +187,7 @@ def _moment_integers(m: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     taps = [num * (scale // den) for num, den in ratios]
     total = sum(taps)
     g = [sum(t * (-ell) ** n for ell, t in enumerate(taps)) for n in range(_TAYLOR_ORDER + 1)]
-    d = [1]
-    for i in range(1, _TAYLOR_ORDER + 1):
-        d.append(d[-1] * (2**i - 1))
+    d = [math.prod(2**i - 1 for i in range(1, q + 1)) for q in range(_TAYLOR_ORDER + 1)]
     p = [1]
     for q in range(1, _TAYLOR_ORDER + 1):
         p.append(
@@ -200,19 +196,29 @@ def _moment_integers(m: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
                 for r in range(q)
             )
         )
-    return total, tuple(p), tuple(d)
+    return tuple(taps), scale, tuple(p), tuple(d)
+
+
+class _OrderTable(NamedTuple):
+    central: np.ndarray  # integral (t - t_c)^q phi(t) dt / q!, q <= _TAYLOR_ORDER
+    taps: np.ndarray  # h(l) = n_l / 2^e, the float taps
+    taps_l1: float  # sum |h|
+    per_sample: float  # 1.0865 sqrt(2m-1) / sqrt((Q+1)!), _fine_levels' factor
+    drift: float  # delta, where the taps sum to sqrt 2 (1 + delta)
 
 
 @lru_cache(maxsize=None)
-def _central_moments(m: int) -> np.ndarray:
-    """integral (t - t_c)^q phi(t) dt / q!, t_c = -(2m-1)/2 the centre of supp phi.
+def _order_table(m: int) -> _OrderTable:
+    """What every order-m pyramid row shares, each number from _moment_integers' integers.
 
-    With s = -t_c and M_r = P_r / (N^r D_r) (_moment_integers), the q-th is
-    sum_(r<=q) C(q, r) P_r N^(q-r) (D_q / D_r) (2m-1)^(q-r) 2^r over
-    N^q D_q 2^q q!, both integers, and is rounded once by their true division.
+    With t_c = -(2m-1)/2 the centre of supp phi, the q-th central moment over
+    q! is sum_(r<=q) C(q, r) P_r N^(q-r) (D_q / D_r) (2m-1)^(q-r) 2^r over
+    N^q D_q 2^q q!, both integers, rounded once by their true division. So
+    are sum |h| = sum |n_l| / 2^e, sum h = N / 2^e and (sum h)^2 - 2 =
+    (N^2 - 2 4^e) / 4^e: the floats math.fsum and Fraction sums of the taps give.
     """
-    total, p, d = _moment_integers(m)
-    width = 2 * m - 1
+    taps, scale, p, d = _moment_integers(m)
+    total, width, sqrt2 = sum(taps), 2 * m - 1, math.sqrt(2.0)
     central = [
         sum(
             math.comb(q, r) * p[r] * (total * width) ** (q - r) * (d[q] // d[r]) * 2**r
@@ -221,7 +227,13 @@ def _central_moments(m: int) -> np.ndarray:
         / (total**q * d[q] * 2**q * math.factorial(q))
         for q in range(_TAYLOR_ORDER + 1)
     ]
-    return _frozen(np.array(central))
+    return _OrderTable(
+        central=_frozen(np.array(central)),
+        taps=_frozen(np.array([t / scale for t in taps])),
+        taps_l1=sum(abs(t) for t in taps) / scale,
+        per_sample=_CRAMER * math.sqrt(width) / math.sqrt(math.factorial(_TAYLOR_ORDER + 1)),
+        drift=abs(total**2 - 2 * scale**2) / scale**2 / (total / scale + sqrt2) / sqrt2,
+    )
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -232,7 +244,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class _SampleBoundedCache:
     """A function's results by argument, least recently used evicted while the
     results' second arrays hold more than _MAX_SAMPLES samples together: about
-    24 MiB for _cascade's three arrays. No thread holds the lock while a result
+    16 MiB for _cascade's two arrays. No thread holds the lock while a result
     is built.
     """
 
@@ -262,13 +274,12 @@ class _SampleBoundedCache:
 
 
 @_SampleBoundedCache
-def _cascade(m: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """(offsets, g, g_abs, g_l1, rel_error) of the levels-level cascade.
+def _cascade(m: int, levels: int) -> tuple[float, np.ndarray, np.ndarray, float, float]:
+    """(origin, g, g_abs, g_l1, rel_error) of the levels-level cascade.
 
-    d_(j,nu) = sum_n g[n] s_(j+levels, start + 2^levels nu + n), and
-    offsets[n] = start + n + t_c, t_c = -(2m-1)/2, puts the centre of the
-    support of phi_(j+levels, start + n) at offsets[n] 2^-(j+levels) for
-    nu = 0; nu moves it by nu 2^levels, exactly in floats.
+    d_(j,nu) = sum_n g[n] s_(j+levels, start + 2^levels nu + n), and the
+    centre of the support of that phi lies at (origin + 2^levels nu + n)
+    2^-(j+levels), origin = start - (2m-1)/2, exactly in floats.
     From d_(j,n) = sum_l (-1)^l h_l s_(j+1, 2n+l+1) and
     s_(j,n) = sum_l h_l s_(j+1, 2n-l): each level upsamples the coefficient
     vector and convolves it with the reversed taps. g_abs is the same cascade
@@ -277,21 +288,15 @@ def _cascade(m: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
     sqrt 2 (1 + delta) where _moment_integers' normalized taps sum to sqrt 2
     exactly, which scales g by (1 + delta)^levels.
     """
-    taps = construct_filter(m).taps
-    h = np.asarray(taps)
-    g = h * (-1.0) ** np.arange(2 * m)
-    g_abs = np.abs(h)
+    table = _order_table(m)
+    g, g_abs = table.taps * (-1.0) ** np.arange(2 * m), np.abs(table.taps)
     start = 1
     for _ in range(levels - 1):
-        g = np.convolve(_upsampled(g), h[::-1])
-        g_abs = np.convolve(_upsampled(g_abs), np.abs(h[::-1]))
+        g = np.convolve(_upsampled(g), table.taps[::-1])
+        g_abs = np.convolve(_upsampled(g_abs), np.abs(table.taps[::-1]))
         start = 2 * start - (2 * m - 1)
-    offsets = np.arange(g.size, dtype=float) + (start - 0.5 * (2 * m - 1))
-    total = sum(Fraction(t) for t in taps)
-    delta = float(abs(total * total - 2)) / (float(total) + math.sqrt(2.0)) / math.sqrt(2.0)
-    drift = math.expm1(levels * math.log1p(delta))
-    rel_error = gamma_n(2 * m * levels) + drift
-    return _frozen(offsets), _frozen(g), _frozen(g_abs), float(g_abs.sum()), rel_error
+    rel_error = gamma_n(2 * m * levels) + math.expm1(levels * math.log1p(table.drift))
+    return start - 0.5 * (2 * m - 1), _frozen(g), _frozen(g_abs), float(g_abs.sum()), rel_error
 
 
 def _upsampled(c: np.ndarray) -> np.ndarray:
@@ -299,14 +304,6 @@ def _upsampled(c: np.ndarray) -> np.ndarray:
     out = np.zeros(2 * c.size - 1)
     out[::2] = c
     return out
-
-
-@lru_cache(maxsize=None)
-def _taylor_constants(m: int) -> tuple[float, float]:
-    """(sum |h|, the per-sample factor 1.0865 sqrt(2m-1) / sqrt((Q+1)!)) of _fine_levels."""
-    taps_l1 = math.fsum(abs(t) for t in construct_filter(m).taps)
-    per_sample = _CRAMER * math.sqrt(2 * m - 1) / math.sqrt(math.factorial(_TAYLOR_ORDER + 1))
-    return taps_l1, per_sample
 
 
 def _fine_levels(f: GaussianTestFunction, m: int, j: int) -> tuple[int, float]:
@@ -322,13 +319,14 @@ def _fine_levels(f: GaussianTestFunction, m: int, j: int) -> tuple[int, float]:
     """
     order = _TAYLOR_ORDER + 1
     amplitude = abs(f.amplitude)
-    taps_l1, per_sample = _taylor_constants(m)
+    table = _order_table(m)
     levels = 1
     while True:
         fine = j + levels
         ratio = (2 * m - 1) / (2.0 * f.sigma * 2.0**fine)
         try:
-            bound = taps_l1**levels * 2.0 ** (-0.5 * fine) * amplitude * per_sample * ratio**order
+            bound = table.taps_l1**levels * 2.0 ** (-0.5 * fine) * amplitude * table.per_sample
+            bound *= ratio**order
         except OverflowError:
             bound = math.inf
         if bound <= _REMAINDER_TARGET * amplitude or 2 * m * 2 ** (levels + 1) > _MAX_SAMPLES:
@@ -377,9 +375,9 @@ def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> Qua
     levels, remainder = _fine_levels(f, m, j)
     if math.isinf(remainder):
         return QuadResult(value=0.0, abs_error=math.inf, evaluations=0, converged=False)
-    offsets, g, g_abs, g_l1, cascade_error = _cascade(m, levels)
+    origin, g, g_abs, g_l1, cascade_error = _cascade(m, levels)
     fine = j + levels
-    u = ((offsets + nu * 2.0**levels) * 2.0**-fine - f.center) / f.sigma
+    u = ((np.arange(g.size) + (origin + nu * 2.0**levels)) * 2.0**-fine - f.center) / f.sigma
     kept = np.abs(u) < _U_CUT
     count = int(np.count_nonzero(kept))
     if count < u.size:
@@ -389,7 +387,7 @@ def pyramid_coefficient(f: GaussianTestFunction, m: int, j: int, nu: int) -> Qua
     # scale[0] holds c_q and scale[1] |c_q|, each contiguous for the dot below.
     scale = np.empty((2, _TAYLOR_ORDER + 1))
     coeffs, abs_coeffs = scale
-    np.multiply(_central_moments(m), (-1.0 / (f.sigma * 2.0**fine)) ** _POWERS, out=coeffs)
+    np.multiply(_order_table(m).central, (-1.0 / (f.sigma * 2.0**fine)) ** _POWERS, out=coeffs)
     np.abs(coeffs, out=abs_coeffs)
     table = np.empty((_TAYLOR_ORDER + 1, 2, count))
     table[0] = 1.0
@@ -452,7 +450,7 @@ def bernstein_rhs(m: int, k: int, p: float, j: int) -> QuadResult:
     num = weighted_lp_norm(NormRequest(m, k, _conjugate_exponent(p)))
     value = num.value * 2.0 ** (-j * (k + 1.0 / p - 0.5))
     rel = num.abs_error / num.value
-    return QuadResult(value=value, abs_error=value * rel, evaluations=num.evaluations)
+    return replace(num, value=value, abs_error=value * rel)
 
 
 # Multiplier on the asymptotic lower constants (G, and the Cor3 lower ratio).

@@ -219,9 +219,11 @@ def weighted_lp_norm(req: NormRequest) -> QuadResult:
 def _exact_lp_norm(req: NormRequest) -> QuadResult:
     """The exact route: the refinement system's integral and its proven error, to the 1/p power.
 
-    The power itself rounds by at most 2 ulp, which abs_error adds.
+    The power itself rounds by at most 2 ulp, which abs_error adds. A negative integral raises.
     """
     integral, err = even_power_integral(req.m, req.k, round(req.p) // 2)
+    if integral < 0:
+        raise ValueError(f"the {req.m, req.k, req.p} norm integral {integral} +/- {err} is below 0")
     value = integral ** (1.0 / req.p)
     abs_error = _root_error(integral, err, req.p) + 4.0 * UNIT_ROUNDOFF * value
     return QuadResult(value=value, abs_error=abs_error, evaluations=0, panels=0)

@@ -176,8 +176,8 @@ FOURIER_MISSES = [(-3, 5), (-3, -6)]
 
 def phi_moment(m: int, q: int) -> Fraction:
     """M_q = integral x^q phi(x) dx, as P_q / (N^q D_q) from the integer recursion."""
-    total, p, d = bernstein._moment_integers(m)
-    return Fraction(p[q], total**q * d[q])
+    taps, _, p, d = bernstein._moment_integers(m)
+    return Fraction(p[q], sum(taps) ** q * d[q])
 
 
 class TestPyramidCoefficient:
@@ -228,8 +228,8 @@ class TestPyramidCoefficient:
     def test_cascade_cache_is_bounded_by_samples(self):
         # At sigma = 0.3, j = -6..6 reaches 12 cascades per order, 957,734
         # samples at m = 20; an unbounded cache keeps three orders' worth, about
-        # 76 MiB traced. Each sample keeps three floats, and the cache holds at
-        # most _MAX_SAMPLES samples. Rebuilt cascades give the same rows.
+        # 51 MiB traced. Each sample keeps two floats, g and |g|, and the cache
+        # holds at most _MAX_SAMPLES samples. Rebuilt cascades give the same rows.
         def grid(m):
             return [{"m": m, "k": 1, "p": 2.0, "sigma": 0.3, "j": j, "nu": 0} for j in range(-6, 7)]
 
@@ -244,7 +244,7 @@ class TestPyramidCoefficient:
             tracemalloc.stop()
         assert rows_to_csv_bytes(rows) == first
         assert len(bernstein._cascade) < 3 * 12
-        assert traced <= 3 * 8 * _MAX_SAMPLES + 2**20, traced
+        assert traced <= 2 * 8 * _MAX_SAMPLES + 2**20, traced
 
     def test_default_grid_never_evicts_a_cascade(self):
         bernstein._cascade.cache_clear()
@@ -327,6 +327,14 @@ class TestBernsteinRhs:
     def test_weight_exponent_validated(self):
         with pytest.raises(ValueError):
             bernstein_rhs(2, 2, 2.0, 0)
+
+    def test_norm_convergence_and_panels_carried(self, monkeypatch):
+        # A conjugate norm whose quadrature ran out of budget says so in the bound.
+        spent = QuadResult(value=0.5, abs_error=1e-3, evaluations=99, converged=False, panels=7)
+        monkeypatch.setattr(bernstein, "weighted_lp_norm", lambda req: spent)
+        rhs = bernstein_rhs(2, 1, 3.0, 0)
+        assert (rhs.converged, rhs.panels, rhs.evaluations) == (False, 7, 99)
+        assert (rhs.value, rhs.abs_error) == (0.5, 1e-3)
 
     def test_default_rows_carry_the_right_hand_side(self):
         # Every default row's test function lies on the unit ball, so its

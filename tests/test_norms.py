@@ -52,7 +52,7 @@ class TestRequestValidation:
             NormRequest(m, k, p)
 
     def test_numpy_integer_named(self):
-        # np.int64 wraps in _central_moments' integer products and fails in
+        # np.int64 wraps in bernstein._order_table's integer products and fails in
         # refinable's math.ldexp: it is refused before any norm route.
         with pytest.raises(ValueError, match=r"m must be an integer, got (np\.int64\()?3"):
             NormRequest(np.int64(3), 1, 2.0)
@@ -519,6 +519,21 @@ class TestExactRoute:
             if req.p in (2.0, 4.0):
                 ours = quadrature_lp_norm(req)
                 assert abs(ours.value - weighted_lp_norm(req).value) <= ours.abs_error, req
+
+    def test_negative_integral_is_named(self):
+        # At r = 127 the certified integral rounds below 0, -4.5e-264 +/-
+        # 4.6e-262; its 1/p power would be complex.
+        assert even_power_integral(2, 1, 127)[0] < 0
+        with pytest.raises(ValueError, match=r"the \(2, 1, 254\.0\) norm integral -4\.5\d*e-264 "):
+            norms._exact_lp_norm(NormRequest(2, 1, 254.0))
+
+    def test_integral_below_its_error_keeps_the_hoelder_bound(self):
+        # At r = 100 the integral, 9.9e-212, is positive but below its error.
+        integral, err = even_power_integral(2, 1, 100)
+        assert 0 < integral < err
+        result = norms._exact_lp_norm(NormRequest(2, 1, 200.0))
+        assert result.value == integral ** (1.0 / 200.0)
+        assert result.abs_error >= err ** (1.0 / 200.0)
 
     def test_route_pair_over_the_exact_range(self):
         # A guard: k at both ends and the middle of every order. (7, 0, 2) and

@@ -1,13 +1,16 @@
-"""The one-table pyramid and the integer moment recursion against their earlier forms.
+"""The one-table pyramid, the per-order table and the integer moment recursion
+against their earlier forms.
 
 The reference below keeps the earlier `pyramid_coefficient` (a `poly +=`
-Taylor loop over He_q), the moments of phi and `_central_moments` (rational
-arithmetic in `Fraction`s), with the `_cascade`, `_upsampled` and
+Taylor loop over He_q), the moments of phi and their central moments
+(rational arithmetic in `Fraction`s), the tap constants (`math.fsum` of |h|
+and the tap sum in `Fraction`s) and the cascade, with the `_upsampled` and
 `_fine_levels` they called, as the oracle. The arithmetic of every float is
-unchanged: the table is summed over its leading axis, which adds the terms
-in q order as the loop did, and each central moment is the same rational
-rounded once. So every `(value, abs_error, evaluations, converged)` and
-every moment is equal, not close.
+unchanged: the Hermite table is summed over its leading axis, which adds
+the terms in q order as the loop did, and each central moment and tap
+constant is the same rational rounded once. So every `(value, abs_error,
+evaluations, converged)`, every moment and every tap constant is equal, not
+close.
 """
 
 import math
@@ -68,11 +71,20 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def reference_tap_constants(m: int) -> tuple[float, float, float]:
+    """(sum |h| by math.fsum, the Cramer per-sample factor, delta from the tap sum in Fractions)."""
+    taps = construct_filter(m).taps
+    taps_l1 = math.fsum(abs(t) for t in taps)
+    per_sample = _CRAMER * math.sqrt(2 * m - 1) / math.sqrt(math.factorial(_TAYLOR_ORDER + 1))
+    total = sum(Fraction(t) for t in taps)
+    delta = float(abs(total * total - 2)) / (float(total) + math.sqrt(2.0)) / math.sqrt(2.0)
+    return taps_l1, per_sample, delta
+
+
 @lru_cache(maxsize=None)
 def reference_cascade(m: int, levels: int) -> tuple[int, np.ndarray, np.ndarray, float]:
     """(start, g, g_abs, rel_error) of the levels-level cascade."""
-    taps = construct_filter(m).taps
-    h = np.asarray(taps)
+    h = np.asarray(construct_filter(m).taps)
     g = h * (-1.0) ** np.arange(2 * m)
     g_abs = np.abs(h)
     start = 1
@@ -80,9 +92,7 @@ def reference_cascade(m: int, levels: int) -> tuple[int, np.ndarray, np.ndarray,
         g = np.convolve(_upsampled(g), h[::-1])
         g_abs = np.convolve(_upsampled(g_abs), np.abs(h[::-1]))
         start = 2 * start - (2 * m - 1)
-    total = sum(Fraction(t) for t in taps)
-    delta = float(abs(total * total - 2)) / (float(total) + math.sqrt(2.0)) / math.sqrt(2.0)
-    drift = math.expm1(levels * math.log1p(delta))
+    drift = math.expm1(levels * math.log1p(reference_tap_constants(m)[2]))
     return start, _frozen(g), _frozen(g_abs), gamma_n(2 * m * levels) + drift
 
 
@@ -96,8 +106,7 @@ def reference_fine_levels(f: GaussianTestFunction, m: int, j: int) -> tuple[int,
     """(L, remainder bound), recomputing the tap constants on every call."""
     order = _TAYLOR_ORDER + 1
     amplitude = abs(f.amplitude)
-    taps_l1 = math.fsum(abs(t) for t in construct_filter(m).taps)
-    per_sample = _CRAMER * math.sqrt(2 * m - 1) / math.sqrt(math.factorial(order))
+    taps_l1, per_sample, _ = reference_tap_constants(m)
     levels = 1
     while True:
         fine = j + levels
@@ -220,12 +229,33 @@ def test_most_samples_kept():
 
 @pytest.mark.parametrize("m", range(1, 21))
 def test_moments_match_the_rational_recursion(m):
-    total, p, d = bernstein._moment_integers(m)
+    taps, scale, p, d = bernstein._moment_integers(m)
+    total = sum(taps)
+    assert [n / scale for n in taps] == list(construct_filter(m).taps)
     moments = tuple(Fraction(p[q], total**q * d[q]) for q in range(_TAYLOR_ORDER + 1))
     assert moments == reference_phi_moments(m)
-    new, ref = bernstein._central_moments(m), reference_central_moments(m)
+    new, ref = bernstein._order_table(m).central, reference_central_moments(m)
     assert new.tobytes() == ref.tobytes()
     assert not new.flags.writeable
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_tap_constants_match_the_float_taps(m):
+    table = bernstein._order_table(m)
+    assert table.taps.tobytes() == np.asarray(construct_filter(m).taps).tobytes()
+    assert not table.taps.flags.writeable
+    assert (table.taps_l1, table.per_sample, table.drift) == reference_tap_constants(m)
+
+
+@pytest.mark.parametrize("m,levels", [(1, 1), (2, 1), (2, 7), (5, 4), (12, 9), (20, 3)])
+def test_cascade_positions_and_filters_match(m, levels):
+    # The cached origin is the centre of the first sample's support, start + t_c.
+    origin, g, g_abs, g_l1, rel_error = bernstein._cascade(m, levels)
+    start, ref_g, ref_abs, ref_error = reference_cascade(m, levels)
+    assert origin == start - 0.5 * (2 * m - 1) and origin % 1 == 0.5
+    assert (g.tobytes(), g_abs.tobytes()) == (ref_g.tobytes(), ref_abs.tobytes())
+    assert (g_l1, rel_error) == (float(ref_abs.sum()), ref_error)
+    assert not (g.flags.writeable or g_abs.flags.writeable)
 
 
 def _peak_bytes(route, case, caches) -> int:
@@ -241,7 +271,7 @@ def _peak_bytes(route, case, caches) -> int:
         tracemalloc.stop()
 
 
-NEW_CACHES = (bernstein._moment_integers, bernstein._central_moments, bernstein._cascade)
+NEW_CACHES = (bernstein._order_table, bernstein._cascade)
 REFERENCE_CACHES = (reference_phi_moments, reference_central_moments, reference_cascade)
 
 
