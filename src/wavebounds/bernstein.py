@@ -187,7 +187,9 @@ def _moment_integers(m: int) -> tuple[tuple[int, ...], int, tuple[int, ...], tup
     taps = [num * (scale // den) for num, den in ratios]
     total = sum(taps)
     g = [sum(t * (-ell) ** n for ell, t in enumerate(taps)) for n in range(_TAYLOR_ORDER + 1)]
-    d = [math.prod(2**i - 1 for i in range(1, q + 1)) for q in range(_TAYLOR_ORDER + 1)]
+    d = [1]
+    for i in range(1, _TAYLOR_ORDER + 1):
+        d.append(d[-1] * (2**i - 1))
     p = [1]
     for q in range(1, _TAYLOR_ORDER + 1):
         p.append(
@@ -218,7 +220,9 @@ def _order_table(m: int) -> _OrderTable:
     (N^2 - 2 4^e) / 4^e: the floats math.fsum and Fraction sums of the taps give.
     """
     taps, scale, p, d = _moment_integers(m)
-    total, width, sqrt2 = sum(taps), 2 * m - 1, math.sqrt(2.0)
+    total = sum(taps)
+    width = 2 * m - 1
+    root2 = math.sqrt(2.0)
     central = [
         sum(
             math.comb(q, r) * p[r] * (total * width) ** (q - r) * (d[q] // d[r]) * 2**r
@@ -232,7 +236,7 @@ def _order_table(m: int) -> _OrderTable:
         taps=_frozen(np.array([t / scale for t in taps])),
         taps_l1=sum(abs(t) for t in taps) / scale,
         per_sample=_CRAMER * math.sqrt(width) / math.sqrt(math.factorial(_TAYLOR_ORDER + 1)),
-        drift=abs(total**2 - 2 * scale**2) / scale**2 / (total / scale + sqrt2) / sqrt2,
+        drift=abs(total**2 - 2 * scale**2) / scale**2 / (total / scale + root2) / root2,
     )
 
 
@@ -289,13 +293,15 @@ def _cascade(m: int, levels: int) -> tuple[float, np.ndarray, np.ndarray, float,
     exactly, which scales g by (1 + delta)^levels.
     """
     table = _order_table(m)
-    g, g_abs = table.taps * (-1.0) ** np.arange(2 * m), np.abs(table.taps)
+    g = table.taps * (-1.0) ** np.arange(2 * m)
+    g_abs = np.abs(table.taps)
     start = 1
     for _ in range(levels - 1):
         g = np.convolve(_upsampled(g), table.taps[::-1])
         g_abs = np.convolve(_upsampled(g_abs), np.abs(table.taps[::-1]))
         start = 2 * start - (2 * m - 1)
-    rel_error = gamma_n(2 * m * levels) + math.expm1(levels * math.log1p(table.drift))
+    drift = math.expm1(levels * math.log1p(table.drift))
+    rel_error = gamma_n(2 * m * levels) + drift
     return start - 0.5 * (2 * m - 1), _frozen(g), _frozen(g_abs), float(g_abs.sum()), rel_error
 
 
@@ -319,14 +325,14 @@ def _fine_levels(f: GaussianTestFunction, m: int, j: int) -> tuple[int, float]:
     """
     order = _TAYLOR_ORDER + 1
     amplitude = abs(f.amplitude)
-    table = _order_table(m)
+    taps_l1 = _order_table(m).taps_l1
+    per_sample = _order_table(m).per_sample
     levels = 1
     while True:
         fine = j + levels
         ratio = (2 * m - 1) / (2.0 * f.sigma * 2.0**fine)
         try:
-            bound = table.taps_l1**levels * 2.0 ** (-0.5 * fine) * amplitude * table.per_sample
-            bound *= ratio**order
+            bound = taps_l1**levels * 2.0 ** (-0.5 * fine) * amplitude * per_sample * ratio**order
         except OverflowError:
             bound = math.inf
         if bound <= _REMAINDER_TARGET * amplitude or 2 * m * 2 ** (levels + 1) > _MAX_SAMPLES:

@@ -1,5 +1,6 @@
 """tools/report_digest.py: report digests of one tree, and the reports two trees differ in."""
 
+import hashlib
 import importlib.util
 import re
 import shutil
@@ -96,3 +97,27 @@ def test_changed_rows_reports_added_removed_and_valueless_rows():
         "  (3,0,2): removed",
         "  (4,0,2): added",
     ]
+
+
+def test_changed_rows_names_a_grid_s_rows_by_their_labels():
+    # Two rows with one key, told apart only by the labels, matched by position.
+    header = "m,k,p,j,nu,value,abs_error,status\n"
+    parent = header + "2,1,2,0,1,1,0.1,pass\n2,1,2,0,1,2,0.1,pass\n"
+    change = header + "2,1,2,0,1,1,0.1,pass\n2,1,2,0,1,3,0.1,pass\n"
+    assert report_digest.changed_rows(parent, change, ["(a)", "(b)"]) == [
+        "  (b) changed value: value 2 -> 3, abs_error 0.1 -> 0.1, |delta value| 1 = 10 of abs_error"
+    ]
+
+
+def test_a_named_grid_runs_its_cases_in_the_tree():
+    from wavebounds.bernstein import verify_sweep
+    from wavebounds.reporting import rows_to_csv_bytes, rows_to_json_bytes
+
+    cases = [{"m": 2, "k": 1, "p": 2.0, "sigma": sigma, "j": 0, "nu": 1} for sigma in (0.05, 1.0)]
+    digests, texts = report_digest.tree_reports(_ROOT, ["probe"], {"probe": ("bernstein", cases)})
+    rows = verify_sweep("bernstein", cases)
+    assert texts == {"probe.csv": rows_to_csv_bytes(rows).decode()}
+    assert digests == {
+        "probe.csv": hashlib.sha256(rows_to_csv_bytes(rows)).hexdigest(),
+        "probe.json": hashlib.sha256(rows_to_json_bytes(rows)).hexdigest(),
+    }

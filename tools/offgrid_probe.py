@@ -1,34 +1,37 @@
 """Status counts and CSV digest of the off-grid bernstein probe, for one source tree or two.
 
     python3 tools/offgrid_probe.py ROOT
-    python3 tools/offgrid_probe.py PARENT CHANGE [--every N]
+    python3 tools/offgrid_probe.py PARENT CHANGE
 
-The probe runs `verify_sweep("bernstein", cases)` over 2,175 cases off the
-default grid, in this order: m in {2, 3, 4, 6, 8, 12, 20}, then
-0 <= k <= min(m-1, 4), p in {4/3, 1.5, 2, 3, 4}, sigma in {0.05, 1, 20} and
-j in {-6, -2, 0, 3, 8}, all at nu = 1. --every N keeps every N-th case. Each
-ROOT is the root of a source tree; a fresh interpreter imports the library
-from ROOT/src and runs the probe, which takes about 10 s. With one root the
-tool prints the rows' status counts and the sha256 of their CSV bytes
+The probe is the report bernstein-offgrid: `verify_sweep("bernstein", cases)`
+over 2,175 cases off the default grid, in this order: m in
+{2, 3, 4, 6, 8, 12, 20}, then 0 <= k <= min(m-1, 4), p in {4/3, 1.5, 2, 3, 4},
+sigma in {0.05, 1, 20} and j in {-6, -2, 0, 3, 8}, all at nu = 1. Each ROOT
+is the root of a source tree, whose probe runs in a fresh interpreter by
+tools/report_digest.py's runner, about 10 s a tree. With one root the tool
+prints the rows' status counts and the sha256 of their CSV bytes
 (`rows_to_csv_bytes`, the bytes `wavebounds bernstein` writes). With two it
-prints both trees' and exits 1 if the counts or the bytes differ.
+prints both trees' lines; if the bytes differ it prints every changed row,
+keyed (m, k, p, sigma, j, nu), and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import os
-import subprocess
+import csv
+import io
 import sys
 from collections import Counter
 from pathlib import Path
 
+import report_digest
+
+REPORT = "bernstein-offgrid"
 ORDERS = (2, 3, 4, 6, 8, 12, 20)
 EXPONENTS = (4.0 / 3.0, 1.5, 2.0, 3.0, 4.0)
 SIGMAS = (0.05, 1.0, 20.0)
 SCALES = (-6, -2, 0, 3, 8)
+_LABEL = ("m", "k", "p", "sigma", "j", "nu")
 
 
 def probe_cases(every: int = 1) -> list[dict]:
@@ -44,63 +47,33 @@ def probe_cases(every: int = 1) -> list[dict]:
     return cases[::every]
 
 
-def summarize(cases: list[dict]) -> dict:
-    """{"counts": rows by status, "sha256": digest of the rows' CSV bytes} of the cases' sweep."""
-    from wavebounds.bernstein import verify_sweep
-    from wavebounds.reporting import rows_to_csv_bytes
-
-    rows = verify_sweep("bernstein", cases)
+def summary_line(digest: str, csv_text: str) -> str:
+    """The CSV report's digest and its rows' counts by status."""
     counts = dict.fromkeys(("pass", "vacuous", "fail", "error"), 0)
-    counts.update(Counter(row.status for row in rows))
-    return {"counts": counts, "sha256": hashlib.sha256(rows_to_csv_bytes(rows)).hexdigest()}
-
-
-def tree_summary(root: Path, every: int) -> dict:
-    """The probe's summary on the library under root/src, in a fresh interpreter."""
-    src = root / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--run", str(src), "--every", str(every)]
-    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(f"the probe of {root} failed (exit code {proc.returncode})")
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def _line(summary: dict) -> str:
-    counts = ", ".join(f"{count} {status}" for status, count in summary["counts"].items())
-    return f"{summary['sha256']}  {counts}"
+    counts.update(Counter(row["status"] for row in csv.DictReader(io.StringIO(csv_text))))
+    return f"{digest}  " + ", ".join(f"{count} {status}" for status, count in counts.items())
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("roots", type=Path, nargs="*", metavar="ROOT", help="one or two source trees")
-    parser.add_argument("--every", type=int, default=1, help="keep every N-th case (default: all)")
-    parser.add_argument("--run", type=Path, help=argparse.SUPPRESS)  # the child: probe this src
-    args = parser.parse_args(argv)
-    if args.every < 1:
-        parser.error(f"--every must be at least 1, got {args.every}")
-    if args.run is not None:
-        import wavebounds
-
-        if not Path(wavebounds.__file__).resolve().is_relative_to(args.run.resolve()):
-            raise SystemExit(f"wavebounds was imported from {wavebounds.__file__}, not {args.run}")
-        print(json.dumps(summarize(probe_cases(args.every))))
+    parser.add_argument("roots", type=Path, nargs="+", metavar="ROOT", help="one or two source trees")
+    roots = report_digest.source_roots(parser, parser.parse_args(argv).roots)
+    cases = probe_cases()
+    grids = {REPORT: ("bernstein", cases)}
+    name = REPORT + ".csv"
+    runs = [report_digest.tree_reports(root, [REPORT], grids) for root in roots]
+    for root, (digests, texts) in zip(roots, runs):
+        print(f"{summary_line(digests[name], texts[name])}  {root}")
+    if len(runs) == 1:
         return 0
-    if not 1 <= len(args.roots) <= 2:
-        parser.error(f"expected one or two roots, got {len(args.roots)}")
-    roots = [root.resolve() for root in args.roots]
-    for root in roots:
-        if not (root / "src" / "wavebounds").is_dir():
-            raise SystemExit(f"{root} has no src/wavebounds")
-    summaries = [tree_summary(root, args.every) for root in roots]
-    for root, summary in zip(roots, summaries):
-        print(f"{_line(summary)}  {root}")
-    if len(summaries) == 2:
-        same = summaries[0] == summaries[1]
-        print("identical counts and bytes" if same else "the probes differ")
-        return 0 if same else 1
-    return 0
+    (parent, parent_texts), (change, change_texts) = runs
+    if parent[name] == change[name]:
+        print("identical counts and bytes")
+        return 0
+    labels = ["(" + ",".join(str(case[col]) for col in _LABEL) + ")" for case in cases]
+    print(*report_digest.changed_rows(parent_texts[name], change_texts[name], labels), sep="\n")
+    print("the probes differ")
+    return 1
 
 
 if __name__ == "__main__":
