@@ -22,7 +22,6 @@ from .bound_formulas import (
     ratio_bounds,
 )
 from .daub_filters import (
-    FilterConstructionError,
     FilterSpec,
     construct_filter,
     eval_H,
@@ -56,7 +55,6 @@ __all__ = [
     "BoundSet",
     "DecayFit",
     "DEFAULT_OMEGA_MAX",
-    "FilterConstructionError",
     "FilterSpec",
     "GaussianTestFunction",
     "NormRequest",

@@ -510,12 +510,11 @@ def corollary1_grid(ms=range(1, 7), ks=range(MAX_ORDER + 1), ps=(1.5, 2.0, 3.0))
 def bernstein_grid(m=2, k=1, p=2.0, sigma=1.0, j_range=(-3, 6), nu_range=(-8, 8)) -> list[dict]:
     """The cases at one (m, k, p, sigma): each j, then each nu, of the inclusive ranges.
 
-    A ValueError names what no row could use: an order without filter taps, a
-    value outside check_norm_domain, k >= m, a sigma that puts the weighted
-    norm past the double range, or a range that is empty or passes its limit.
+    A ValueError names what no row could use: a value outside
+    check_norm_domain, k >= m, a sigma that puts the weighted norm past the
+    double range, or a range that is empty or passes its limit.
     """
     check_norm_domain(m, k, p)
-    construct_filter(m)
     require_k_below_m(m, k)
     GaussianTestFunction.normalized(sigma, 0.0, k, p)
     for name, (lo, hi), (first, last) in (

