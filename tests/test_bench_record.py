@@ -1,17 +1,21 @@
 """tools/bench_record.py: how one record is assembled from bench/run.py's output, with no run started."""
 
-import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
-_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
-bench_record = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_record)
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(_ROOT / "tools"))
+import ab_bench  # noqa: E402
+import bench_record  # noqa: E402
 
+BENCHMARK = json.loads((_ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 TREE = {"git_sha": "a20c144", "source_sha256": "ab" * 32, "python": "3.11.7", "numpy": "2.4.6", "nproc": 2}
+TABLES = "ef" * 32
 
 
 def _run(workload: str, trace: int) -> tuple[dict, dict]:
@@ -32,16 +36,17 @@ def _run(workload: str, trace: int) -> tuple[dict, dict]:
 
 
 def _runs() -> dict:
-    return {name: (_run(name, 0), _run(name, 1)) for name in bench_record.WORKLOADS}
+    return {name: (_run(name, 0), _run(name, 1)) for name in WORKLOADS}
 
 
 def test_assembles_tree_medians_counts_and_fail_frac():
-    record = bench_record.assemble(31, 1, 12.0, _runs())
+    record = bench_record.assemble(31, 40, TABLES, _runs())
     assert record == {
         "pr": 31,
         **TREE,
+        "tables_sha256": TABLES,
         "seed": 1,
-        "seconds": 12.0,
+        "seconds": 40,
         "workloads": {
             name: {
                 "end_to_end": {"wall_rel": 0.75, "setup_s": 0.15, "peak_rss_mb": 32.5},
@@ -49,7 +54,7 @@ def test_assembles_tree_medians_counts_and_fail_frac():
                 "traced": {key: float(i) for i, key in enumerate(bench_record.TRACED)},
                 "fail_frac": 0.01 if name == "point_eval" else 0.0,
             }
-            for name in bench_record.WORKLOADS
+            for name in WORKLOADS
         },
     }
     assert list(record["workloads"]) == ["verify_suite", "bernstein_grid", "point_eval"]
@@ -59,21 +64,67 @@ def test_runs_from_different_trees_are_refused():
     runs = _runs()
     runs["point_eval"][1][1]["source_sha256"] = "cd" * 32
     with pytest.raises(ValueError, match="disagree on source_sha256"):
-        bench_record.assemble(31, 1, 12.0, runs)
+        bench_record.assemble(31, 40, TABLES, runs)
 
 
-def test_main_runs_each_workload_untraced_and_traced(tmp_path, monkeypatch):
+def _tree(root: Path) -> Path:
+    package = root / "src" / "wavebounds"
+    (package / "__pycache__").mkdir(parents=True)
+    (package / "daub_taps.txt").write_text("1 0x1.6a09e667f3bcdp-1 0x1.6a09e667f3bcdp-1\n")
+    (package / "daub_filters.py").write_text("")
+    (package / "__pycache__" / "daub_filters.cpython-311.pyc").write_bytes(b"\0")
+    (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    return root
+
+
+def test_tables_digest_covers_the_tap_table_only(tmp_path):
+    root = _tree(tmp_path)
+    package = root / "src" / "wavebounds"
+    before = bench_record.tables_sha256(root)
+    (package / "daub_filters.py").write_text("x = 1\n")
+    (package / "__pycache__" / "daub_filters.cpython-311.pyc").write_bytes(b"\1")
+    assert bench_record.tables_sha256(root) == before
+    (package / "daub_taps.txt").write_text("1 0x1.6a09e667f3bccp-1 0x1.6a09e667f3bcdp-1\n")
+    assert bench_record.tables_sha256(root) != before
+
+
+def test_run_passes_the_trace_flag_and_reads_the_run_record(tmp_path, monkeypatch):
+    result, record = _run("point_eval", 1)
+    (tmp_path / "bench" / "out").mkdir(parents=True)
+    (tmp_path / "bench" / "out" / "result_point_eval_seed1_trace1.json").write_text(json.dumps(record))
     calls = []
 
-    def fake_run(root, workload, seed, seconds, trace):
-        calls.append((root, workload, seed, seconds, trace))
+    def fake_subprocess_run(cmd, cwd, capture_output, text):
+        calls.append((cmd, cwd))
+        return subprocess.CompletedProcess(cmd, 0, stdout="log line\n" + json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_subprocess_run)
+    assert bench_record.run(tmp_path, "point_eval", 40, 1) == (result, record)
+    assert calls == [
+        (
+            [
+                "python3", "bench/run.py", "--workload", "point_eval", "--seed", "1",
+                "--seconds", "40", "--trace", "1",
+            ],
+            tmp_path,
+        )
+    ]
+
+
+def test_main_runs_each_benchmark_workload_untraced_and_traced(tmp_path, monkeypatch):
+    root = _tree(tmp_path / "tree")
+    out = tmp_path / "out"
+    out.mkdir()
+    calls = []
+
+    def fake_run(root, workload, seconds, trace):
+        calls.append((root, workload, seconds, trace))
         return _run(workload, trace)
 
     monkeypatch.setattr(bench_record, "run", fake_run)
-    out = tmp_path / "BENCH_9.json"
-    args = ["9", "--tree", str(tmp_path), "--seed", "5", "--seconds", "3", "--out", str(out)]
-    assert bench_record.main(args) == 0
-    assert calls == [
-        (tmp_path.resolve(), name, 5, 3.0, trace) for name in bench_record.WORKLOADS for trace in (0, 1)
-    ]
-    assert json.loads(out.read_text()) == bench_record.assemble(9, 5, 3.0, _runs())
+    monkeypatch.setattr(bench_record, "OUT_DIR", out)
+    assert bench_record.main(["9", "--tree", str(root)]) == 0
+    seconds = BENCHMARK["run_seconds"]
+    assert calls == [(root.resolve(), name, seconds, trace) for name in WORKLOADS for trace in (0, 1)]
+    expected = bench_record.assemble(9, seconds, bench_record.tables_sha256(root), _runs())
+    assert json.loads((out / "BENCH_9.json").read_text()) == expected

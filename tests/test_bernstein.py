@@ -547,14 +547,17 @@ def test_bernstein_row_reports_the_error_it_is_checked_with():
     assert row.abs_error == coef.abs_error + rhs.abs_error
 
 
-@pytest.mark.parametrize("p", [4.0 / 3.0, 1.5])
-def test_order_20_rows_pass_without_the_pad(monkeypatch, p):
-    # With the correctly rounded taps the coefficient is about 1e-14 against
-    # bounds of 1.59e-10 (p = 4/3) and 2.81e-10 (p = 1.5); the taps built at
-    # run time before them gave 7.6e-10 and 6.7e-10, which only TOL_PAD passed.
+@pytest.mark.parametrize("m,k,p", [(20, 3, 4.0 / 3.0), (20, 3, 1.5), (32, 0, 4.0 / 3.0), (32, 3, 4.0 / 3.0)])
+def test_high_order_pyramid_rows_pass_without_the_pad(monkeypatch, m, k, p):
+    # With the correctly rounded taps the m = 20 coefficients are about 1e-14
+    # against bounds of 1.59e-10 (p = 4/3) and 2.81e-10 (p = 1.5); the taps
+    # built at run time before them gave 7.6e-10 and 6.7e-10, which only
+    # TOL_PAD passed. At the table's highest order, m = 32, the coefficients
+    # are 4.0e-18 (k = 0) and 1.8e-14 (k = 3) against 0.152 and 1.58e-10.
     monkeypatch.setattr(bernstein, "TOL_PAD", 0.0)
-    case = {"m": 20, "k": 3, "p": p, "sigma": 20.0, "j": 8, "nu": 1}
+    case = {"m": m, "k": k, "p": p, "sigma": 20.0, "j": 8, "nu": 1}
     (row,) = verify_sweep("bernstein", [case])
+    assert pyramid_coefficient(GaussianTestFunction.normalized(20.0, 0.0, k, p), m, 8, 1).converged
     assert row.status == "pass", row
     assert row.value < 1e-3 * row.upper_bound
 

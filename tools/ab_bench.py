@@ -4,8 +4,8 @@
 
 PARENT and CHANGE are the roots of two source trees, each with its own
 bench/ and BENCHMARK.json. Pair i runs `python3 bench/run.py --workload W
---seed K+i --seconds S` inside each root, one after the other, and the side
-that goes first alternates from pair to pair. The last line of each run's
+--seed K+i --seconds S --trace 0` inside each root, one after the other,
+and the side that goes first alternates from pair to pair. The last line of each run's
 stdout is its JSON result. For every end-to-end metric of the parent's
 BENCHMARK.json the tool prints each side's median and quartiles, the
 relative change against the metric's bound, the pairs the change won (ties
@@ -87,10 +87,11 @@ def check_roots(parent: Path, change: Path) -> None:
         )
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The JSON result on the last stdout line of one bench/run.py run inside root."""
     cmd = [
         "python3", "bench/run.py",
-        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:

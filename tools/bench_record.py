@@ -1,16 +1,18 @@
 """Write BENCH_<PR>.json: one benchmark record of a source tree, untraced and traced.
 
-    python3 tools/bench_record.py PR [--tree ROOT] [--seed K] [--seconds S] [--out PATH]
+    python3 tools/bench_record.py PR [--tree ROOT]
 
-For each workload, in the order of bench/run.py, the tool runs the tree's own
-`python3 bench/run.py --workload W --seed K --seconds S` inside ROOT (by
-default the tree the tool sits in), once with --trace 0 and once with
---trace 1. It reads the last stdout line of each run (its JSON result) and
-the run record that run.py writes to ROOT/bench/out/, and writes one JSON
-file, by default BENCH_<PR>.json at the root of the tool's own tree:
+For each workload of ROOT/BENCHMARK.json, in its order, the tool runs the
+tree's own `python3 bench/run.py --workload W --seed 1 --seconds S` inside
+ROOT (by default the tree the tool sits in), where S is the benchmark's
+run_seconds, once with --trace 0 and once with --trace 1, through
+ab_bench.run_once. It reads the JSON result of each run and the run record
+that run.py writes to ROOT/bench/out/, and writes BENCH_<PR>.json at the root
+of the tool's own tree:
 
-- the tree's git SHA and source digest, the Python and numpy versions, the
-  host's CPU count, the seed and the run length;
+- the tree's git SHA and source digest, the digest of its non-Python package
+  files (the tap table, which the source digest does not cover), the Python
+  and numpy versions, the host's CPU count, the seed and the run length;
 - per workload, the untraced run's end-to-end medians and pass count, the
   traced run's counts and seconds (TRACED), and fail_frac, the share of
   operations that failed over both runs.
@@ -19,12 +21,15 @@ file, by default BENCH_<PR>.json at the root of the tool's own tree:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
-import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("verify_suite", "bernstein_grid", "point_eval")
+import ab_bench
+
+OUT_DIR = Path(__file__).resolve().parents[1]
+SEED = 1
 TRACED = (
     "quadrature.runs",
     "quadrature.evals",
@@ -42,18 +47,26 @@ TRACED = (
 TREE_KEYS = ("git_sha", "source_sha256", "python", "numpy", "nproc")
 
 
-def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+def tables_sha256(root: Path) -> str:
+    """Digest of the files under ROOT/src/wavebounds that are not Python sources or bytecode.
+
+    bench/run.py's source_sha256 hashes only the .py files under src/, so it
+    does not tell apart two trees whose tap tables differ; this digest does.
+    """
+    digest = hashlib.sha256()
+    package = root / "src" / "wavebounds"
+    for path in sorted(package.rglob("*")):
+        rel = path.relative_to(package)
+        if path.is_file() and path.suffix != ".py" and "__pycache__" not in rel.parts:
+            digest.update(str(rel).encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def run(root: Path, workload: str, seconds: float, trace: int) -> tuple[dict, dict]:
     """(the JSON result on the last stdout line, the run record in bench/out/) of one run."""
-    cmd = [
-        "python3", "bench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(trace),
-    ]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(f"bench/run.py exited with code {proc.returncode} in {root}")
-    record = root / "bench" / "out" / f"result_{workload}_seed{seed}_trace{trace}.json"
-    return json.loads(proc.stdout.splitlines()[-1]), json.loads(record.read_text())
+    result = ab_bench.run_once(root, workload, SEED, seconds, trace)
+    record = root / "bench" / "out" / f"result_{workload}_seed{SEED}_trace{trace}.json"
+    return result, json.loads(record.read_text())
 
 
 def workload_entry(plain: tuple[dict, dict], traced: tuple[dict, dict]) -> dict:
@@ -69,7 +82,7 @@ def workload_entry(plain: tuple[dict, dict], traced: tuple[dict, dict]) -> dict:
     }
 
 
-def assemble(pr: int, seed: int, seconds: float, runs: dict[str, tuple]) -> dict:
+def assemble(pr: int, seconds: float, tables: str, runs: dict[str, tuple]) -> dict:
     """The BENCH_<PR>.json content from each workload's (untraced, traced) pair of runs.
 
     Every run must come from the same tree: their TREE_KEYS must agree.
@@ -83,27 +96,27 @@ def assemble(pr: int, seed: int, seconds: float, runs: dict[str, tuple]) -> dict
     return {
         "pr": pr,
         **tree,
-        "seed": seed,
+        "tables_sha256": tables,
+        "seed": SEED,
         "seconds": seconds,
-        "workloads": {name: workload_entry(*runs[name]) for name in WORKLOADS},
+        "workloads": {name: workload_entry(*pair) for name, pair in runs.items()},
     }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("pr", type=int)
-    parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=12.0)
-    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--tree", type=Path, default=OUT_DIR)
     args = parser.parse_args(argv)
     root = args.tree.resolve()
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     runs = {
-        name: tuple(run(root, name, args.seed, args.seconds, trace) for trace in (0, 1))
-        for name in WORKLOADS
+        workload["name"]: tuple(run(root, workload["name"], seconds, trace) for trace in (0, 1))
+        for workload in benchmark["workloads"]
     }
-    out = args.out or Path(__file__).resolve().parents[1] / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(assemble(args.pr, args.seed, args.seconds, runs), indent=1) + "\n")
+    record = assemble(args.pr, seconds, tables_sha256(root), runs)
+    (OUT_DIR / f"BENCH_{args.pr}.json").write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
