@@ -633,14 +633,14 @@ def _run_corollary1(case: Mapping) -> VerificationRow:
 
 def _run_corollary2(case: Mapping) -> VerificationRow:
     params = bound_params(case["m"], case["k"], case["p"])
-    interval = ratio_bounds(params, "Cor2")
+    interval = ratio_bounds(params)
     ratio = best_constant_Ckp(params.m, params.k, params.p)
     return _bracket_row("corollary2", params, interval.lo, interval.hi, ratio)
 
 
 def _run_corollary3(case: Mapping) -> VerificationRow:
     params = bound_params(case["m"], case["m"], case["p"])
-    interval = ratio_bounds(params, "Cor3")
+    interval = ratio_bounds(params)
     lower = ASYMPTOTIC_SLACK * interval.lo
     ratio = best_constant_Ckp(params.m, params.k, params.p)
     return _bracket_row("corollary3", params, lower, interval.hi, ratio, slack=ASYMPTOTIC_SLACK)

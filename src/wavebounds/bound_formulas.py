@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .special_math import check_norm_domain, factorial_ratio, sinc_alternating_sum
 
@@ -165,7 +164,7 @@ def bound_F(params: BoundParams) -> float:
     n = _even_mp(params)
     m, p = params.m, params.p
     # The sum refuses n past MAX_SINC_POWER before pi's power below can overflow.
-    scaled_sum = float(Fraction(sinc_alternating_sum(n), math.factorial(n - 1)))
+    scaled_sum = sinc_alternating_sum(n) / math.factorial(n - 1)
     term1 = 2.0 ** (1.0 - 0.5 * p) / (math.pi ** (p * (m + 0.5) - 1.0) * (n - 1))
     term2 = 2.0 ** (1.0 - p * (2 * m - 1)) * scaled_sum / math.pi ** (0.5 * p - 1.0)
     return (term1 + term2) ** (1.0 / p)
@@ -211,18 +210,17 @@ def compute_bound_set(params: BoundParams) -> BoundSet:
     return BoundSet(params=params, flags=tuple(flags), **values)
 
 
-def ratio_bounds(params: BoundParams, which: str) -> RatioInterval:
-    """Sandwich interval for the best constant: (B/D, A/E) or (G/D, F/E).
+def ratio_bounds(params: BoundParams) -> RatioInterval:
+    """Sandwich interval for the best constant: (B/D, A/E) or (G/D, F/E), by k.
 
-    A negative numerator clamps the lower end to 0 (vacuous but not wrong);
-    D >= 2 (2 pi)^(-1/2) is always positive, but E <= 0 makes the upper ratio
-    meaningless, reported as +inf.
+    k < m takes Corollary 2's pair and k = m Corollary 3's; F and G refuse
+    any other k. A negative numerator clamps the lower end to 0 (vacuous but
+    not wrong); D >= 2 (2 pi)^(-1/2) is always positive, but E <= 0 makes the
+    upper ratio meaningless, reported as +inf.
     """
-    if which not in ("Cor2", "Cor3"):
-        raise ValueError(f"which must be 'Cor2' or 'Cor3', got {which!r}")
     d = bound_D(params)
     e = bound_E(params)
-    if which == "Cor2":
+    if params.k < params.m:
         num_lo, num_hi = bound_B(params), bound_A(params)
     else:
         num_lo, num_hi = bound_G(params), bound_F(params)

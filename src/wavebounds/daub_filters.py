@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .special_math import MAX_ORDER, cm_constant, p_coefficients
+from .special_math import check_order, cm_constant, p_coefficients
 
 _TAP_TABLE = Path(__file__).with_name("daub_taps.txt")
 
@@ -164,8 +164,7 @@ def construct_filter(m: int) -> FilterSpec:
     from daub_taps.txt on the first call; every call for one order returns
     the same FilterSpec. Raises ValueError for an order outside 1..MAX_ORDER.
     """
-    if not 1 <= m <= MAX_ORDER:
-        raise ValueError(f"the order must satisfy 1 <= m <= {MAX_ORDER}, got {m}")
+    check_order(m)
     return _filter_table()[m - 1]
 
 

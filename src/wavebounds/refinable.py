@@ -43,12 +43,11 @@ the exact coefficients. rho . M_hat is summed exactly and rounded once.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .special_math import MAX_ORDER, UNIT_ROUNDOFF, gamma_n, p_coefficients
+from .special_math import UNIT_ROUNDOFF, check_order, gamma_n, p_coefficients
 
 
 def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -157,10 +156,10 @@ def even_power_integral(m: int, k: int, r: int) -> tuple[float, float]:
     delta when the float inverse does not certify (delta >= 1), rather than
     returning an unproven value.
     """
-    if not (1 <= m <= MAX_ORDER and 0 <= k <= m and r >= 1):
+    check_order(m)
+    if not (0 <= k <= m and r >= 1):
         raise ValueError(
-            f"even_power_integral requires 1 <= m <= {MAX_ORDER}, 0 <= k <= m and r >= 1, "
-            f"got m={m}, k={k}, r={r}"
+            f"even_power_integral requires 0 <= k <= m and r >= 1, got m={m}, k={k}, r={r}"
         )
     # The symbol's numerators run up to 4^d, d = r(2m + k - 1), and must convert to floats.
     if 2 * r * (2 * m + k - 1) > 1023:
@@ -195,7 +194,7 @@ def even_power_integral(m: int, k: int, r: int) -> tuple[float, float]:
     # rho_t multiplies M(t); terms with |t| > N meet a vanishing moment.
     rho = {t: band[t + d_rho] for t in range(-min(d_rho, n_max), min(d_rho, n_max) + 1)}
     exact = sum(rho[t] * nums[t + n_max] for t in rho)
-    v_hat = float(Fraction(exact, 4**d_rho << shift))
+    v_hat = exact / (4**d_rho << shift)
     rho_abs = np.zeros(size)
     for t, num in rho.items():
         rho_abs[t + n_max] = _up(num, 2 * d_rho)

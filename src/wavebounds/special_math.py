@@ -29,12 +29,17 @@ def check_norm_domain(m: int, k: int, p: float) -> None:
     for name, value in (("order m", m), ("weight exponent k", k)):
         if not isinstance(value, int):
             raise ValueError(f"the {name} must be an integer, got {value!r}")
-    if not 1 <= m <= MAX_ORDER:
-        raise ValueError(f"the order must satisfy 1 <= m <= {MAX_ORDER}, got m={m}")
+    check_order(m)
     if k < 0:
         raise ValueError(f"weight exponent must be nonnegative, got {k}")
     if not (1.0 < p < math.inf):
         raise ValueError(f"p must lie in (1, inf), got {p}")
+
+
+def check_order(m: int) -> None:
+    """Raise ValueError unless 1 <= m <= MAX_ORDER, the orders the library supports."""
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"the order must satisfy 1 <= m <= {MAX_ORDER}, got m={m}")
 
 
 @lru_cache(maxsize=None)
@@ -43,8 +48,7 @@ def p_coefficients(m: int) -> tuple[int, ...]:
 
     P_(m-1)(y) (1-y)^m + P_(m-1)(1-y) y^m = 1 (Daubechies, Ten Lectures, section 6.1).
     """
-    if m < 1 or m > MAX_ORDER:
-        raise ValueError(f"the order must satisfy 1 <= m <= {MAX_ORDER}, got {m}")
+    check_order(m)
     return tuple(math.comb(m - 1 + j, j) for j in range(m))
 
 
@@ -59,8 +63,7 @@ def cm_constant(m: int) -> float:
 
 def factorial_ratio(m: int) -> float:
     """(2m)! / (m! (m-1)!) = m C(2m, m) as a float, correctly rounded from the exact integer."""
-    if m < 1 or m > MAX_ORDER:
-        raise ValueError(f"the order must satisfy 1 <= m <= {MAX_ORDER}, got {m}")
+    check_order(m)
     return float(m * math.comb(2 * m, m))
 
 

@@ -264,24 +264,20 @@ class TestCriticalExponentPair:
 
 class TestRatioBounds:
     def test_negative_numerator_clamped(self):
-        interval = ratio_bounds(BoundParams(m=2, k=1, p=2.0, c=1.0), "Cor2")
+        interval = ratio_bounds(BoundParams(m=2, k=1, p=2.0, c=1.0))
         assert interval.lo == 0.0
 
     def test_nonpositive_e_flags_upper(self):
-        interval = ratio_bounds(BoundParams(m=2, k=1, p=2.0, c=1.0), "Cor2")
+        interval = ratio_bounds(BoundParams(m=2, k=1, p=2.0, c=1.0))
         assert math.isinf(interval.hi)
 
     def test_critical_ratio_lower_is_binding(self):
-        interval = ratio_bounds(BoundParams(m=2, k=2, p=2.0, c=1.0), "Cor3")
+        interval = ratio_bounds(BoundParams(m=2, k=2, p=2.0, c=1.0))
         assert interval.lo > 0.0
-
-    def test_unknown_selector_rejected(self):
-        with pytest.raises(ValueError):
-            ratio_bounds(BoundParams(m=2, k=1, p=2.0, c=1.0), "Cor9")
 
     def test_odd_product_propagates(self):
         with pytest.raises(ValueError):
-            ratio_bounds(BoundParams(m=3, k=3, p=5.0 / 3.0, c=1.0), "Cor3")
+            ratio_bounds(BoundParams(m=3, k=3, p=5.0 / 3.0, c=1.0))
 
 
 class TestBoundSet:

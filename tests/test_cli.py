@@ -35,7 +35,7 @@ class TestFilters:
     def test_order_above_limit_named(self, capsys):
         assert main(["filters", "--m", "33"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("wavebounds: error: ") and "1 <= m <= 32, got 33" in err
+        assert err.startswith("wavebounds: error: ") and "the order must satisfy 1 <= m <= 32, got m=33" in err
 
     def test_plain_output_has_17_digits(self, capsys):
         main(["filters", "--m", "2"])
@@ -105,7 +105,7 @@ class TestPointEvaluations:
         assert main(["eval", "--m", "40", "--omega", "1.0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("wavebounds: error: ") and "got 40" in captured.err
+        assert captured.err.startswith("wavebounds: error: ") and "the order must satisfy 1 <= m <= 32, got m=40" in captured.err
         assert captured.err.count("\n") == 1
 
     def test_abs2(self, capsys):

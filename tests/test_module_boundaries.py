@@ -2,13 +2,14 @@
 
 No module imports another module's private names, the unit roundoff and
 gamma_n are defined in special_math alone, only norms knows the tail cutoff,
-the (m, k, p) domain is checked in special_math alone, and one spectral_eval
-function runs every truncated product and every factor call; norms hands
-its quadrature integrand to adaptive_quadrature and never calls it itself,
-and evaluates |psi_hat|^2 only through its memo; the CLI builds no sweep
-case of its own; norms takes the rule's node count from quadrature, which
-keeps each integrand's number type; and every public top-level name is used
-by other library code or exported.
+the (m, k, p) domain and the order range are checked in special_math alone,
+no module imports fractions, and one spectral_eval function runs every
+truncated product and every factor call; norms hands its quadrature
+integrand to adaptive_quadrature and never calls it itself, and evaluates
+|psi_hat|^2 only through its memo; the CLI builds no sweep case of its own;
+norms takes the rule's node count from quadrature, which keeps each
+integrand's number type; and every public top-level name is used by other
+library code or exported.
 """
 
 import ast
@@ -75,12 +76,25 @@ def test_tail_cutoff_known_to_norms_alone():
 
 
 def test_norm_domain_checked_in_special_math_alone():
-    holders = sorted(
-        path.name
-        for path in PACKAGE.glob("*.py")
-        if "p must lie in (1, inf)" in path.read_text()
-    )
-    assert holders == ["special_math.py"]
+    for message in ("p must lie in (1, inf)", "the order must satisfy"):
+        holders = sorted(path.name for path in PACKAGE.glob("*.py") if message in path.read_text())
+        assert holders == ["special_math.py"], message
+
+
+def test_no_module_imports_fractions():
+    # Integer true division rounds correctly, as Fraction.__float__ does.
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "fractions" in names:
+                importers.append(f"{path.name}:{node.lineno}")
+    assert not importers, "fractions imported at " + ", ".join(importers)
 
 
 def test_one_truncated_product_in_spectral_eval():
@@ -239,8 +253,7 @@ def test_every_public_definition_is_used_or_exported():
 def test_bernstein_reads_the_taps_in_one_place():
     # Every number the pyramid takes from the taps comes from the integers of
     # _moment_integers, through the per-order table: every order that
-    # check_norm_domain admits has taps, so no other function needs them. No
-    # Fraction is needed on the way.
+    # check_norm_domain admits has taps, so no other function needs them.
     tree = ast.parse((PACKAGE / "bernstein.py").read_text())
     readers = []
     for definition in tree.body:
@@ -248,10 +261,3 @@ def test_bernstein_reads_the_taps_in_one_place():
             if isinstance(node, ast.Name) and node.id == "construct_filter":
                 readers.append(getattr(definition, "name", f"line {definition.lineno}"))
     assert readers == ["_moment_integers"], readers
-    modules = {
-        node.module if isinstance(node, ast.ImportFrom) else alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-    }
-    assert "fractions" not in modules

@@ -577,7 +577,7 @@ class TestExactRoute:
         assert abs(ours.value - weighted_lp_norm(req).value) <= ours.abs_error
 
     def test_order_above_limit_raises_value_error(self):
-        with pytest.raises(ValueError, match=rf"1 <= m <= {MAX_ORDER}.*got m=300, k=0, r=1"):
+        with pytest.raises(ValueError, match=f"the order must satisfy 1 <= m <= {MAX_ORDER}, got m=300$"):
             even_power_integral(300, 0, 1)
 
     def test_coefficients_beyond_float_range_raise_value_error(self):
