@@ -275,6 +275,14 @@ class TestRatioBounds:
         interval = ratio_bounds(BoundParams(m=2, k=2, p=2.0, c=1.0))
         assert interval.lo > 0.0
 
+    def test_k_equal_m_takes_corollary_3s_pair(self):
+        params = BoundParams(m=2, k=2, p=2.0, c=1.0)
+        assert ratio_bounds(params).lo == bound_G(params) / bound_D(params)
+
+    def test_k_above_m_rejected(self):
+        with pytest.raises(ValueError, match="defined only for k = m, got k=3, m=2"):
+            ratio_bounds(BoundParams(m=2, k=3, p=2.0, c=1.0))
+
     def test_odd_product_propagates(self):
         with pytest.raises(ValueError):
             ratio_bounds(BoundParams(m=3, k=3, p=5.0 / 3.0, c=1.0))
