@@ -18,6 +18,7 @@ per order m = 1..MAX_ORDER; construct_filter reads that table.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -52,15 +53,28 @@ def flatten_frequencies(omega: float | np.ndarray) -> tuple[np.ndarray, tuple[in
     """omega as a 1-d float array, plus the shape to hand back to restore_shape.
 
     Every evaluator computes on 1-d arrays, so a scalar call runs exactly the
-    arithmetic of a one-element array call.
+    arithmetic of a one-element array call; a 1-d float array is used as it
+    is. An object array is taken when each entry is a numbers.Real (an int
+    past int64, a Fraction, an mpmath mpf). Raises ValueError, naming the
+    value or the dtype, for an omega that is not real: a string, bytes, None,
+    or a complex scalar or array.
     """
-    w = np.asarray(omega, dtype=float)
-    return w.reshape(-1), w.shape
+    w = np.asarray(omega)
+    if w.ndim == 1 and w.dtype == float:
+        return w, w.shape
+    if w.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in w.flat):
+        w = w.astype(float)
+    elif w.dtype.kind not in "biuf":
+        shown = f"{omega!r}" if w.ndim == 0 else f"an array of dtype {w.dtype}"
+        raise ValueError(f"omega must be real, got {shown}")
+    return w.reshape(-1).astype(float, copy=False), w.shape
 
 
 def restore_shape(values: np.ndarray, shape: tuple[int, ...]) -> float | complex | np.ndarray:
     """values in the input's shape; a 0-d input gives a Python float or complex."""
-    return values.reshape(shape) if shape else values.item()
+    if not shape:
+        return values.item()
+    return values if values.shape == shape else values.reshape(shape)
 
 
 @lru_cache(maxsize=None)
@@ -74,8 +88,9 @@ def eval_P(m: int, x: float | np.ndarray) -> float | np.ndarray:
 
     The accumulator starts at x times the leading coefficient and each
     multiply-add runs in place on it; a float x gives a float, an array a new
-    array.
+    array. check_order refuses a bad order.
     """
+    check_order(m)
     lead, *rest = _horner_coefficients(m)
     if not rest:
         acc = np.full(np.shape(x), lead)

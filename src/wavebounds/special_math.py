@@ -22,14 +22,14 @@ def gamma_n(n: float | np.ndarray) -> float | np.ndarray:
 def check_norm_domain(m: int, k: int, p: float) -> None:
     """Raise ValueError unless 1 <= m <= MAX_ORDER, the weight exponent k >= 0 and 1 < p < inf.
 
-    m and k must be Python ints: a float such as 2.0 or 1.5 is refused,
-    whatever its value, and so is a numpy integer, whose fixed width wraps
-    in the exact integer arithmetic of the moments and the cascade systems.
+    check_order refuses an m that is not a Python int, and k must be one
+    too: a float such as 2.0 or 1.5 is refused, whatever its value, and so is
+    a numpy integer, whose fixed width wraps in the exact integer arithmetic
+    of the moments and the cascade systems.
     """
-    for name, value in (("order m", m), ("weight exponent k", k)):
-        if not isinstance(value, int):
-            raise ValueError(f"the {name} must be an integer, got {value!r}")
     check_order(m)
+    if not isinstance(k, int):
+        raise ValueError(f"the weight exponent k must be an integer, got {k!r}")
     if k < 0:
         raise ValueError(f"weight exponent must be nonnegative, got {k}")
     if not (1.0 < p < math.inf):
@@ -37,7 +37,14 @@ def check_norm_domain(m: int, k: int, p: float) -> None:
 
 
 def check_order(m: int) -> None:
-    """Raise ValueError unless 1 <= m <= MAX_ORDER, the orders the library supports."""
+    """Raise ValueError unless m is an int in 1..MAX_ORDER, the orders the library supports.
+
+    A float such as 2.0 and a numpy integer are refused by type, whatever
+    their value, so every entry point refuses the same orders, whether or
+    not a cache already holds that order's values.
+    """
+    if not isinstance(m, int):
+        raise ValueError(f"the order m must be an integer, got {m!r}")
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"the order must satisfy 1 <= m <= {MAX_ORDER}, got m={m}")
 

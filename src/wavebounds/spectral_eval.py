@@ -21,6 +21,19 @@ shares the product's factor call, so each evaluation calls its factor
 function once. In an array each entry gets the depth its own |w| requires,
 so no entry's value depends on the others.
 
+A one-entry call, a scalar or a one-element array, runs the same functions
+on one row: _truncated_product multiplies the level scales by the entry,
+appends the band argument and reduces the factors along the row, with no
+outer product, mask or transpose. Real +, -, * and / round the same on a
+Python float, a numpy scalar and a one-element array, so that bookkeeping
+(the band argument w/2 + pi, and the magnitude route's band * product /
+2 pi) runs on scalars. Complex products and transcendental functions stay
+numpy ufuncs on one-element arrays: numpy's complex array multiply differs
+in the last bit from Python's, and from numpy's own scalar multiply, for
+about two pairs in five, and np.exp or np.cos need not agree with cmath or
+math. So a one-entry call gives, bit for bit, the value of the same entry
+in an array.
+
 The relative O(PRODUCT_TOL) covers the truncation. The magnitude route also
 keeps the band factor's relative accuracy near the origin: it takes
 |H(w/2 + pi)|^2 as sin^(2m)(w/4) P_(m-1)(cos^2(w/4)) and never forms
@@ -54,7 +67,7 @@ from .daub_filters import (
     magnitude_squared_rows,
     restore_shape,
 )
-from .special_math import cm_constant
+from .special_math import check_order, cm_constant
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -89,7 +102,7 @@ class DecayFit:
 def _guarded_peak(w: np.ndarray) -> float:
     """max |w|, which sets the product depth; raises above the guard or at NaN."""
     if w.size == 1:
-        peak = abs(float(w[0]))
+        peak = abs(w.item())
     elif w.size:
         peak = float(np.abs(w).max())
     else:
@@ -134,31 +147,47 @@ def _truncated_product(
     x: np.ndarray,
     theta: float,
     peak: float,
-    band: np.ndarray | None,
-) -> tuple[np.ndarray, int | np.ndarray, np.ndarray | None]:
-    """prod_(l=1..L) factor(x 2^(-l)) for each entry of x, its depth L, and factor(band).
+    band: float | None,
+) -> tuple[np.ndarray | float, int | np.ndarray, np.ndarray | float | None]:
+    """prod_(l=1..L) factor(x 2^(-l)) for each entry of x, its depth L, and factor(x + band).
 
     L is the fewest factors (at least MIN_DEPTH) that leave every omitted
-    argument within theta; peak is max |x|. One entry, or a peak needing only
-    MIN_DEPTH, gets one int depth, which keeps scalar calls cheap. Otherwise
-    factors past an entry's own depth are exactly 1. Real factors are reduced
-    across entries, level by level; complex ones along each entry's own row,
-    since numpy rounds a complex product reduced across entries differently.
-    The band argument (None for phi_hat) is one more row of the arguments,
-    so the band factor shares the product's factor call: wavelet_hat's row is
-    w/2 + pi, and wavelet_hat_abs2's is w/2, which its factor shifts by pi
-    itself. factor is elementwise, so every value rounds as in a call of its
-    own.
+    argument within theta; peak is max |x|. The band row x + band (band None
+    for phi_hat) is one more row of the arguments, so the band factor shares
+    the product's factor call: wavelet_hat's band is pi, and
+    wavelet_hat_abs2's is 0, as its factor shifts the row by pi itself (the
+    + 0 turns -0 into +0, which that factor squares away). factor is
+    elementwise, so every value rounds as in a call of its own.
+
+    One entry runs on one row: the level scales times x, then the band
+    argument, with the factors reduced along the row in order, as numpy
+    reduces any one entry's factors. A complex product and band factor stay
+    one-element arrays, since the complex arithmetic after them must run in
+    numpy's array loops (module docstring); real ones are scalars, whose
+    arithmetic rounds the same as on an array. An array takes one int depth
+    when its peak needs only MIN_DEPTH; otherwise each entry gets its own
+    depth and factors past it are exactly 1. Real factors are reduced across
+    entries, level by level; complex ones along each entry's own row, since
+    numpy rounds a complex product reduced across entries differently.
     """
     depth = max(MIN_DEPTH, math.ceil(math.log2(max(peak, theta) / theta)))
-    if x.size > 1 and depth > MIN_DEPTH:
+    if x.size == 1:
+        x0 = x.item()
+        args = _LEVEL_SCALES[: depth if band is None else depth + 1] * x0
+        if band is not None:
+            args[depth] = x0 + band
+        values = factor(args)
+        if values.dtype.kind == "c":
+            return np.multiply.reduce(values[:depth], keepdims=True), depth, values[depth:]
+        return np.multiply.reduce(values[:depth]), depth, None if band is None else values[depth]
+    if depth > MIN_DEPTH:
         ratio = np.maximum(np.abs(x), theta) / theta
         depth = np.maximum(MIN_DEPTH, np.ceil(np.log2(ratio))).astype(int)
     top = depth if isinstance(depth, int) else int(depth.max())
     args = np.empty((top if band is None else top + 1, x.size))
     np.multiply.outer(_LEVEL_SCALES[:top], x, out=args[:top])
     if band is not None:
-        args[top] = band
+        np.add(x, band, out=args[top])
     values = factor(args.ravel()).reshape(args.shape)
     factors = values[:top]
     if not isinstance(depth, int):
@@ -171,9 +200,9 @@ def _truncated_product(
 
 
 def _phi_product(
-    spec: FilterSpec, w: np.ndarray, peak: float, band: np.ndarray | None
+    spec: FilterSpec, w: np.ndarray, peak: float, band: float | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """phi_hat on a 1-d array whose largest |w| is peak, and H(band) from the same eval_H call.
+    """phi_hat on a 1-d array whose largest |w| is peak, and H(w + band) from the same eval_H call.
 
     Each entry of w is at its own depth. An omitted argument within theta
     keeps K w^2 4^-L / 3 <= PRODUCT_TOL / 2, and the omitted factors are
@@ -201,7 +230,7 @@ def wavelet_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
     w, shape = flatten_frequencies(omega)
     peak = _guarded_peak(w)
     half = 0.5 * w
-    phi, band = _phi_product(construct_filter(m), half, 0.5 * peak, half + math.pi)
+    phi, band = _phi_product(construct_filter(m), half, 0.5 * peak, math.pi)
     return restore_shape(np.exp(-1j * half) * np.conj(band) * phi, shape)
 
 
@@ -237,6 +266,7 @@ def wavelet_hat_abs2(m: int, omega: float | np.ndarray) -> float | np.ndarray:
     among them) that the quadrature norms must match.
     Each entry of an array is bit-identical to a call on that entry alone.
     """
+    check_order(m)
     w, shape = flatten_frequencies(omega)
     peak = _guarded_peak(w)
     if m == 1:
@@ -247,7 +277,7 @@ def wavelet_hat_abs2(m: int, omega: float | np.ndarray) -> float | np.ndarray:
         half,
         _modulus_theta(m),
         0.5 * peak,
-        half,
+        0.0,
     )
     return restore_shape(band * product / (2.0 * math.pi), shape)
 

@@ -60,6 +60,11 @@ def test_assembles_tree_medians_counts_and_fail_frac():
     assert list(record["workloads"]) == ["verify_suite", "bernstein_grid", "point_eval"]
 
 
+def test_every_traced_name_is_a_per_layer_metric_of_the_benchmark():
+    per_layer = {metric["name"] for metric in BENCHMARK["per_layer"]}
+    assert [name for name in bench_record.TRACED if name not in per_layer] == []
+
+
 def test_runs_from_different_trees_are_refused():
     runs = _runs()
     runs["point_eval"][1][1]["source_sha256"] = "cd" * 32

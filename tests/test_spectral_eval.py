@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,16 +196,70 @@ class TestScalarArrayContract:
     @pytest.mark.parametrize("w", [0.0, 1e-3, -5.2, 37.0, 1e3, 1.5e5])
     def test_scalar_is_one_element_array(self, name, w):
         fn, kind = EVALUATORS[name]
-        for scalar in (w, np.float64(w), np.array(w)):
+        for scalar in (w, int(w), np.float32(w), np.int64(w), np.float64(w), np.array(w)):
             value = fn(scalar)
             assert type(value) is kind
-            assert value == fn(np.array([w]))[0]
+            assert value == fn(np.array([float(scalar)]))[0]
 
     @pytest.mark.parametrize("name", ["scaling_hat", "wavelet_hat", "wavelet_hat_abs2"])
     def test_guard_applies_to_arrays(self, name):
         fn, _ = EVALUATORS[name]
         with pytest.raises(ValueError, match=r"\|omega\|=2\.000e\+07 exceeds the evaluation guard"):
             fn(np.array([1.0, -2e7, 3.0]))
+
+
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    @pytest.mark.parametrize(
+        "bad,shown",
+        [
+            ("3", "'3'"),
+            (b"0.5", "b'0.5'"),
+            (None, "None"),
+            (1 + 2j, r"\(1\+2j\)"),
+            (np.complex128(2.0), r"np\.complex128\(2\+0j\)"),
+            (np.array(0.5j), r"array\(0\.\+0\.5j\)"),
+            (np.array([1 + 2j]), "an array of dtype complex128"),
+            (np.zeros((2, 3), dtype=complex), "an array of dtype complex128"),
+            (np.array(["1.0", "2.0"]), "an array of dtype <U3"),
+            ([1.0, None], "an array of dtype object"),
+        ],
+    )
+    def test_non_real_omega_refused_by_name(self, name, bad, shown):
+        fn, _ = EVALUATORS[name]
+        with pytest.raises(ValueError, match=rf"^omega must be real, got {shown}$"):
+            fn(bad)
+
+
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_real_objects_are_taken_as_floats(self, name):
+        # Fractions and Python ints past int64 make object arrays; they are real.
+        fn, _ = EVALUATORS[name]
+        assert fn(Fraction(1, 2)) == fn(0.5)
+        assert list(fn(np.array([Fraction(-7, 4), 2]))) == list(fn(np.array([-1.75, 2.0])))
+        if name in ("scaling_hat", "wavelet_hat", "wavelet_hat_abs2"):
+            with pytest.raises(ValueError, match=r"^\|omega\|=1\.000e\+30 exceeds the evaluation guard"):
+                fn(10**30)
+
+
+# Each function that takes an order, at one frequency.
+ORDER_TAKERS = {
+    "construct_filter": construct_filter,
+    "magnitude_squared_H": lambda m: magnitude_squared_H(m, 0.5),
+    "scaling_hat": lambda m: scaling_hat(m, 0.5),
+    "wavelet_hat": lambda m: wavelet_hat(m, 0.5),
+    "wavelet_hat_abs2": lambda m: wavelet_hat_abs2(m, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_TAKERS))
+@pytest.mark.parametrize("m", [1.0, 2.0, np.int64(2), np.float64(3.0)], ids=repr)
+def test_non_integer_order_refused_by_name(name, m):
+    # Each order's values are cached first, so the refusal is the type check's.
+    fn = ORDER_TAKERS[name]
+    fn(int(m))
+    message = rf"^the order m must be an integer, got {re.escape(repr(m))}$"
+    with pytest.raises(ValueError, match=message):
+        fn(m)
 
 
 class TestBatchIndependence:

@@ -37,6 +37,10 @@ TRACED = (
     "norms.computed",
     "norms.evals_max",
     "daub_filters.construct_s",
+    "spectral_eval.scalar_calls",
+    "spectral_eval.scalar_us_per_call",
+    "spectral_eval.abs2_us_per_point",
+    "bernstein.row_ms_p50",
     "bernstein.sweep_s.theorem1",
     "bernstein.sweep_s.theorem2",
     "bernstein.sweep_s.corollary1",
