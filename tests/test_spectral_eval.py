@@ -207,7 +207,6 @@ class TestScalarArrayContract:
         with pytest.raises(ValueError, match=r"\|omega\|=2\.000e\+07 exceeds the evaluation guard"):
             fn(np.array([1.0, -2e7, 3.0]))
 
-
     @pytest.mark.parametrize("name", sorted(EVALUATORS))
     @pytest.mark.parametrize(
         "bad,shown",
@@ -228,7 +227,6 @@ class TestScalarArrayContract:
         fn, _ = EVALUATORS[name]
         with pytest.raises(ValueError, match=rf"^omega must be real, got {shown}$"):
             fn(bad)
-
 
     @pytest.mark.parametrize("name", sorted(EVALUATORS))
     def test_real_objects_are_taken_as_floats(self, name):
