@@ -49,7 +49,7 @@ from .daub_filters import construct_filter
 from .norms import EXACT_P, NormRequest, best_constant_Ckp, default_decay, weighted_lp_norm
 from .quadrature import QuadResult, adaptive_quadrature
 from .reporting import VerificationRow
-from .special_math import MAX_ORDER, MAX_SINC_POWER, check_norm_domain, gamma_n
+from .special_math import MAX_ORDER, MAX_SINC_POWER, check_norm_domain, dyadic_integers, gamma_n
 from .spectral_eval import wavelet_hat
 
 J_RANGE = (-6, 10)
@@ -182,9 +182,8 @@ def _moment_integers(m: int) -> tuple[tuple[int, ...], int, tuple[int, ...], tup
     P_0 = 1, P_q = sum_(r<q) C(q, r) P_r G_(q-r) N^(q-r-1) D_(q-1) / D_r,
     where D_(q-1) / D_r is an integer.
     """
-    ratios = [t.as_integer_ratio() for t in construct_filter(m).taps]
-    scale = max(den for _, den in ratios)
-    taps = [num * (scale // den) for num, den in ratios]
+    taps, shift = dyadic_integers(construct_filter(m).taps)
+    scale = 1 << shift
     total = sum(taps)
     g = [sum(t * (-ell) ** n for ell, t in enumerate(taps)) for n in range(_TAYLOR_ORDER + 1)]
     d = [1]
@@ -463,10 +462,6 @@ def bernstein_rhs(m: int, k: int, p: float, j: int) -> QuadResult:
 ASYMPTOTIC_SLACK = 0.5
 
 
-# Pad added to every row's tolerance, on top of the row's abs_error.
-TOL_PAD = 1e-9
-
-
 def _grid(ms, ks, ps, hypothesis: str, holds: Callable[[int, int, float], bool]) -> list[dict]:
     """The cases {m, k, p} with holds(m, k, p), in the order of the deduplicated, sorted axes.
 
@@ -537,28 +532,27 @@ def _row(check, m, k, p, value, lower, upper, abs_error, flags=(), **fields) -> 
 
     Every checked value (a norm, a ratio of norms, |<f, psi_(j,nu)>|) is >= 0,
     so a lower bound <= 0 or an infinite upper bound cannot fail. Nor can a
-    side say anything when abs_error (None counts as 0) is at least the
-    bound's magnitude: the error bar swamps the bound. Such a side is flagged
-    'lower'/'upper' and left unchecked. Each other side (a bound that is not
-    None) checks `value` within tol = abs_error + TOL_PAD. The status is
-    'vacuous' when no side is checked. The margin is the smallest gap to a
-    finite side. The row's flags are the side flags, then the non-side `flags`.
+    side say anything when abs_error is at least the bound's magnitude: the
+    error bar swamps the bound. Such a side is flagged 'lower'/'upper' and
+    left unchecked. Each other side (a bound that is not None) passes when
+    `value` lies within abs_error of it: the one number the row prints is
+    both the vacuous rule and the check. The status is 'vacuous' when no
+    side is checked. The margin is the smallest gap to a finite side. The
+    row's flags are the side flags, then the non-side `flags`.
     """
-    err = abs_error or 0.0
-    tol = err + TOL_PAD
     sides, checks, gaps = [], [], []
     if lower is not None:
-        if lower <= err:  # lower <= 0, or swamped by the error bar
+        if lower <= abs_error:  # lower <= 0, or swamped by the error bar
             sides.append("lower")
         else:
-            checks.append(value >= lower - tol)
+            checks.append(value >= lower - abs_error)
         if math.isfinite(lower):
             gaps.append(value - lower)
     if upper is not None:
-        if upper == math.inf or abs(upper) <= err:
+        if upper == math.inf or abs(upper) <= abs_error:
             sides.append("upper")
         else:
-            checks.append(value <= upper + tol)
+            checks.append(value <= upper + abs_error)
         if math.isfinite(upper):
             gaps.append(upper - value)
     if not checks:
@@ -673,9 +667,9 @@ def verify_sweep(check: str, cases: Sequence[Mapping] | None = None) -> list[Ver
     """Run one named check over a parameter grid, one row per case.
 
     Every check runs at eps = pi and checks each side within the row's
-    abs_error + TOL_PAD (_row). Case errors become rows with status 'error'
-    rather than aborting the sweep, and the output order always follows the
-    grid order.
+    abs_error, and nothing else (_row). Case errors become rows with status
+    'error' rather than aborting the sweep, and the output order always
+    follows the grid order.
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; expected one of {sorted(CHECKS)}")

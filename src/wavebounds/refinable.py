@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .special_math import UNIT_ROUNDOFF, check_order, gamma_n, p_coefficients
+from .special_math import UNIT_ROUNDOFF, check_order, dyadic_integers, gamma_n, p_coefficients
 
 
 def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -132,13 +132,6 @@ def _residual(s: list[int], d: int, nums: list[int], shift: int) -> list[int]:
     return out
 
 
-def _dyadic(values: np.ndarray) -> tuple[list[int], int]:
-    """Float values as integers over one power of two 2^E, exactly."""
-    ratios = [float(v).as_integer_ratio() for v in values]
-    shift = max(den.bit_length() - 1 for _, den in ratios)
-    return [num << (shift - den.bit_length() + 1) for num, den in ratios], shift
-
-
 def _up(num: int, shift: int) -> float:
     """A float at or above |num| / 2^shift."""
     num = abs(num)
@@ -187,7 +180,7 @@ def even_power_integral(m: int, k: int, r: int) -> tuple[float, float]:
     x_norm = float(np.max(abs_x.sum(axis=1))) * (1.0 + g)
 
     m_hat = x[:, n_max]
-    nums, shift = _dyadic(m_hat)
+    nums, shift = dyadic_integers(m_hat)
     r_abs = np.array([_up(v, 2 * d - 1 + shift) for v in _residual(s, d, nums, shift)])
 
     band, d_rho = band_factor(m, k, r)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -23,12 +24,12 @@ def check_norm_domain(m: int, k: int, p: float) -> None:
     """Raise ValueError unless 1 <= m <= MAX_ORDER, the weight exponent k >= 0 and 1 < p < inf.
 
     check_order refuses an m that is not a Python int, and k must be one
-    too: a float such as 2.0 or 1.5 is refused, whatever its value, and so is
-    a numpy integer, whose fixed width wraps in the exact integer arithmetic
-    of the moments and the cascade systems.
+    too: a float such as 2.0 or 1.5 is refused, whatever its value, and so
+    are a bool and a numpy integer, whose fixed width wraps in the exact
+    integer arithmetic of the moments and the cascade systems.
     """
     check_order(m)
-    if not isinstance(k, int):
+    if isinstance(k, bool) or not isinstance(k, int):
         raise ValueError(f"the weight exponent k must be an integer, got {k!r}")
     if k < 0:
         raise ValueError(f"weight exponent must be nonnegative, got {k}")
@@ -39,14 +40,21 @@ def check_norm_domain(m: int, k: int, p: float) -> None:
 def check_order(m: int) -> None:
     """Raise ValueError unless m is an int in 1..MAX_ORDER, the orders the library supports.
 
-    A float such as 2.0 and a numpy integer are refused by type, whatever
-    their value, so every entry point refuses the same orders, whether or
-    not a cache already holds that order's values.
+    A float such as 2.0, a numpy integer and a bool are refused by type,
+    whatever their value, so every entry point refuses the same orders,
+    whether or not a cache already holds that order's values.
     """
-    if not isinstance(m, int):
+    if isinstance(m, bool) or not isinstance(m, int):
         raise ValueError(f"the order m must be an integer, got {m!r}")
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"the order must satisfy 1 <= m <= {MAX_ORDER}, got m={m}")
+
+
+def dyadic_integers(values: Iterable[float]) -> tuple[list[int], int]:
+    """(n, e): the float values as integers n_l over one power of two 2^e, exactly."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    shift = max(den.bit_length() - 1 for _, den in ratios)
+    return [num << (shift - den.bit_length() + 1) for num, den in ratios], shift
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,8 @@ BENCHMARK = json.loads((_ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 TREE = {"git_sha": "a20c144", "source_sha256": "ab" * 32, "python": "3.11.7", "numpy": "2.4.6", "nproc": 2}
 TABLES = "ef" * 32
+# The host's speed that bench/run.py reports beside a traced run's layers.
+HOST_SPEED = {"trace.ref_s": 0.125, "trace.untraced_wall_s": 2.5}
 
 
 def _run(workload: str, trace: int) -> tuple[dict, dict]:
@@ -23,6 +25,7 @@ def _run(workload: str, trace: int) -> tuple[dict, dict]:
     if trace:
         names = bench_record.TRACED + ("trace.wall_s",)
         metrics = {name: {"value": float(i), "unit": "s"} for i, name in enumerate(names)}
+        metrics.update({name: {"value": value, "unit": "s"} for name, value in HOST_SPEED.items()})
     else:
         metrics = {
             "wall_rel": {"value": 0.75, "unit": "x"},
@@ -51,7 +54,10 @@ def test_assembles_tree_medians_counts_and_fail_frac():
             name: {
                 "end_to_end": {"wall_rel": 0.75, "setup_s": 0.15, "peak_rss_mb": 32.5},
                 "passes": 7,
-                "traced": {key: float(i) for i, key in enumerate(bench_record.TRACED)},
+                "traced": {
+                    **{key: float(i) for i, key in enumerate(bench_record.TRACED)},
+                    **HOST_SPEED,
+                },
                 "fail_frac": 0.01 if name == "point_eval" else 0.0,
             }
             for name in WORKLOADS

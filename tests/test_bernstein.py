@@ -13,7 +13,6 @@ from scipy.integrate import quad
 from wavebounds import bernstein
 from wavebounds.bernstein import (
     _MAX_SAMPLES,
-    TOL_PAD,
     GaussianTestFunction,
     _row,
     bernstein_grid,
@@ -537,8 +536,8 @@ def test_bernstein_row_too_narrow_for_the_pyramid_uses_quadrature():
 
 
 def test_bernstein_row_reports_the_error_it_is_checked_with():
-    # The row's tolerance is abs_error + TOL_PAD, so abs_error must carry both
-    # the coefficient's error and the right-hand side's.
+    # The row is checked within its abs_error alone, so abs_error must carry
+    # both the coefficient's error and the right-hand side's.
     (row,) = verify_sweep("bernstein", [{"m": 2, "k": 1, "p": 2.0, "sigma": 1.0, "j": -3, "nu": 0}])
     f = GaussianTestFunction.normalized(1.0, 0.0, 1, 2.0)
     coef = pyramid_coefficient(f, 2, -3, 0)
@@ -548,13 +547,13 @@ def test_bernstein_row_reports_the_error_it_is_checked_with():
 
 
 @pytest.mark.parametrize("m,k,p", [(20, 3, 4.0 / 3.0), (20, 3, 1.5), (32, 0, 4.0 / 3.0), (32, 3, 4.0 / 3.0)])
-def test_high_order_pyramid_rows_pass_without_the_pad(monkeypatch, m, k, p):
+def test_high_order_pyramid_rows_pass_without_the_pad(m, k, p):
     # With the correctly rounded taps the m = 20 coefficients are about 1e-14
     # against bounds of 1.59e-10 (p = 4/3) and 2.81e-10 (p = 1.5); the taps
-    # built at run time before them gave 7.6e-10 and 6.7e-10, which only
-    # TOL_PAD passed. At the table's highest order, m = 32, the coefficients
-    # are 4.0e-18 (k = 0) and 1.8e-14 (k = 3) against 0.152 and 1.58e-10.
-    monkeypatch.setattr(bernstein, "TOL_PAD", 0.0)
+    # built at run time before them gave 7.6e-10 and 6.7e-10, which passed
+    # only under a fixed 1e-9 pad on every row's tolerance, since removed. At
+    # the table's highest order, m = 32, the coefficients are 4.0e-18 (k = 0)
+    # and 1.8e-14 (k = 3) against 0.152 and 1.58e-10.
     case = {"m": m, "k": k, "p": p, "sigma": 20.0, "j": 8, "nu": 1}
     (row,) = verify_sweep("bernstein", [case])
     assert pyramid_coefficient(GaussianTestFunction.normalized(20.0, 0.0, k, p), m, 8, 1).converged
@@ -562,12 +561,20 @@ def test_high_order_pyramid_rows_pass_without_the_pad(monkeypatch, m, k, p):
     assert row.value < 1e-3 * row.upper_bound
 
 
-@pytest.mark.parametrize("excess,status", [(5e-10, "pass"), (2e-9, "fail")])
-def test_row_pads_its_tolerance_by_tol_pad(excess, status):
-    # With abs_error = 0 the tolerance is TOL_PAD = 1e-9 alone.
-    assert TOL_PAD == 1e-9
-    row = _row("bernstein", 2, 1, 2.0, 0.25 + excess, None, 0.25, 0.0)
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize(
+    "abs_error,excess,status",
+    [(0.0, 5e-10, "fail"), (1e-9, 5e-10, "pass"), (1e-9, 2e-9, "fail")],
+)
+def test_row_checks_each_side_within_its_abs_error_alone(side, abs_error, excess, status):
+    # A checked side passes when the value lies within abs_error of the bound,
+    # and no fixed pad widens that: with abs_error = 0 the check is exact.
+    if side == "lower":
+        row = _row("theorem1", 2, 1, 2.0, 0.25 - excess, 0.25, None, abs_error)
+    else:
+        row = _row("bernstein", 2, 1, 2.0, 0.25 + excess, None, 0.25, abs_error)
     assert row.status == status
+    assert row.vacuous_flags == ()
 
 
 @pytest.mark.parametrize(

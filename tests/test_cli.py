@@ -178,7 +178,7 @@ def test_non_finite_input_is_named(argv, capsys):
     ],
 )
 def test_sweeps_have_no_eps_or_tol_flag(argv):
-    # Every sweep checks at eps = pi with the fixed pad bernstein.TOL_PAD.
+    # Every sweep checks at eps = pi, each side within the row's abs_error alone.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

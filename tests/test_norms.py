@@ -45,6 +45,8 @@ class TestRequestValidation:
             (3, 1.5, 2.0, "k must be an integer, got 1.5"),
             (3, 1.5, 3.0, "k must be an integer, got 1.5"),
             (2.0, 1, 3.0, "m must be an integer, got 2.0"),
+            (True, 0, 3.0, "m must be an integer, got True"),
+            (2, True, 3.0, "k must be an integer, got True"),
         ],
     )
     def test_non_integer_order_or_exponent_named(self, m, k, p, named):

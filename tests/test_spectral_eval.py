@@ -250,7 +250,7 @@ ORDER_TAKERS = {
 
 
 @pytest.mark.parametrize("name", sorted(ORDER_TAKERS))
-@pytest.mark.parametrize("m", [1.0, 2.0, np.int64(2), np.float64(3.0)], ids=repr)
+@pytest.mark.parametrize("m", [1.0, 2.0, np.int64(2), np.float64(3.0), True], ids=repr)
 def test_non_integer_order_refused_by_name(name, m):
     # Each order's values are cached first, so the refusal is the type check's.
     fn = ORDER_TAKERS[name]

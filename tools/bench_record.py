@@ -15,7 +15,10 @@ of the tool's own tree:
   and numpy versions, the host's CPU count, the seed and the run length;
 - per workload, the untraced run's end-to-end medians and pass count, the
   traced run's counts and seconds (TRACED), and fail_frac, the share of
-  operations that failed over both runs.
+  operations that failed over both runs. TRACED ends with the host's speed
+  during the run, trace.ref_s (the median reference time) and
+  trace.untraced_wall_s, so that traced seconds from records made at
+  different times can be compared per second of reference time.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ TRACED = (
     "bernstein.sweep_s.corollary2",
     "bernstein.sweep_s.corollary3",
     "bernstein.sweep_s.bernstein",
+    "trace.ref_s",
+    "trace.untraced_wall_s",
 )
 TREE_KEYS = ("git_sha", "source_sha256", "python", "numpy", "nproc")
 
