@@ -637,7 +637,10 @@ def _run_corollary3(case: Mapping) -> VerificationRow:
     interval = ratio_bounds(params)
     lower = ASYMPTOTIC_SLACK * interval.lo
     ratio = best_constant_Ckp(params.m, params.k, params.p)
-    return _bracket_row("corollary3", params, lower, interval.hi, ratio, slack=ASYMPTOTIC_SLACK)
+    flags = ("log_m_zero",) if params.m == 1 else ()
+    return _bracket_row(
+        "corollary3", params, lower, interval.hi, ratio, flags, slack=ASYMPTOTIC_SLACK
+    )
 
 
 def _run_bernstein(case: Mapping) -> VerificationRow:

@@ -54,11 +54,15 @@ def flatten_frequencies(omega: float | np.ndarray) -> tuple[np.ndarray, tuple[in
 
     Every evaluator computes on 1-d arrays, so a scalar call runs exactly the
     arithmetic of a one-element array call; a 1-d float array is used as it
-    is. An object array is taken when each entry is a numbers.Real (an int
-    past int64, a Fraction, an mpmath mpf). Raises ValueError, naming the
-    value or the dtype, for an omega that is not real: a string, bytes, None,
-    or a complex scalar or array.
+    is, and a Python float (that exact type, not a subclass such as
+    np.float64) becomes a one-element array with shape (), skipping the 0-d
+    array and its reshape and cast. An object array is taken when each entry
+    is a numbers.Real (an int past int64, a Fraction, an mpmath mpf). Raises
+    ValueError, naming the value or the dtype, for an omega that is not real:
+    a string, bytes, None, or a complex scalar or array.
     """
+    if type(omega) is float:
+        return np.array([omega]), ()
     w = np.asarray(omega)
     if w.ndim == 1 and w.dtype == float:
         return w, w.shape

@@ -22,17 +22,28 @@ function once. In an array each entry gets the depth its own |w| requires,
 so no entry's value depends on the others.
 
 A one-entry call, a scalar or a one-element array, runs the same functions
-on one row: _truncated_product multiplies the level scales by the entry,
-appends the band argument and reduces the factors along the row, with no
-outer product, mask or transpose. Real +, -, * and / round the same on a
-Python float, a numpy scalar and a one-element array, so that bookkeeping
-(the band argument w/2 + pi, and the magnitude route's band * product /
-2 pi) runs on scalars. Complex products and transcendental functions stay
-numpy ufuncs on one-element arrays: numpy's complex array multiply differs
-in the last bit from Python's, and from numpy's own scalar multiply, for
-about two pairs in five, and np.exp or np.cos need not agree with cmath or
-math. So a one-entry call gives, bit for bit, the value of the same entry
-in an array.
+on one row: _guarded_entries hands the entry on as a Python float, and
+_truncated_product multiplies the level scales by it, appends the band
+argument and reduces the factors along the row, with no outer product, mask
+or transpose. Real +, -, * and / round the same on a Python float, a numpy
+scalar and a one-element array, so that bookkeeping (w/2, the band argument
+w/2 + pi, and the magnitude route's band * product / 2 pi) runs on scalars.
+So do the arguments of the two phases, i mu 2^-L w and -i w/2, and only
+np.exp runs on a one-element array. Each argument is a complex with a zero
+real part times a float, so the one product that is not an exact zero, mu
+2^-L w (or -w/2, which is exact), rounds once whether Python or numpy's
+complex loop forms it: a fused multiply-add has only exact zeros to fuse.
+e^(+-0 + iy) does not depend on the sign of the zero, and math.ldexp, like
+np.ldexp, scales exactly and rounds correctly into subnormals. This takes
+Python, like numpy's loop, to multiply a complex by a float as by a complex
+with a zero imaginary part, as it does through 3.13; 3.14's mixed-mode rule
+multiplies the parts alone, which can change the sign of a zero in the
+argument, and the byte-level scalar-array tests would show whether that
+reaches a value. Complex products and transcendental functions stay numpy
+ufuncs on one-element arrays: numpy's complex array multiply differs in the
+last bit from Python's, and from numpy's own scalar multiply, for about two
+pairs in five, and np.exp or np.cos need not agree with cmath or math. So a
+one-entry call gives, bit for bit, the value of the same entry in an array.
 
 The relative O(PRODUCT_TOL) covers the truncation. The magnitude route also
 keeps the band factor's relative accuracy near the origin: it takes
@@ -99,20 +110,23 @@ class DecayFit:
             raise ValueError("fit range must start above 2*pi")
 
 
-def _guarded_peak(w: np.ndarray) -> float:
-    """max |w|, which sets the product depth; raises above the guard or at NaN."""
+def _guarded_entries(w: np.ndarray) -> tuple[float | np.ndarray, float]:
+    """w's one entry as a Python float, or w itself at any other size, and max |w|.
+
+    max |w| sets the product depth; raises above the guard or at NaN.
+    """
     if w.size == 1:
-        peak = abs(w.item())
-    elif w.size:
-        peak = float(np.abs(w).max())
+        x = w.item()
+        peak = abs(x)
     else:
-        peak = 0.0
+        x = w
+        peak = float(np.abs(w).max()) if w.size else 0.0
     if not peak <= 2.0**MAX_DEPTH * PRODUCT_TOL:
         raise ValueError(
             f"|omega|={peak:.3e} exceeds the evaluation guard "
             f"2^max_depth * product_tol = {2.0 ** MAX_DEPTH * PRODUCT_TOL:.3e}"
         )
-    return peak
+    return x, peak
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +158,7 @@ def _phase_rule(m: int) -> tuple[float, float]:
 
 def _truncated_product(
     factor: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
+    x: float | np.ndarray,
     theta: float,
     peak: float,
     band: float | None,
@@ -159,23 +173,23 @@ def _truncated_product(
     + 0 turns -0 into +0, which that factor squares away). factor is
     elementwise, so every value rounds as in a call of its own.
 
-    One entry runs on one row: the level scales times x, then the band
-    argument, with the factors reduced along the row in order, as numpy
-    reduces any one entry's factors. A complex product and band factor stay
-    one-element arrays, since the complex arithmetic after them must run in
-    numpy's array loops (module docstring); real ones are scalars, whose
-    arithmetic rounds the same as on an array. An array takes one int depth
-    when its peak needs only MIN_DEPTH; otherwise each entry gets its own
-    depth and factors past it are exactly 1. Real factors are reduced across
-    entries, level by level; complex ones along each entry's own row, since
-    numpy rounds a complex product reduced across entries differently.
+    One entry, passed as a Python float x, runs on one row: the level scales
+    times x, then the band argument, with the factors reduced along the row in
+    order, as numpy reduces any one entry's factors. A complex product and
+    band factor stay one-element arrays, since the complex arithmetic after
+    them must run in numpy's array loops (module docstring); real ones are
+    scalars, whose arithmetic rounds the same as on an array. An array (every
+    size but one, see _guarded_entries) takes one int depth when its peak
+    needs only MIN_DEPTH; otherwise each entry gets its own depth and factors
+    past it are exactly 1. Real factors are reduced across entries, level by
+    level; complex ones along each entry's own row, since numpy rounds a
+    complex product reduced across entries differently.
     """
     depth = max(MIN_DEPTH, math.ceil(math.log2(max(peak, theta) / theta)))
-    if x.size == 1:
-        x0 = x.item()
-        args = _LEVEL_SCALES[: depth if band is None else depth + 1] * x0
+    if isinstance(x, float):
+        args = _LEVEL_SCALES[: depth if band is None else depth + 1] * x
         if band is not None:
-            args[depth] = x0 + band
+            args[depth] = x + band
         values = factor(args)
         if values.dtype.kind == "c":
             return np.multiply.reduce(values[:depth], keepdims=True), depth, values[depth:]
@@ -200,18 +214,24 @@ def _truncated_product(
 
 
 def _phi_product(
-    spec: FilterSpec, w: np.ndarray, peak: float, band: float | None
+    spec: FilterSpec, w: float | np.ndarray, peak: float, band: float | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """phi_hat on a 1-d array whose largest |w| is peak, and H(w + band) from the same eval_H call.
+    """phi_hat at w (one float or a 1-d array, largest |w| peak), and H(w + band) from its eval_H call.
 
     Each entry of w is at its own depth. An omitted argument within theta
     keeps K w^2 4^-L / 3 <= PRODUCT_TOL / 2, and the omitted factors are
-    replaced by their phase e^(i mu w 2^-L).
+    replaced by their phase e^(i mu w 2^-L). At one entry the phase's
+    argument is formed on Python scalars and only np.exp runs on an array
+    (module docstring).
     """
     mu, k = _phase_rule(spec.m)
     theta = math.sqrt(1.5 * PRODUCT_TOL / k)
     product, depth, band_h = _truncated_product(partial(eval_H, spec), w, theta, peak, band)
-    return _INV_SQRT_2PI * product * np.exp(1j * mu * np.ldexp(w, -depth)), band_h
+    if isinstance(w, float):
+        tail = np.array([1j * mu * math.ldexp(w, -depth)])
+    else:
+        tail = 1j * mu * np.ldexp(w, -depth)
+    return _INV_SQRT_2PI * product * np.exp(tail), band_h
 
 
 def scaling_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
@@ -220,18 +240,19 @@ def scaling_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
     Each entry of an array uses the product depth its own |w| requires.
     """
     w, shape = flatten_frequencies(omega)
-    peak = _guarded_peak(w)
-    phi, _ = _phi_product(construct_filter(m), w, peak, None)
+    x, peak = _guarded_entries(w)
+    phi, _ = _phi_product(construct_filter(m), x, peak, None)
     return restore_shape(phi, shape)
 
 
 def wavelet_hat(m: int, omega: float | np.ndarray) -> complex | np.ndarray:
     """psi_hat(w) = e^(-i w/2) conj(H(w/2 + pi)) phi_hat(w/2)."""
     w, shape = flatten_frequencies(omega)
-    peak = _guarded_peak(w)
-    half = 0.5 * w
+    x, peak = _guarded_entries(w)
+    half = 0.5 * x
     phi, band = _phi_product(construct_filter(m), half, 0.5 * peak, math.pi)
-    return restore_shape(np.exp(-1j * half) * np.conj(band) * phi, shape)
+    turn = np.array([-1j * half]) if isinstance(half, float) else -1j * half
+    return restore_shape(np.exp(turn) * np.conj(band) * phi, shape)
 
 
 def _haar_abs2(w: np.ndarray) -> np.ndarray:
@@ -268,12 +289,12 @@ def wavelet_hat_abs2(m: int, omega: float | np.ndarray) -> float | np.ndarray:
     """
     check_order(m)
     w, shape = flatten_frequencies(omega)
-    peak = _guarded_peak(w)
+    x, peak = _guarded_entries(w)
     if m == 1:
         return restore_shape(_haar_abs2(w), shape)
-    half = 0.5 * w
+    half = 0.5 * x
     product, _, band = _truncated_product(
-        partial(magnitude_squared_rows, m, band=half.size),
+        partial(magnitude_squared_rows, m, band=w.size),
         half,
         _modulus_theta(m),
         0.5 * peak,
@@ -287,6 +308,8 @@ def estimate_decay(m: int, omega_lo: float, omega_hi: float, samples: int) -> De
 
     |psi_hat| oscillates through near-zeros, so the least-squares line goes
     through block maxima (8 log-spaced blocks) rather than raw samples. The
+    blocks are np.array_split's eight of the samples: consecutive, the first
+    samples % 8 of them one sample longer, each sliced at its edges. The
     intercept is then inflated so the envelope dominates every sample, and the
     fitted slope is reported as c = |slope| / log m (natural log).
     """
@@ -300,11 +323,12 @@ def estimate_decay(m: int, omega_lo: float, omega_hi: float, samples: int) -> De
     grid = np.exp(np.linspace(math.log(omega_lo), math.log(omega_hi), samples))
     vals = np.sqrt(wavelet_hat_abs2(m, grid))
 
+    size, extra = divmod(samples, 8)
+    edges = [block * size + min(block, extra) for block in range(9)]
     block_x: list[float] = []
     block_y: list[float] = []
-    for chunk in np.array_split(np.arange(samples), 8):
-        sub = vals[chunk]
-        idx = int(chunk[int(np.argmax(sub))])
+    for lo, hi in zip(edges, edges[1:]):
+        idx = lo + int(vals[lo:hi].argmax())
         if vals[idx] <= 0.0:
             raise ValueError(f"wavelet transform vanished on an entire block near w={grid[idx]:.3e}")
         block_x.append(math.log(grid[idx]))

@@ -18,6 +18,8 @@ TREE = {"git_sha": "a20c144", "source_sha256": "ab" * 32, "python": "3.11.7", "n
 TABLES = "ef" * 32
 # The host's speed that bench/run.py reports beside a traced run's layers.
 HOST_SPEED = {"trace.ref_s": 0.125, "trace.untraced_wall_s": 2.5}
+# The decay-fit layer of a traced pass: its estimate_decay calls and their seconds.
+DECAY_FITS = {"spectral_eval.decay_fits": 15, "spectral_eval.decay_s": 0.004}
 
 
 def _run(workload: str, trace: int) -> tuple[dict, dict]:
@@ -26,6 +28,7 @@ def _run(workload: str, trace: int) -> tuple[dict, dict]:
         names = bench_record.TRACED + ("trace.wall_s",)
         metrics = {name: {"value": float(i), "unit": "s"} for i, name in enumerate(names)}
         metrics.update({name: {"value": value, "unit": "s"} for name, value in HOST_SPEED.items()})
+        metrics.update({name: {"value": value, "unit": "s"} for name, value in DECAY_FITS.items()})
     else:
         metrics = {
             "wall_rel": {"value": 0.75, "unit": "x"},
@@ -57,6 +60,7 @@ def test_assembles_tree_medians_counts_and_fail_frac():
                 "traced": {
                     **{key: float(i) for i, key in enumerate(bench_record.TRACED)},
                     **HOST_SPEED,
+                    **DECAY_FITS,
                 },
                 "fail_frac": 0.01 if name == "point_eval" else 0.0,
             }

@@ -481,14 +481,16 @@ class TestVerifySweep:
         assert "exceeds the evaluation guard" in row.note
 
 
-# check, one small case, vacuous_flags, slack, abs_error set, decay fields set
-ROW_CONTRACT = [
-    ("theorem1", {"m": 2, "k": 1, "p": 2.0}, ("lower",), None, True, True),
-    ("theorem2", {"m": 2, "k": 2, "p": 2.0}, (), 0.5, True, True),
-    ("corollary1", {"m": 1, "k": 0, "p": 2.0}, ("lower", "log_m_zero"), None, True, False),
-    ("corollary2", {"m": 2, "k": 1, "p": 2.0}, ("lower", "upper"), None, True, True),
-    ("corollary3", {"m": 2, "k": 2, "p": 2.0}, ("upper",), 0.5, True, True),
-    (
+# id: check, one small case, vacuous_flags, slack, abs_error set, decay fields set
+ROW_CONTRACT = {
+    "theorem1": ("theorem1", {"m": 2, "k": 1, "p": 2.0}, ("lower",), None, True, True),
+    "theorem2": ("theorem2", {"m": 2, "k": 2, "p": 2.0}, (), 0.5, True, True),
+    "corollary1": ("corollary1", {"m": 1, "k": 0, "p": 2.0}, ("lower", "log_m_zero"), None, True, False),
+    "corollary2": ("corollary2", {"m": 2, "k": 1, "p": 2.0}, ("lower", "upper"), None, True, True),
+    "corollary3": ("corollary3", {"m": 2, "k": 2, "p": 2.0}, ("upper",), 0.5, True, True),
+    # ratio_bounds' c log m term degenerates at m = 1, as in corollary1's rows.
+    "corollary3-m1": ("corollary3", {"m": 1, "k": 1, "p": 2.0}, ("upper", "log_m_zero"), 0.5, True, False),
+    "bernstein": (
         "bernstein",
         {"m": 2, "k": 1, "p": 2.0, "sigma": 1.0, "j": 0, "nu": 1},
         (),
@@ -496,11 +498,11 @@ ROW_CONTRACT = [
         True,
         False,
     ),
-]
+}
 
 
 @pytest.mark.parametrize(
-    "check,case,flags,slack,has_error,has_decay", ROW_CONTRACT, ids=[c[0] for c in ROW_CONTRACT]
+    "check,case,flags,slack,has_error,has_decay", list(ROW_CONTRACT.values()), ids=list(ROW_CONTRACT)
 )
 def test_row_contract(check, case, flags, slack, has_error, has_decay):
     (row,) = verify_sweep(check, [case])

@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -181,25 +182,47 @@ class TestDualPath:
         assert abs(a - b) <= PRODUCT_TOL * abs(b)
 
 
-# Each evaluator at order 3, with the Python type a scalar call returns.
-EVALUATORS = {
-    "eval_H": (lambda w: eval_H(construct_filter(3), w), complex),
-    "magnitude_squared_H": (lambda w: magnitude_squared_H(3, w), float),
-    "scaling_hat": (lambda w: scaling_hat(3, w), complex),
-    "wavelet_hat": (lambda w: wavelet_hat(3, w), complex),
-    "wavelet_hat_abs2": (lambda w: wavelet_hat_abs2(3, w), float),
+# Each evaluator as fn(m, w), with the Python type a scalar call returns.
+ORDER_EVALUATORS = {
+    "eval_H": (lambda m, w: eval_H(construct_filter(m), w), complex),
+    "magnitude_squared_H": (magnitude_squared_H, float),
+    "scaling_hat": (scaling_hat, complex),
+    "wavelet_hat": (wavelet_hat, complex),
+    "wavelet_hat_abs2": (wavelet_hat_abs2, float),
 }
+# Each evaluator at order 3.
+EVALUATORS = {name: (partial(fn, 3), kind) for name, (fn, kind) in ORDER_EVALUATORS.items()}
+
+# Frequencies where a one-entry call's rounding is most exposed: signed zeros,
+# subnormals (-2^-1058 puts the tail phase's argument at -2^-1074, where
+# order 1's mu 2^-L w = 0.5 * -2^-1074 rounds to a zero), multiples of pi,
+# large products and the evaluation guard's neighbourhood
+# (2^64 * PRODUCT_TOL = 1.8e7).
+EDGE_OMEGAS = [
+    0.0, -0.0, 5e-324, -1e-310, -(2.0**-1058), 1e-300, 1e-3, -5.2, 37.0, math.pi, -2.0 * math.pi,
+    3.0 * math.pi, 1e3, 2.0**12 * math.pi, 1.5e5, 1.7e7, -1.7e7,
+]
+
+
+def value_bytes(value) -> bytes:
+    """The float64 or complex128 bytes of a value: a signed zero or a last bit shows."""
+    return np.asarray(value).tobytes()
 
 
 class TestScalarArrayContract:
-    @pytest.mark.parametrize("name", sorted(EVALUATORS))
-    @pytest.mark.parametrize("w", [0.0, 1e-3, -5.2, 37.0, 1e3, 1.5e5])
-    def test_scalar_is_one_element_array(self, name, w):
-        fn, kind = EVALUATORS[name]
-        for scalar in (w, int(w), np.float32(w), np.int64(w), np.float64(w), np.array(w)):
-            value = fn(scalar)
-            assert type(value) is kind
-            assert value == fn(np.array([float(scalar)]))[0]
+    @pytest.mark.parametrize("name", sorted(ORDER_EVALUATORS))
+    @pytest.mark.parametrize("i", range(len(EDGE_OMEGAS)), ids=[repr(w) for w in EDGE_OMEGAS])
+    def test_scalar_is_one_element_array(self, name, i):
+        # Byte for byte, not ==: -0.0 == 0.0, and a zero imaginary part's sign
+        # does not show in a complex ==.
+        fn, kind = ORDER_EVALUATORS[name]
+        w = EDGE_OMEGAS[i]
+        for m in (1, 2, 8, 32):
+            assert value_bytes(fn(m, w)) == value_bytes(fn(m, np.array(EDGE_OMEGAS))[i])
+            for scalar in (w, int(w), np.float32(w), np.int64(w), np.float64(w), np.array(w)):
+                value = fn(m, scalar)
+                assert type(value) is kind
+                assert value_bytes(value) == value_bytes(fn(m, np.array([float(scalar)]))[0])
 
     @pytest.mark.parametrize("name", ["scaling_hat", "wavelet_hat", "wavelet_hat_abs2"])
     def test_guard_applies_to_arrays(self, name):
@@ -501,6 +524,30 @@ class TestEstimateDecay:
         vals = np.sqrt(wavelet_hat_abs2(3, grid))
         envelope = fit.C_tilde * grid**-alpha
         assert np.all(envelope >= vals * (1.0 - 1e-12))
+
+    @pytest.mark.parametrize("samples", [16, 17, 37, 128, 129])
+    def test_blocks_are_array_split_blocks(self, monkeypatch, samples):
+        # The fit's block maxima against np.array_split's eight blocks, where
+        # 8 divides samples and where the first samples % 8 blocks are longer.
+        m, lo, hi = 5, 4 * math.pi, DEFAULT_OMEGA_MAX
+        grid = np.exp(np.linspace(math.log(lo), math.log(hi), samples))
+        vals = np.sqrt(wavelet_hat_abs2(m, grid))
+        want_x, want_y = [], []
+        for chunk in np.array_split(np.arange(samples), 8):
+            idx = chunk[np.argmax(vals[chunk])]
+            want_x.append(math.log(grid[idx]))
+            want_y.append(math.log(vals[idx]))
+        seen = []
+        polyfit = np.polyfit
+
+        def recording_polyfit(x, y, deg):
+            seen.append((x, y))
+            return polyfit(x, y, deg)
+
+        monkeypatch.setattr(spectral_eval.np, "polyfit", recording_polyfit)
+        fit = estimate_decay(m, lo, hi, samples)
+        assert seen == [(want_x, want_y)]
+        assert fit.c == -float(polyfit(want_x, want_y, 1)[0]) / math.log(m)
 
     def test_total_exponent_grows_with_order(self):
         lo, hi = 4 * math.pi, 512 * math.pi

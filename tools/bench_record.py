@@ -43,6 +43,8 @@ TRACED = (
     "spectral_eval.scalar_calls",
     "spectral_eval.scalar_us_per_call",
     "spectral_eval.abs2_us_per_point",
+    "spectral_eval.decay_fits",
+    "spectral_eval.decay_s",
     "bernstein.row_ms_p50",
     "bernstein.sweep_s.theorem1",
     "bernstein.sweep_s.theorem2",
