@@ -13,12 +13,12 @@ any f on that ball: the product without its last factor. A coefficient has
 two routes. `wavelet_coefficient` integrates f_hat against psi_hat on the
 Fourier side (Parseval route), through the tap route of spectral_eval.
 `pyramid_coefficient`, which the sweep uses, runs Mallat's pyramid from
-fine-level scaling coefficients built out of the exact moments of phi; it
-needs no quadrature. The moments come from an integer recursion over one
-common denominator, and each row's Taylor sums from one table of Hermite
-values. The test family is Gaussian, known in closed form on both sides.
-Every sweep records one row per case and never aborts on a failing case;
-failures are data.
+fine-level scaling coefficients built out of the exact central moments of
+phi, from one integer recursion (shifts (2m-1-2l)/2, denominators
+N^q D_q 2^q), and each row's Taylor sums from one table of Hermite values;
+it needs no quadrature. The test family is Gaussian, known in closed form
+on both sides. Every sweep records one row per case and never aborts on a
+failing case; failures are data.
 """
 
 from __future__ import annotations
@@ -168,24 +168,27 @@ _MAX_SAMPLES = 2**20
 
 
 def _moment_integers(m: int) -> tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]:
-    """(n, 2^e, P, D): the taps n_l / 2^e, the moments M_q = P_q / (N^q D_q) of phi, in integers.
+    """(n, 2^e, P, D): the taps n_l / 2^e, the central moments P_q / (N^q D_q 2^q), in integers.
 
-    M_q = integral x^q phi(x) dx, exact on the float taps. H(w) = 2^(-1/2)
-    sum_l h(l) e^(ilw) makes phi(x) = 2 sum_l a_l phi(2x + l), supported on
-    [-(2m-1), 0], with a_l = h(l) / sum h (the taps scaled to sum 1, so that
-    M_0 = 1 holds exactly). Integrating x^q against both sides gives
-    (2^q - 1) M_q = sum_(r<q) C(q, r) M_r sum_l a_l (-l)^(q-r)
+    Mc_q = integral (y - t_c)^q phi(y) dy, exact on the float taps, about the
+    centre t_c = -(2m-1)/2 of supp phi. H(w) = 2^(-1/2) sum_l h(l) e^(ilw)
+    makes phi(x) = 2 sum_l a_l phi(2x + l), a_l = h(l) / sum h (summing to
+    1, so Mc_0 = 1 exactly), and phi_c = phi(. + t_c) = 2 sum_l a_l
+    phi_c(2 . - s_l), s_l = (2m-1-2l)/2. Integrating y^q against both sides
+    gives (2^q - 1) Mc_q = sum_(r<q) C(q, r) Mc_r sum_l a_l s_l^(q-r)
     (Sweldens & Piessens, SIAM J. Numer. Anal. 31, 1994). The float taps are
     n_l / 2^e for integers n_l and one e, so a_l = n_l / N with N = sum n_l,
-    and sum_l a_l (-l)^n = G_n / N with G_n = sum_l n_l (-l)^n. Put
-    D_q = prod_(i<=q) (2^i - 1); then the recursion reads
-    P_0 = 1, P_q = sum_(r<q) C(q, r) P_r G_(q-r) N^(q-r-1) D_(q-1) / D_r,
-    where D_(q-1) / D_r is an integer.
+    and sum_l a_l s_l^n = G_n / (N 2^n), G_n = sum_l n_l (2m-1-2l)^n. With
+    D_q = prod_(i<=q) (2^i - 1), P_0 = 1 and P_q = sum_(r<q) C(q, r) P_r
+    G_(q-r) N^(q-r-1) D_(q-1) / D_r, D_(q-1) / D_r an integer.
     """
     taps, shift = dyadic_integers(construct_filter(m).taps)
     scale = 1 << shift
     total = sum(taps)
-    g = [sum(t * (-ell) ** n for ell, t in enumerate(taps)) for n in range(_TAYLOR_ORDER + 1)]
+    g = [
+        sum(t * (2 * m - 1 - 2 * ell) ** n for ell, t in enumerate(taps))
+        for n in range(_TAYLOR_ORDER + 1)
+    ]
     d = [1]
     for i in range(1, _TAYLOR_ORDER + 1):
         d.append(d[-1] * (2**i - 1))
@@ -212,29 +215,22 @@ class _OrderTable(NamedTuple):
 def _order_table(m: int) -> _OrderTable:
     """What every order-m pyramid row shares, each number from _moment_integers' integers.
 
-    With t_c = -(2m-1)/2 the centre of supp phi, the q-th central moment over
-    q! is sum_(r<=q) C(q, r) P_r N^(q-r) (D_q / D_r) (2m-1)^(q-r) 2^r over
-    N^q D_q 2^q q!, both integers, rounded once by their true division. So
-    are sum |h| = sum |n_l| / 2^e, sum h = N / 2^e and (sum h)^2 - 2 =
-    (N^2 - 2 4^e) / 4^e: the floats math.fsum and Fraction sums of the taps give.
+    The q-th central moment over q! is P_q over N^q D_q 2^q q!, both
+    integers, rounded once by their true division. So are sum |h| =
+    sum |n_l| / 2^e, sum h = N / 2^e and (sum h)^2 - 2 = (N^2 - 2 4^e) / 4^e:
+    the floats math.fsum and Fraction sums of the taps give.
     """
     taps, scale, p, d = _moment_integers(m)
     total = sum(taps)
-    width = 2 * m - 1
     root2 = math.sqrt(2.0)
     central = [
-        sum(
-            math.comb(q, r) * p[r] * (total * width) ** (q - r) * (d[q] // d[r]) * 2**r
-            for r in range(q + 1)
-        )
-        / (total**q * d[q] * 2**q * math.factorial(q))
-        for q in range(_TAYLOR_ORDER + 1)
+        p[q] / (total**q * d[q] * 2**q * math.factorial(q)) for q in range(_TAYLOR_ORDER + 1)
     ]
     return _OrderTable(
         central=_frozen(np.array(central)),
         taps=_frozen(np.array([t / scale for t in taps])),
         taps_l1=sum(abs(t) for t in taps) / scale,
-        per_sample=_CRAMER * math.sqrt(width) / math.sqrt(math.factorial(_TAYLOR_ORDER + 1)),
+        per_sample=_CRAMER * math.sqrt(2 * m - 1) / math.sqrt(math.factorial(_TAYLOR_ORDER + 1)),
         drift=abs(total**2 - 2 * scale**2) / scale**2 / (total / scale + root2) / root2,
     )
 
@@ -589,10 +585,15 @@ def bound_params(m: int, k: int, p: float, eps: float = math.pi) -> BoundParams:
     return BoundParams(m=m, k=k, p=p, c=fit.c, eps=eps, c_tilde=fit.C_tilde)
 
 
-def _bracket_row(check, params, lower, upper, result, flags=(), **fields) -> VerificationRow:
+# The checks whose constants (A, B, D, E) read c log m: their m = 1 rows carry 'log_m_zero'.
+_LOG_M_CHECKS = frozenset({"theorem1", "corollary1", "corollary2", "corollary3"})
+
+
+def _bracket_row(check, params, lower, upper, result, **fields) -> VerificationRow:
     """Row bracketing `result`, a value at `params` with its abs_error; records the fitted decay."""
     if params.c_tilde is not None:  # m = 1 has no fit
         fields.update(decay_c=params.c, decay_c_tilde=params.c_tilde)
+    flags = ("log_m_zero",) if params.m == 1 and check in _LOG_M_CHECKS else ()
     return _row(
         check, params.m, params.k, params.p, result.value, lower, upper, result.abs_error,
         flags, **fields,
@@ -621,8 +622,7 @@ def _run_theorem2(case: Mapping) -> VerificationRow:
 def _run_corollary1(case: Mapping) -> VerificationRow:
     params = bound_params(case["m"], 0, case["p"])
     lower, upper = bound_E(params), bound_D(params)
-    flags = ("log_m_zero",) if params.m == 1 else ()
-    return _bracket_row("corollary1", params, lower, upper, _norm(params), flags)
+    return _bracket_row("corollary1", params, lower, upper, _norm(params))
 
 
 def _run_corollary2(case: Mapping) -> VerificationRow:
@@ -637,10 +637,7 @@ def _run_corollary3(case: Mapping) -> VerificationRow:
     interval = ratio_bounds(params)
     lower = ASYMPTOTIC_SLACK * interval.lo
     ratio = best_constant_Ckp(params.m, params.k, params.p)
-    flags = ("log_m_zero",) if params.m == 1 else ()
-    return _bracket_row(
-        "corollary3", params, lower, interval.hi, ratio, flags, slack=ASYMPTOTIC_SLACK
-    )
+    return _bracket_row("corollary3", params, lower, interval.hi, ratio, slack=ASYMPTOTIC_SLACK)
 
 
 def _run_bernstein(case: Mapping) -> VerificationRow:

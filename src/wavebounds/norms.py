@@ -304,9 +304,10 @@ def best_constant_Ckp(m: int, k: int, p: float) -> QuadResult:
     (den - e_den), which is the reported abs_error (inf when e_den >= den).
     At k = 0 the constant is exactly 1 with no error.
     """
+    request = NormRequest(m, k, p)
     if k == 0:
         return QuadResult(value=1.0, abs_error=0.0, evaluations=0)
-    num = weighted_lp_norm(NormRequest(m, k, p))
+    num = weighted_lp_norm(request)
     den = weighted_lp_norm(NormRequest(m, 0, p))
     value = num.value / den.value
     margin = den.value - den.abs_error

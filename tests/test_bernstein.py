@@ -173,24 +173,25 @@ class TestWaveletCoefficient:
 FOURIER_MISSES = [(-3, 5), (-3, -6)]
 
 
-def phi_moment(m: int, q: int) -> Fraction:
-    """M_q = integral x^q phi(x) dx, as P_q / (N^q D_q) from the integer recursion."""
+def central_moment(m: int, q: int) -> Fraction:
+    """Mc_q = integral (x - t_c)^q phi(x) dx, t_c = -(2m-1)/2, as P_q / (N^q D_q 2^q)."""
     taps, _, p, d = bernstein._moment_integers(m)
-    return Fraction(p[q], sum(taps) ** q * d[q])
+    return Fraction(p[q], sum(taps) ** q * d[q] * 2**q)
 
 
 class TestPyramidCoefficient:
     @pytest.mark.parametrize("q", range(17))
     def test_haar_moments_are_exact(self, q):
-        # phi is the indicator of [-1, 0] at m = 1.
-        assert phi_moment(1, q) == Fraction((-1) ** q, q + 1)
+        # phi is the indicator of [-1, 0] at m = 1, centred on t_c = -1/2.
+        assert central_moment(1, q) == (0 if q % 2 else Fraction(1, 2**q * (q + 1)))
 
     @pytest.mark.parametrize("m", range(1, 21))
     def test_first_moment_is_the_tap_moment(self, m):
-        taps = construct_filter(m).taps
-        first = -sum(ell * h for ell, h in enumerate(taps)) / math.sqrt(2.0)
-        assert phi_moment(m, 0) == 1
-        assert float(phi_moment(m, 1)) == pytest.approx(first, rel=1e-13)
+        # (2m-1)/2 - sum l h(l) / sqrt 2, with the float taps' exact sum in place of sqrt 2.
+        taps = [Fraction(h) for h in construct_filter(m).taps]
+        first = Fraction(2 * m - 1, 2) - sum(ell * h for ell, h in enumerate(taps)) / sum(taps)
+        assert central_moment(m, 0) == 1
+        assert central_moment(m, 1) == first
 
     def test_negative_amplitude_negates_value_and_keeps_error(self):
         f = GaussianTestFunction(sigma=0.7, center=0.2)
@@ -488,7 +489,16 @@ ROW_CONTRACT = {
     "corollary1": ("corollary1", {"m": 1, "k": 0, "p": 2.0}, ("lower", "log_m_zero"), None, True, False),
     "corollary2": ("corollary2", {"m": 2, "k": 1, "p": 2.0}, ("lower", "upper"), None, True, True),
     "corollary3": ("corollary3", {"m": 2, "k": 2, "p": 2.0}, ("upper",), 0.5, True, True),
-    # ratio_bounds' c log m term degenerates at m = 1, as in corollary1's rows.
+    # The c log m term of A, B, D and E degenerates at m = 1 in every check that reads it.
+    "theorem1-m1": ("theorem1", {"m": 1, "k": 0, "p": 2.0}, ("lower", "log_m_zero"), None, True, False),
+    "corollary2-m1": (
+        "corollary2",
+        {"m": 1, "k": 0, "p": 2.0},
+        ("lower", "upper", "log_m_zero"),
+        None,
+        True,
+        False,
+    ),
     "corollary3-m1": ("corollary3", {"m": 1, "k": 1, "p": 2.0}, ("upper", "log_m_zero"), 0.5, True, False),
     "bernstein": (
         "bernstein",

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -394,6 +395,19 @@ class TestBestConstant:
         ratio = best_constant_Ckp(3, 0, 1.5)
         assert ratio.value == 1.0 and ratio.abs_error == 0.0
 
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize(
+        "m,p,message",
+        [
+            (99, 3.0, f"the order must satisfy 1 <= m <= {MAX_ORDER}, got m=99"),
+            (2.0, 3.0, "the order m must be an integer, got 2.0"),
+            (2, 0.5, "p must lie in (1, inf), got 0.5"),
+        ],
+    )
+    def test_every_k_refuses_what_a_norm_request_refuses(self, m, k, p, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            best_constant_Ckp(m, k, p)
+
     def test_finite_positive_values(self):
         c1 = best_constant_Ckp(3, 1, 2.0)
         c2 = best_constant_Ckp(3, 2, 2.0)
@@ -581,6 +595,12 @@ class TestExactRoute:
     def test_order_above_limit_raises_value_error(self):
         with pytest.raises(ValueError, match=f"the order must satisfy 1 <= m <= {MAX_ORDER}, got m=300$"):
             even_power_integral(300, 0, 1)
+
+    @pytest.mark.parametrize("m,k,r", [(2, 3, 1), (2, -1, 1), (2, 1, 0)])
+    def test_k_outside_the_order_or_no_power_raises_value_error(self, m, k, r):
+        message = f"even_power_integral requires 0 <= k <= m and r >= 1, got m={m}, k={k}, r={r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            even_power_integral(m, k, r)
 
     def test_coefficients_beyond_float_range_raise_value_error(self):
         with pytest.raises(ValueError, match=r"\(32, 32, r=6\) .* beyond the float range"):

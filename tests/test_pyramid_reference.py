@@ -2,15 +2,15 @@
 against their earlier forms.
 
 The reference below keeps the earlier `pyramid_coefficient` (a `poly +=`
-Taylor loop over He_q), the moments of phi and their central moments
-(rational arithmetic in `Fraction`s), the tap constants (`math.fsum` of |h|
-and the tap sum in `Fraction`s) and the cascade, with the `_upsampled` and
-`_fine_levels` they called, as the oracle. The arithmetic of every float is
-unchanged: the Hermite table is summed over its leading axis, which adds
-the terms in q order as the loop did, and each central moment and tap
-constant is the same rational rounded once. So every `(value, abs_error,
-evaluations, converged)`, every moment and every tap constant is equal, not
-close.
+Taylor loop over He_q), the moments of phi about 0 and their binomial
+shift to the central moments (rational arithmetic in `Fraction`s), the tap
+constants (`math.fsum` of |h| and the tap sum in `Fraction`s) and the
+cascade, with the `_upsampled` and `_fine_levels` they called, as the
+oracle. The arithmetic of every float is unchanged: the Hermite table is
+summed over its leading axis, which adds the terms in q order as the loop
+did, and each central moment and tap constant is the same rational rounded
+once. So every `(value, abs_error, evaluations, converged)`, every moment
+and every tap constant is equal, not close.
 """
 
 import math
@@ -54,16 +54,21 @@ def reference_phi_moments(m: int) -> tuple[Fraction, ...]:
     return tuple(moments)
 
 
+def reference_central_fractions(m: int) -> list[Fraction]:
+    """The central moments about t_c = -(2m-1)/2, the raw moments shifted binomially."""
+    raw = reference_phi_moments(m)
+    shift = Fraction(2 * m - 1, 2)  # -t_c
+    return [
+        sum(math.comb(q, r) * raw[r] * shift ** (q - r) for r in range(q + 1))
+        for q in range(_TAYLOR_ORDER + 1)
+    ]
+
+
 @lru_cache(maxsize=None)
 def reference_central_moments(m: int) -> np.ndarray:
     """The central moments over q!, shifted in rationals and rounded once."""
-    raw = reference_phi_moments(m)
-    shift = Fraction(2 * m - 1, 2)  # -t_c
-    central = [
-        sum(math.comb(q, r) * raw[r] * shift ** (q - r) for r in range(q + 1)) / math.factorial(q)
-        for q in range(_TAYLOR_ORDER + 1)
-    ]
-    return _frozen(np.array([float(c) for c in central]))
+    central = reference_central_fractions(m)
+    return _frozen(np.array([float(c / math.factorial(q)) for q, c in enumerate(central)]))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -232,8 +237,8 @@ def test_moments_match_the_rational_recursion(m):
     taps, scale, p, d = bernstein._moment_integers(m)
     total = sum(taps)
     assert [n / scale for n in taps] == list(construct_filter(m).taps)
-    moments = tuple(Fraction(p[q], total**q * d[q]) for q in range(_TAYLOR_ORDER + 1))
-    assert moments == reference_phi_moments(m)
+    central = [Fraction(p[q], total**q * d[q] * 2**q) for q in range(_TAYLOR_ORDER + 1)]
+    assert central == reference_central_fractions(m)
     new, ref = bernstein._order_table(m).central, reference_central_moments(m)
     assert new.tobytes() == ref.tobytes()
     assert not new.flags.writeable
