@@ -36,7 +36,7 @@ from wavebounds.bernstein import (
 )
 from wavebounds.daub_filters import construct_filter
 from wavebounds.quadrature import QuadResult
-from wavebounds.special_math import gamma_n
+from wavebounds.special_math import MAX_ORDER, gamma_n
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +232,7 @@ def test_most_samples_kept():
     assert assert_same_coefficient(*MOST_KEPT).evaluations == 22_732
 
 
-@pytest.mark.parametrize("m", range(1, 21))
+@pytest.mark.parametrize("m", range(1, MAX_ORDER + 1))
 def test_moments_match_the_rational_recursion(m):
     taps, scale, p, d = bernstein._moment_integers(m)
     total = sum(taps)
